@@ -14,7 +14,13 @@ import numpy as np
 
 from .domain import ContestSpec
 from .errors import DataError
-from .features import FeatureSnapshot, JoinEvent, build_template_block
+from .features import (
+    FeatureSnapshot,
+    JoinEvent,
+    NormalizationStats,
+    TemplateBlock,
+    build_template_block,
+)
 from .generator import PlayerArchetype, archetype_utilities, template_stats
 from .model import WidirParams, forward_batch
 from .textio import format_kv
@@ -114,13 +120,19 @@ def model_rank(
     if not contests:
         raise ValueError("model_rank requires a non-empty contest list")
     block = build_template_block(contests, snapshot.stats)
+    return _rank_block(params, snapshot, player_id, contests[0].match_id, block)
+
+
+def _rank_block(
+    params: WidirParams, snapshot: FeatureSnapshot, player_id: str, match_id: str, block: TemplateBlock
+) -> RankedSlate:
     player_row = np.asarray(snapshot.player_row(player_id), dtype=np.float32)
     inter = block.interaction_matrix(snapshot.hists_for(player_id), snapshot.stats).astype(np.float32)
     contest = block.contest_matrix.astype(np.float32)
     n = len(block.template_ids)
     players = np.repeat(player_row[None, :], n, axis=0)
     scores = forward_batch(params, players, contest, inter)
-    return _make_slate(player_id, contests[0].match_id, block.template_ids, scores.tolist())
+    return _make_slate(player_id, match_id, block.template_ids, scores.tolist())
 
 
 def precision_at(slate: RankedSlate, actual_joined: set[str], h: int) -> float:
@@ -151,13 +163,27 @@ class PopularityScorer:
 
 
 class ModelScorer:
+    """Ranks with the model; scores equal `model_rank`'s bit for bit.
+
+    The template block depends only on the match's templates and the
+    snapshot's normalization stats, so it is built once per match and reused
+    while the same template list and stats objects come back.
+    """
+
     name = "widir"
 
     def __init__(self, params: WidirParams):
         self.params = params
+        self._blocks: dict[str, tuple[Sequence[ContestSpec], NormalizationStats, TemplateBlock]] = {}
 
     def rank(self, player_id, match_id, templates, snapshot) -> RankedSlate:
-        return model_rank(self.params, snapshot, player_id, templates)
+        if not templates:
+            raise ValueError("model_rank requires a non-empty contest list")
+        cached = self._blocks.get(match_id)
+        if cached is None or cached[0] is not templates or cached[1] is not snapshot.stats:
+            cached = (templates, snapshot.stats, build_template_block(templates, snapshot.stats))
+            self._blocks[match_id] = cached
+        return _rank_block(self.params, snapshot, player_id, templates[0].match_id, cached[2])
 
 
 class GroundTruthScorer:

@@ -11,15 +11,21 @@ final output layer linear):
     combined layers     128 -> 64 -> 64 -> 32 -> 8 -> 4
     final ranking       5 -> 4 -> 1               (4 deep outputs + wide)
 
-Numerics note: the public scoring path computes matmuls with a kernel whose
-per-row results do not depend on the batch (einsum plus row-wise reductions
-for width-1 layers), so scoring a batch equals scoring rows one at a time
-bit for bit. The trainer uses `fast=True` to switch to BLAS matmul, which
-is faster but only row-stable up to float rounding.
+Numerics note: the public scoring path computes each matmul as one stacked
+BLAS call over fixed slices of SLICE_ROWS rows, zero-padding only the tail
+slice, and width-1 layers as row-wise reductions. Every row therefore goes
+through a GEMM of the same shape whatever the batch size or its position in
+the batch, so scoring a batch equals scoring rows one at a time bit for
+bit. A plain `x @ w` is not row-stable this way: BLAS picks its blocking
+and kernels from the batch shape, so a row's rounding follows the batch.
+SLICE_ROWS is a constant because the scores' last bits depend on it. The
+trainer uses `fast=True` for plain BLAS matmul, which is row-stable only up
+to float rounding.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -156,8 +162,32 @@ def init_params(dims: WidirDims, seed: int, dtype=np.float32) -> WidirParams:
 # --- forward -----------------------------------------------------------------
 
 
+# Rows per GEMM on the exact path. Fixed, so that every row's product runs
+# through a BLAS call of one shape whatever the batch size; changing it
+# changes exact scores in their last bits.
+SLICE_ROWS = 8
+
+
 def _mm_exact(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("nk,km->nm", x, w)
+    """x @ w as one stacked matmul over fixed slices of SLICE_ROWS rows.
+
+    Each slice is its own (SLICE_ROWS, k) @ (k, m) GEMM, so a row's result
+    does not depend on how many rows surround it. Only the tail slice is
+    copied, zero-padded to full height.
+    """
+    n, k = x.shape
+    m = w.shape[1]
+    out = np.empty((n, m), dtype=np.result_type(x, w))
+    head = n - n % SLICE_ROWS
+    if head:
+        np.matmul(
+            x[:head].reshape(-1, SLICE_ROWS, k), w, out=out[:head].reshape(-1, SLICE_ROWS, m)
+        )
+    if head < n:
+        tail = np.zeros((1, SLICE_ROWS, k), dtype=x.dtype)
+        tail[0, : n - head] = x[head:]
+        out[head:] = np.matmul(tail, w)[0, : n - head]
+    return out
 
 
 def _mm_fast(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -226,8 +256,10 @@ def forward_batch(
 ) -> np.ndarray:
     """Scores for N feature triples; equals N single forward calls exactly.
 
-    (Only the default exact path guarantees bitwise equality; `fast=True`
-    switches to BLAS for training throughput.)
+    The default path runs each matmul over fixed SLICE_ROWS-row slices (see
+    `_mm_exact`), so a row's score does not depend on the batch it is in.
+    `fast=True` runs plain `x @ w`, whose per-row rounding can follow the
+    batch shape; training uses it.
     """
     player = np.atleast_2d(np.asarray(player))
     contest = np.atleast_2d(np.asarray(contest))
@@ -410,8 +442,11 @@ def deserialize(data: bytes) -> WidirParams:
 
 
 def save_model(path, params: WidirParams) -> None:
-    with open(path, "wb") as fh:
+    """Write the model atomically: a failed write leaves the previous file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(serialize(params))
+    os.replace(tmp, path)
 
 
 def load_model(path) -> WidirParams:

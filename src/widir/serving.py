@@ -240,7 +240,13 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/rank":
             self._send(404, json.dumps({"error": "not found"}).encode())
             return
-        length = int(self.headers.get("Content-Length", "0"))
+        raw_length = self.headers.get("Content-Length", "0").strip()
+        # digits only: int() would also take "-1" (rfile.read(-1) blocks until
+        # the client hangs up), "+5" and "1_0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self._send(400, json.dumps({"error": f"invalid Content-Length {raw_length!r}"}).encode())
+            return
+        length = int(raw_length)
         if length > self.max_request_bytes:
             self._send(
                 413,

@@ -19,7 +19,13 @@ from widir.evaluation import (
     precision_at,
     recall_at,
 )
-from widir.features import FeatureSnapshot, _identity_stats, enrich_joins
+from widir.features import (
+    FeatureSnapshot,
+    _identity_stats,
+    enrich_joins,
+    fit_normalization,
+    iter_snapshots,
+)
 from widir.model import WidirDims, forward_batch, init_params
 
 from conftest import DAY0, mk_contest
@@ -192,6 +198,32 @@ class TestEvaluate:
         pop = evaluate(PopularityScorer(), test_events, by_match, match_days, snapshots)
         assert truth.recall[10] > pop.recall[10]
         assert truth.n_pairs == pop.n_pairs
+
+    def test_cached_model_scorer_report_equals_uncached(self, tiny_world):
+        by_id = index_contests(tiny_world.contests)
+        by_match = match_templates(tiny_world.contests)
+        match_days = {m.match_id: day_of(m.start_time) for m in tiny_world.matches}
+        events = enrich_joins(tiny_world.joins, by_id)
+        cut = tiny_world.matches[int(len(tiny_world.matches) * 0.8)].start_time
+        train = [e for e in events if e.time < cut]
+        test_events = [e for e in events if e.time >= cut]
+        stats = fit_normalization(train, by_match, match_days)
+        days = sorted({match_days[e.match_id] for e in test_events})
+        snapshots = dict(iter_snapshots(events, days, stats))
+        params = init_params(WidirDims(), 3)
+
+        class UncachedScorer:
+            name = "widir"
+
+            def rank(self, player_id, match_id, templates, snapshot):
+                return model_rank(params, snapshot, player_id, templates)
+
+        cached = evaluate(ModelScorer(params), test_events, by_match, match_days, snapshots)
+        uncached = evaluate(UncachedScorer(), test_events, by_match, match_days, snapshots)
+        # several players per match, so the cached blocks are reused
+        assert cached.n_pairs > len({e.match_id for e in test_events})
+        assert cached == uncached
+        assert cached.to_text() == uncached.to_text()
 
     def test_report_text_round_trip(self):
         report = EvalReport(model="x", n_pairs=7,

@@ -196,6 +196,86 @@ class TestForward:
         np.testing.assert_array_equal(np.argsort(-base), np.argsort(-out))
 
 
+def _einsum_scores(params, player, contest, interaction):
+    """Oracle: the same graph with every matmul as a plain einsum."""
+    from widir.model import _graph_forward
+
+    return _graph_forward(
+        params, player, contest, interaction, lambda x, w: np.einsum("nk,km->nm", x, w)
+    )
+
+
+INVARIANCE_SIZES = (1, 7, 8, 9, 255, 256, 257, 1000, 4099)
+INVARIANCE_OFFSETS = (0, 5, 131)
+
+# Scores the same seeded inputs in a fresh process; prints a digest of the bytes.
+_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from widir.model import WidirDims, forward_batch, init_params
+dims = WidirDims()
+rng = np.random.default_rng(11)
+x = [rng.standard_normal((4099, d)).astype(np.float32) for d in (dims.d_p, dims.d_c, dims.d_i)]
+h = hashlib.sha256()
+for dtype in (np.float32, np.float64):
+    params = init_params(dims, 4, dtype=dtype)
+    for n in (1, 9, 257, 4099):
+        h.update(forward_batch(params, *(a[:n].astype(dtype) for a in x)).tobytes())
+print(h.hexdigest())
+"""
+
+
+class TestExactKernel:
+    """The exact path: batch-invariant bit for bit, and close to plain einsum."""
+
+    dims = WidirDims()
+
+    @pytest.fixture(scope="class", params=[np.float32, np.float64], ids=["f32", "f64"])
+    def scored(self, request):
+        dtype = request.param
+        params = init_params(self.dims, 6, dtype=dtype)
+        rng = np.random.default_rng(7)
+        n = max(INVARIANCE_OFFSETS) + max(INVARIANCE_SIZES)
+        x = tuple(a.astype(dtype) for a in _rand_inputs(rng, self.dims, n))
+        singles = np.array([forward_batch(params, *(a[i : i + 1] for a in x))[0] for i in range(n)])
+        return params, x, singles
+
+    @pytest.mark.parametrize("offset", INVARIANCE_OFFSETS)
+    @pytest.mark.parametrize("size", INVARIANCE_SIZES)
+    def test_batch_equals_singles_bitwise(self, scored, size, offset):
+        params, x, singles = scored
+        batch = forward_batch(params, *(a[offset : offset + size] for a in x))
+        assert batch.dtype == singles.dtype
+        assert batch.tobytes() == singles[offset : offset + size].tobytes()
+
+    @pytest.mark.parametrize("size", INVARIANCE_SIZES)
+    def test_agrees_with_einsum_oracle(self, scored, size):
+        params, x, _ = scored
+        batch = forward_batch(params, *(a[:size] for a in x))
+        oracle = _einsum_scores(params, *(a[:size] for a in x))
+        # the summation order differs from einsum's; scale the floor by the
+        # largest score so near-zero scores are not held to a relative bound
+        np.testing.assert_allclose(batch, oracle, rtol=1e-5, atol=1e-5 * np.abs(oracle).max())
+
+    def test_same_bytes_with_one_and_two_blas_threads(self):
+        import os
+        import subprocess
+        import sys
+
+        import widir
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(widir.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREADS_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
+
 class TestHingeLoss:
     def test_margin_satisfied(self):
         assert hinge_loss(2.0, 0.5) == 0.0
@@ -435,3 +515,20 @@ class TestSerialization:
         params.components["interaction_branch"][0].w = np.zeros((2, 16), dtype=np.float32)
         with pytest.raises(ParamCountError, match="interaction_branch"):
             deserialize(serialize(params))
+
+    def test_failed_save_keeps_previous_model(self, tmp_path, monkeypatch):
+        import widir.model as model
+
+        path = tmp_path / "model.bin"
+        old = init_params(WidirDims(5, 4, 3), seed=0)
+        model.save_model(path, old)
+
+        def crash(_params):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(model, "serialize", crash)
+        with pytest.raises(OSError, match="disk full"):
+            model.save_model(path, init_params(WidirDims(5, 4, 3), seed=1))
+        monkeypatch.undo()
+        for a, b in zip(old.arrays(), model.load_model(path).arrays()):
+            np.testing.assert_array_equal(a, b)

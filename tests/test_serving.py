@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.request
 
@@ -240,6 +241,34 @@ class TestHTTPService:
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request)
             assert err.value.code == 413
+        finally:
+            service.close()
+
+    @staticmethod
+    def _raw_status(address, content_length: str) -> int:
+        """Status line of a POST /rank that declares `content_length` and sends no body."""
+        head = (
+            "POST /rank HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        ).encode()
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(head)
+            reply = b""
+            while b"\r\n" not in reply:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        return int(reply.split(b" ", 2)[1])
+
+    @pytest.mark.parametrize(
+        "content_length, status",
+        [("abc", 400), ("-1", 400), ("+5", 400), ("1_0", 400), ("1000000000", 413)],
+    )
+    def test_bad_content_length_answered_within_timeout(self, content_length, status):
+        store, service = self._start()
+        try:
+            assert self._raw_status(service.address, content_length) == status
         finally:
             service.close()
 
