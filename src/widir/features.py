@@ -12,10 +12,18 @@ Windows end at the UTC midnight starting `as_of_day`, so no feature ever
 sees a join with joining_time >= as_of_day 00:00 UTC. Count and monetary
 dims are log1p-transformed, z-scored against training-partition statistics
 and clipped to [-10, 10]; rate-valued dims and flags pass through raw.
+
+One day-sweep kernel (`_JoinColumns`) builds every player row: the joins
+are laid out once as columns sorted by (player, time, template_id), and
+each day computes all players' windows with array operations. Money is
+summed in integer cents and converted to units once per sum, so a row is
+exact and does not depend on summation order. Snapshots, normalization
+fitting and `player_features_raw` all call this kernel.
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import json
 import os
@@ -29,8 +37,8 @@ from .domain import (
     ContestType,
     JoinRecord,
     MatchRecord,
+    SECONDS_PER_DAY,
     day_of,
-    day_start,
     epoch_day,
     money_units,
     parse_day,
@@ -53,6 +61,7 @@ D_I = 2 * 4 + 1  # 9
 DAYS_SINCE_CAP = 365.0
 
 _TYPE_INDEX = {ContestType.PUBLIC: 0, ContestType.SPECIAL: 1, ContestType.MEGA: 2}
+_TYPES = sorted(_TYPE_INDEX, key=_TYPE_INDEX.get)
 
 # Dims that are log1p + z-scored; the rest pass through raw.
 _WIN_RATE_IN_BLOCK = 9
@@ -210,124 +219,197 @@ def _identity_stats() -> NormalizationStats:
 
 
 def _normalize(raw: np.ndarray, mean: np.ndarray, std: np.ndarray, zmask: np.ndarray) -> np.ndarray:
+    """z-score the masked dims of one row or of a (rows, dims) matrix."""
     out = np.asarray(raw, dtype=np.float64).copy()
-    out[zmask] = (np.log1p(out[zmask]) - mean[zmask]) / std[zmask]
+    out[..., zmask] = (np.log1p(out[..., zmask]) - mean[zmask]) / std[zmask]
     return np.clip(out, -10.0, 10.0)
 
 
 # --- player features ---------------------------------------------------------
 
 
-@dataclass
-class _PlayerArrays:
-    """A player's joins as sorted parallel arrays (ascending joining_time)."""
+class _JoinColumns:
+    """Every join as columns, sorted by (player, joining_time, template_id).
 
-    day: np.ndarray        # epoch days, int64
-    fee: np.ndarray        # units, float64
-    prize: np.ndarray      # units, float64
-    won: np.ndarray        # uint8
-    multi: np.ndarray      # uint8
-    guar: np.ndarray       # uint8
-    type_idx: np.ndarray   # int8
-    fee_cents: np.ndarray  # int64 (distinct-fee counting)
-    size: np.ndarray       # int64 (distinct-size counting)
-    fee_b: np.ndarray      # int8 bucket
-    size_b: np.ndarray     # int8 bucket
-    match_code: np.ndarray  # int64 codes, per-player
-    first_of_match: np.ndarray  # uint8: 1 on the first join of each match
+    Ties keep the input order. Money stays in integer cents; a sum is
+    converted to units once, so it is exact and independent of order. For
+    each player, `prev_*` holds the index of the same player's previous join
+    with the same value (-1 if none), which turns a distinct count over a
+    slice [lo, end) into a count of the joins whose `prev_*` lies before lo.
+    """
+
+    def __init__(self, events: Sequence[JoinEvent], stats: NormalizationStats):
+        n = len(events)
+        self.player_ids = sorted({e.player_id for e in events})
+        self.template_ids = sorted({e.template_id for e in events})
+        self._code = {p: i for i, p in enumerate(self.player_ids)}
+        tcodes = {t: i for i, t in enumerate(self.template_ids)}
+        pcode = np.fromiter((self._code[e.player_id] for e in events), dtype=np.int32, count=n)
+        tcode = np.fromiter((tcodes[e.template_id] for e in events), dtype=np.int32, count=n)
+        time = np.fromiter((e.time for e in events), dtype=np.int64, count=n)
+        order = np.lexsort((tcode, time, pcode))
+
+        def column(values, dtype) -> np.ndarray:
+            return np.fromiter(values, dtype=dtype, count=n)[order]
+
+        pcode, self.tcode = pcode[order], tcode[order]
+        self.day = time[order] // SECONDS_PER_DAY
+        # (player, day) as one sorted key: one searchsorted finds every
+        # player's window edge at once
+        self.key = (pcode.astype(np.int64) << 32) + self.day
+        self.player_start = np.searchsorted(pcode, np.arange(len(self.player_ids) + 1))
+        # the money columns end in one extra 0, so that reduceat may index n
+        self.fee = np.append(column((e.entry_fee for e in events), np.int64), 0)
+        self.prize = np.append(column((e.prize_won for e in events), np.int64), 0)
+        size = column((e.contest_size for e in events), np.int64)
+        self.type_idx = column((_TYPE_INDEX[e.contest_type] for e in events), np.int8)
+        self.fee_b = _buckets(self.fee[:n], stats.fee_edges)
+        self.size_b = _buckets(size, stats.size_edges)
+        self.prize_b = _buckets(column((e.prize_money for e in events), np.int64), stats.prize_edges)
+        mcodes: dict[str, int] = {}
+        match = column((mcodes.setdefault(e.match_id, len(mcodes)) for e in events), np.int32)
+        self.prev_size = _previous_same(pcode, size)
+        self.prev_fee = _previous_same(pcode, self.fee[:n])
+        self.prev_match = _previous_same(pcode, match)
+        self.cum_fee = _prefix(self.fee[:n], np.int64)
+        self.cum_prize = _prefix(self.prize[:n], np.int64)
+        self.cum_won = _prefix(self.prize[:n] > 0, np.int32)
+        self.cum_multi = _prefix(column((e.multi_entry for e in events), bool), np.int32)
+        self.cum_guar = _prefix(column((e.guaranteed for e in events), bool), np.int32)
+        self.cum_new_type = _prefix(_previous_same(pcode, self.type_idx) < 0, np.int32)
+        self.cum_new_match = _prefix(self.prev_match < 0, np.int32)
+
+    def codes(self, player_ids: Iterable[str]) -> np.ndarray:
+        """Player codes, with -1 for a player without joins."""
+        return np.asarray([self._code.get(p, -1) for p in player_ids], dtype=np.int64)
+
+    def edges(self, codes: np.ndarray, day: dt.date, days_back: int) -> np.ndarray:
+        """Index of each player's first join on or after `day` - `days_back`."""
+        found = np.searchsorted(self.key, (codes << 32) + (epoch_day(day) - days_back))
+        return np.where(codes >= 0, found, 0)
+
+    def player_rows(self, codes: np.ndarray, day: dt.date) -> np.ndarray:
+        """Raw (len(codes), D_P) rows as of `day`; code -1 gives the cold-start row."""
+        rows = np.zeros((codes.size, D_P), dtype=np.float64)
+        end = self.edges(codes, day, 0)
+        for i, k in enumerate(PLAYER_WINDOWS):
+            self._window(self.edges(codes, day, k), end, rows[:, i * WINDOW_BLOCK:(i + 1) * WINDOW_BLOCK])
+        start = np.where(codes >= 0, self.player_start[np.maximum(codes, 0)], 0)
+        self._lifetime(start, end, epoch_day(day), rows[:, _LIFETIME_BASE:])
+        return rows
+
+    def _window(self, lo: np.ndarray, end: np.ndarray, block: np.ndarray) -> None:
+        """Write the 32 window stats over each join slice [lo, end) into `block`."""
+        m = lo.size
+        n, seg, idx = _gather(lo, end)
+        type_counts = _counts(seg, self.type_idx[idx], m, N_TYPES)
+        fee_sum = money_units(self.cum_fee[end] - self.cum_fee[lo])
+        prize_sum = money_units(self.cum_prize[end] - self.cum_prize[lo])
+        block[:, 0] = n
+        block[:, 1] = np.count_nonzero(type_counts, axis=1)
+        block[:, 2] = np.bincount(seg, self.prev_size[idx] < lo[seg], minlength=m)
+        block[:, 3] = np.bincount(seg, self.prev_fee[idx] < lo[seg], minlength=m)
+        _mean_max(block[:, 4:6], fee_sum, self.fee, lo, end, n)
+        _mean_max(block[:, 6:8], prize_sum, self.prize, lo, end, n)
+        block[:, 8] = fee_sum
+        np.divide(self.cum_won[end] - self.cum_won[lo], n, out=block[:, 9], where=n > 0)
+        block[:, 10] = np.bincount(seg, self.prev_match[idx] < lo[seg], minlength=m)
+        block[:, 11] = self.cum_multi[end] - self.cum_multi[lo]
+        block[:, 12] = self.cum_guar[end] - self.cum_guar[lo]
+        block[:, 13:16] = type_counts
+        block[:, 16:24] = _counts(seg, self.fee_b[idx], m, N_BUCKETS)
+        block[:, 24:32] = _counts(seg, self.size_b[idx], m, N_BUCKETS)
+
+    def _lifetime(self, start: np.ndarray, end: np.ndarray, d: int, block: np.ndarray) -> None:
+        """Write the 11 lifetime stats over each join slice [start, end) into `block`."""
+        n = end - start
+        seen = n > 0
+        block[:, 0] = DAYS_SINCE_CAP
+        block[seen, 0] = np.minimum(d - self.day[end[seen] - 1], DAYS_SINCE_CAP)
+        fee_sum = money_units(self.cum_fee[end] - self.cum_fee[start])
+        prize_sum = money_units(self.cum_prize[end] - self.cum_prize[start])
+        block[:, 1] = n
+        block[:, 2] = self.cum_new_type[end] - self.cum_new_type[start]
+        _mean_max(block[:, 3:5], fee_sum, self.fee, start, end, n)
+        block[:, 5] = fee_sum
+        _mean_max(block[:, 6:8], prize_sum, self.prize, start, end, n)
+        np.divide(self.cum_won[end] - self.cum_won[start], n, out=block[:, 8], where=seen)
+        block[:, 9] = self.cum_new_match[end] - self.cum_new_match[start]
+        np.divide(self.cum_multi[end] - self.cum_multi[start], n, out=block[:, 10], where=seen)
+
+    def recents(self, codes: np.ndarray, day: dt.date) -> list[list[RecentJoin]]:
+        """Each player's RecentJoin rows over the 5 days before `day`.
+
+        Rows come in recent_summary's order: by (day, template_id), ties in
+        the order of their first join.
+        """
+        out: list[list[RecentJoin]] = [[] for _ in range(codes.size)]
+        end = self.edges(codes, day, 0)
+        _, seg, idx = _gather(self.edges(codes, day, max(INTERACTION_WINDOWS)), end)
+        if not idx.size:
+            return out
+        tcode, days = self.tcode[idx], self.day[idx]
+        keys = (self.prize_b[idx], self.size_b[idx], self.fee_b[idx], self.type_idx[idx], tcode, days, seg)
+        by_key = np.lexsort(keys)  # stable, so each key's run starts at its first join
+        ordered = np.stack([k[by_key] for k in keys])
+        starts = np.flatnonzero(np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)])
+        count = np.diff(np.append(starts, by_key.size))
+        first = by_key[starts]  # one per RecentJoin row: the position of its first join
+        rows = np.lexsort((first, tcode[first], days[first], seg[first]))
+        first, count = first[rows], count[rows]
+        j = idx[first]
+        dates = {d: day_of(d * SECONDS_PER_DAY) for d in np.unique(self.day[j]).tolist()}
+        for s, d, t, ty, fb, sb, pb, c in zip(
+            seg[first].tolist(), self.day[j].tolist(), self.tcode[j].tolist(),
+            self.type_idx[j].tolist(), self.fee_b[j].tolist(), self.size_b[j].tolist(),
+            self.prize_b[j].tolist(), count.tolist(),
+        ):
+            out[s].append(RecentJoin(dates[d], self.template_ids[t], _TYPES[ty], fb, sb, pb, c))
+        return out
 
 
-def _arrays_from_events(events: Sequence[JoinEvent], stats: NormalizationStats) -> _PlayerArrays:
-    ordered = sorted(events, key=lambda e: (e.time, e.template_id))
-    n = len(ordered)
-    match_codes: dict[str, int] = {}
-    first = np.zeros(n, dtype=np.uint8)
-    mcode = np.empty(n, dtype=np.int64)
-    for i, e in enumerate(ordered):
-        if e.match_id not in match_codes:
-            match_codes[e.match_id] = len(match_codes)
-            first[i] = 1
-        mcode[i] = match_codes[e.match_id]
-    return _PlayerArrays(
-        day=np.fromiter((epoch_day(e.day) for e in ordered), dtype=np.int64, count=n),
-        fee=np.fromiter((money_units(e.entry_fee) for e in ordered), dtype=np.float64, count=n),
-        prize=np.fromiter((money_units(e.prize_won) for e in ordered), dtype=np.float64, count=n),
-        won=np.fromiter((1 if e.prize_won > 0 else 0 for e in ordered), dtype=np.uint8, count=n),
-        multi=np.fromiter((1 if e.multi_entry else 0 for e in ordered), dtype=np.uint8, count=n),
-        guar=np.fromiter((1 if e.guaranteed else 0 for e in ordered), dtype=np.uint8, count=n),
-        type_idx=np.fromiter((_TYPE_INDEX[e.contest_type] for e in ordered), dtype=np.int8, count=n),
-        fee_cents=np.fromiter((e.entry_fee for e in ordered), dtype=np.int64, count=n),
-        size=np.fromiter((e.contest_size for e in ordered), dtype=np.int64, count=n),
-        fee_b=np.fromiter((stats.fee_bucket(e.entry_fee) for e in ordered), dtype=np.int8, count=n),
-        size_b=np.fromiter((stats.size_bucket(e.contest_size) for e in ordered), dtype=np.int8, count=n),
-        match_code=mcode,
-        first_of_match=first,
-    )
+def _buckets(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """bucket_of over an array."""
+    return np.searchsorted(edges[: N_BUCKETS - 1], values, side="left").astype(np.int8)
 
 
-def _window_block(a: _PlayerArrays, lo: int, hi: int) -> list[float]:
-    """The 32 window stats over join slice [lo, hi)."""
-    n = hi - lo
-    if n == 0:
-        return [0.0] * WINDOW_BLOCK
-    sl = slice(lo, hi)
-    type_counts = np.bincount(a.type_idx[sl], minlength=N_TYPES)
-    fee_bucket_counts = np.bincount(a.fee_b[sl], minlength=N_BUCKETS)
-    size_bucket_counts = np.bincount(a.size_b[sl], minlength=N_BUCKETS)
-    fee_sum = float(a.fee[sl].sum())
-    prize_sum = float(a.prize[sl].sum())
-    block = [
-        float(n),
-        float(np.count_nonzero(type_counts)),
-        float(np.unique(a.size[sl]).size),
-        float(np.unique(a.fee_cents[sl]).size),
-        fee_sum / n,
-        float(a.fee[sl].max()),
-        prize_sum / n,
-        float(a.prize[sl].max()),
-        fee_sum,
-        float(a.won[sl].sum()) / n,
-        float(np.unique(a.match_code[sl]).size),
-        float(a.multi[sl].sum()),
-        float(a.guar[sl].sum()),
-    ]
-    block.extend(float(c) for c in type_counts)
-    block.extend(float(c) for c in fee_bucket_counts)
-    block.extend(float(c) for c in size_bucket_counts)
-    return block
+def _prefix(values: np.ndarray, dtype) -> np.ndarray:
+    """Exclusive prefix sums: out[i] is the sum of values[:i]."""
+    out = np.zeros(values.size + 1, dtype=dtype)
+    np.cumsum(values, out=out[1:])
+    return out
 
 
-def _row_from_arrays(a: _PlayerArrays, as_of_day: dt.date) -> np.ndarray:
-    d = epoch_day(as_of_day)
-    end = int(np.searchsorted(a.day, d, side="left"))
-    row: list[float] = []
-    for k in PLAYER_WINDOWS:
-        lo = int(np.searchsorted(a.day, d - k, side="left"))
-        row.extend(_window_block(a, lo, end))
-    # lifetime block
-    if end == 0:
-        row.extend([DAYS_SINCE_CAP] + [0.0] * (LIFETIME_BLOCK - 1))
-    else:
-        sl = slice(0, end)
-        n = end
-        fee_sum = float(a.fee[sl].sum())
-        prize_sum = float(a.prize[sl].sum())
-        row.extend(
-            [
-                min(float(d - a.day[end - 1]), DAYS_SINCE_CAP),
-                float(n),
-                float(np.unique(a.type_idx[sl]).size),
-                fee_sum / n,
-                float(a.fee[sl].max()),
-                fee_sum,
-                prize_sum / n,
-                float(a.prize[sl].max()),
-                float(a.won[sl].sum()) / n,
-                float(a.first_of_match[sl].sum()),
-                float(a.multi[sl].sum()) / n,
-            ]
-        )
-    return np.asarray(row, dtype=np.float64)
+def _previous_same(player: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Index of the same player's previous element with the same value, else -1."""
+    order = np.lexsort((value, player))  # stable: equal keys stay in index order
+    prev = np.full(player.size, -1, dtype=np.int32)
+    same = (player[order[1:]] == player[order[:-1]]) & (value[order[1:]] == value[order[:-1]])
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+def _gather(lo: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slice lengths, and the slot and join index of every join in the slices [lo, end)."""
+    n = end - lo
+    seg = np.repeat(np.arange(n.size), n)
+    idx = np.arange(seg.size) + np.repeat(lo - (np.cumsum(n) - n), n)
+    return n, seg, idx
+
+
+def _counts(seg: np.ndarray, category: np.ndarray, m: int, k: int) -> np.ndarray:
+    """(m, k) histogram of `category` per slot."""
+    return np.bincount(seg * k + category, minlength=m * k).reshape(m, k)
+
+
+def _mean_max(out: np.ndarray, total: np.ndarray, cents: np.ndarray,
+              lo: np.ndarray, end: np.ndarray, n: np.ndarray) -> None:
+    """Write the mean (total / n) and the max in units of non-empty slices into out[:, 0:2]."""
+    seen = n > 0
+    np.divide(total, n, out=out[:, 0], where=seen)
+    bounds = np.stack([lo[seen], end[seen]], axis=1).ravel()
+    if bounds.size:
+        out[seen, 1] = money_units(np.maximum.reduceat(cents, bounds)[::2])
 
 
 def player_features_raw(
@@ -335,9 +417,11 @@ def player_features_raw(
 ) -> np.ndarray:
     """107 window + lifetime stats on the natural scale (pre-normalization).
 
-    `stats` supplies only the bucket edges here; no z-scoring is applied.
+    `history` is one player's joins, whatever player ids they carry. `stats`
+    supplies only the bucket edges here; no z-scoring is applied.
     """
-    return _row_from_arrays(_arrays_from_events(history, stats), as_of_day)
+    columns = _JoinColumns([e._replace(player_id="") for e in history], stats)
+    return columns.player_rows(columns.codes([""]), as_of_day)[0]
 
 
 def player_features(
@@ -566,56 +650,47 @@ def fit_normalization(
     stats.size_edges = quantile_edges([e.contest_size for e in train_events])
     stats.prize_edges = quantile_edges([e.prize_money for e in train_events])
 
-    by_player: dict[str, list[JoinEvent]] = {}
-    groups: dict[tuple[str, str], list[JoinEvent]] = {}
-    for e in train_events:
-        by_player.setdefault(e.player_id, []).append(e)
-        groups.setdefault((e.player_id, e.match_id), []).append(e)
-
-    arrays = {pid: _arrays_from_events(evs, stats) for pid, evs in by_player.items()}
-
-    blocks: dict[str, TemplateBlock] = {}
-    templates_seen: dict[str, ContestSpec] = {}
-    for mid, tpls in templates_by_match.items():
-        for t in tpls:
-            templates_seen.setdefault(t.template_id, t)
-
-    def _acc():
-        return {"n": 0, "sum": None, "sumsq": None}
-
-    def _add(acc: dict, rows: np.ndarray) -> None:
-        rows = np.atleast_2d(rows)
-        if acc["sum"] is None:
-            acc["sum"] = np.zeros(rows.shape[1])
-            acc["sumsq"] = np.zeros(rows.shape[1])
-        acc["n"] += rows.shape[0]
-        acc["sum"] += rows.sum(axis=0)
-        acc["sumsq"] += (rows * rows).sum(axis=0)
-
-    p_acc, i_acc = _acc(), _acc()
-    seen_player_day: set[tuple[str, dt.date]] = set()
-    hist_cache: dict[tuple[str, dt.date], RecentHists] = {}
-
-    for (pid, mid) in sorted(groups):
+    groups = sorted({(e.player_id, e.match_id) for e in train_events})
+    row_of: dict[tuple[str, dt.date], int] = {}  # (player, match day) rows, in groups order
+    for pid, mid in groups:
         day = match_days.get(mid)
         if day is None:
             raise DataError(f"no match day known for match {mid}")
-        if (pid, day) not in seen_player_day:
-            seen_player_day.add((pid, day))
-            raw = _row_from_arrays(arrays[pid], day)
-            _add(p_acc, np.log1p(np.maximum(raw, 0.0))[None, :][:, PLAYER_Z_MASK])
+        row_of.setdefault((pid, day), len(row_of))
+
+    # one sweep per match day over its players, those with no earlier join
+    # included; a sum over axis 0 adds the rows one after another, so both
+    # sums below run in the order of `groups`
+    columns = _JoinColumns(train_events, stats)
+    by_day: dict[dt.date, list[str]] = {}
+    for pid, day in row_of:
+        by_day.setdefault(day, []).append(pid)
+    p_log = np.empty((len(row_of), np.count_nonzero(PLAYER_Z_MASK)), dtype=np.float64)
+    hists: dict[tuple[str, dt.date], RecentHists] = {}
+    for day, pids in sorted(by_day.items()):
+        codes = columns.codes(pids)
+        raw = columns.player_rows(codes, day)
+        p_log[[row_of[(pid, day)] for pid in pids]] = np.log1p(np.maximum(raw[:, PLAYER_Z_MASK], 0.0))
+        for pid, rows in zip(pids, columns.recents(codes, day)):
+            hists[(pid, day)] = build_recent_hists(rows, day)
+    p_acc = {"n": len(p_log), "sum": p_log.sum(axis=0), "sumsq": (p_log * p_log).sum(axis=0)}
+    i_acc = {"n": 0, "sum": np.zeros(D_I), "sumsq": np.zeros(D_I)}
+    blocks: dict[str, TemplateBlock] = {}
+    for pid, mid in groups:
         tpls = templates_by_match.get(mid)
         if not tpls:
             continue
         if mid not in blocks:
             blocks[mid] = _raw_template_block(tpls, stats)
-        key = (pid, day)
-        if key not in hist_cache:
-            rows = recent_summary(by_player[pid], day, stats)
-            hist_cache[key] = build_recent_hists(rows, day)
-        raw_i = _raw_interaction_matrix(blocks[mid], hist_cache[key])
-        _add(i_acc, np.log1p(raw_i))
+        raw_i = np.log1p(_raw_interaction_matrix(blocks[mid], hists[(pid, match_days[mid])]))
+        i_acc["n"] += raw_i.shape[0]
+        i_acc["sum"] += raw_i.sum(axis=0)
+        i_acc["sumsq"] += (raw_i * raw_i).sum(axis=0)
 
+    templates_seen: dict[str, ContestSpec] = {}
+    for tpls in templates_by_match.values():
+        for t in tpls:
+            templates_seen.setdefault(t.template_id, t)
     c_rows = np.stack(
         [contest_features_raw(templates_seen[t]) for t in sorted(templates_seen)]
     )
@@ -689,70 +764,25 @@ class FeatureSnapshot:
         return build_recent_hists(rows, self.as_of_day)
 
 
-def build_snapshot(
-    events: Sequence[JoinEvent], day: dt.date, stats: NormalizationStats
-) -> FeatureSnapshot:
-    """Compute the day's snapshot from the full join history.
-
-    Only joins strictly before `day` 00:00 UTC are visible; players with no
-    join in the 30 days before `day` are omitted.
-    """
-    cutoff = day_start(day)
-    active_floor = day - dt.timedelta(days=30)
-    by_player: dict[str, list[JoinEvent]] = {}
-    for e in events:
-        if e.time < cutoff:
-            by_player.setdefault(e.player_id, []).append(e)
-
-    players: dict[str, np.ndarray] = {}
-    recents: dict[str, list[RecentJoin]] = {}
-    for pid in sorted(by_player):
-        evs = by_player[pid]
-        if not any(active_floor <= e.day < day for e in evs):
-            continue
-        arrs = _arrays_from_events(evs, stats)
-        raw = _row_from_arrays(arrs, day)
-        players[pid] = _normalize(raw, stats.player_mean, stats.player_std, PLAYER_Z_MASK).astype(np.float32)
-        rows = recent_summary(evs, day, stats)
-        if rows:
-            recents[pid] = rows
-    return FeatureSnapshot(as_of_day=day, stats=stats, players=players, recents=recents)
-
-
 def iter_snapshots(
     events: Sequence[JoinEvent], days: Sequence[dt.date], stats: NormalizationStats
 ):
-    """Yield (day, FeatureSnapshot) over many days with per-player state reuse.
+    """Yield (day, FeatureSnapshot) for each day in sorted order.
 
-    Equivalent to build_snapshot(events, day, stats) per day, but sorts and
-    encodes each player's history once.
+    Each snapshot sees only joins strictly before its day 00:00 UTC. Players
+    with no join in the 30 days before the day are omitted. The joins are
+    laid out as columns once; each day is one vectorized sweep over them.
     """
-    by_player: dict[str, list[JoinEvent]] = {}
-    for e in events:
-        by_player.setdefault(e.player_id, []).append(e)
-    prepared: dict[str, tuple[list[JoinEvent], _PlayerArrays]] = {}
-    for pid in sorted(by_player):
-        ordered = sorted(by_player[pid], key=lambda e: (e.time, e.template_id))
-        prepared[pid] = (ordered, _arrays_from_events(ordered, stats))
-
+    columns = _JoinColumns(events, stats)
+    everyone = np.arange(len(columns.player_ids))
     for day in sorted(days):
-        d = epoch_day(day)
-        players: dict[str, np.ndarray] = {}
-        recents: dict[str, list[RecentJoin]] = {}
-        for pid, (ordered, arrs) in prepared.items():
-            end = int(np.searchsorted(arrs.day, d, side="left"))
-            lo30 = int(np.searchsorted(arrs.day, d - 30, side="left"))
-            if end - lo30 <= 0:
-                continue
-            raw = _row_from_arrays(arrs, day)
-            players[pid] = _normalize(
-                raw, stats.player_mean, stats.player_std, PLAYER_Z_MASK
-            ).astype(np.float32)
-            lo5 = int(np.searchsorted(arrs.day, d - max(INTERACTION_WINDOWS), side="left"))
-            if end - lo5 > 0:
-                rows = recent_summary(ordered[lo5:end], day, stats)
-                if rows:
-                    recents[pid] = rows
+        end = columns.edges(everyone, day, 0)
+        active = everyone[end > columns.edges(everyone, day, max(PLAYER_WINDOWS))]
+        pids = [columns.player_ids[c] for c in active.tolist()]
+        raw = columns.player_rows(active, day)
+        rows = _normalize(raw, stats.player_mean, stats.player_std, PLAYER_Z_MASK).astype(np.float32)
+        players = dict(zip(pids, rows))
+        recents = {pid: r for pid, r in zip(pids, columns.recents(active, day)) if r}
         yield day, FeatureSnapshot(as_of_day=day, stats=stats, players=players, recents=recents)
 
 
@@ -764,6 +794,11 @@ class SnapshotStore:
         <root>/days/<ISO-day>/player_features.txt   player_id,<hex float32 LE>
         <root>/days/<ISO-day>/recent_joins.txt      summary rows
         <root>/days/<ISO-day>/day.json              schema version, row count
+
+    day.json is each day's commit marker: `write_day` removes it before it
+    touches the day and writes it last, each file through a rename. A day
+    without day.json (a write that failed part-way) reads as absent:
+    `has_day` is False, `days()` skips it and `read_day` raises StoreError.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -803,30 +838,33 @@ class SnapshotStore:
         return NormalizationStats.from_json_dict(doc["stats"])
 
     def write_day(self, snapshot: FeatureSnapshot) -> None:
+        """Write (or overwrite) one day; day.json is its commit marker.
+
+        The old marker goes first and the new one last, and each file is
+        written to `<name>.tmp` and renamed into place, so a write that
+        fails part-way leaves a day that reads as absent.
+        """
         day = snapshot.as_of_day
         path = self._day_dir(day)
         try:
             os.makedirs(path, exist_ok=True)
-            with open(os.path.join(path, "player_features.txt"), "w", encoding="utf-8") as fh:
-                for pid, vec in snapshot.players.items():
-                    fh.write(f"{pid},{vec.astype('<f4').tobytes().hex()}\n")
-            with open(os.path.join(path, "recent_joins.txt"), "w", encoding="utf-8") as fh:
-                for pid, rows in snapshot.recents.items():
-                    for r in rows:
-                        fh.write(
-                            f"{pid},{r.day.isoformat()},{r.template_id},{r.contest_type.value},"
-                            f"{r.fee_bucket},{r.size_bucket},{r.prize_bucket},{r.count}\n"
-                        )
-            with open(os.path.join(path, "day.json"), "w", encoding="utf-8") as fh:
-                json.dump(
-                    {
-                        "schema_version": snapshot.schema_version,
-                        "as_of_day": day.isoformat(),
-                        "n_players": len(snapshot.players),
-                    },
-                    fh,
-                    sort_keys=True,
-                )
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(path, "day.json"))
+            _write_replace(os.path.join(path, "player_features.txt"), (
+                f"{pid},{vec.astype('<f4').tobytes().hex()}\n" for pid, vec in snapshot.players.items()
+            ))
+            _write_replace(os.path.join(path, "recent_joins.txt"), (
+                f"{pid},{r.day.isoformat()},{r.template_id},{r.contest_type.value},"
+                f"{r.fee_bucket},{r.size_bucket},{r.prize_bucket},{r.count}\n"
+                for pid, rows in snapshot.recents.items()
+                for r in rows
+            ))
+            meta = {
+                "schema_version": snapshot.schema_version,
+                "as_of_day": day.isoformat(),
+                "n_players": len(snapshot.players),
+            }
+            _write_replace(os.path.join(path, "day.json"), [json.dumps(meta, sort_keys=True)])
         except OSError as exc:
             raise StoreError(f"snapshot write failed for day {day} at {path}: {exc}") from exc
 
@@ -868,13 +906,27 @@ class SnapshotStore:
         return FeatureSnapshot(as_of_day=day, stats=stats, players=players, recents=recents)
 
     def has_day(self, day: dt.date) -> bool:
-        return os.path.isdir(self._day_dir(day))
+        """True once a write of `day` has committed its day.json."""
+        return os.path.isfile(os.path.join(self._day_dir(day), "day.json"))
 
     def days(self) -> list[dt.date]:
         base = os.path.join(self.root, "days")
         if not os.path.isdir(base):
             return []
-        return sorted(parse_day(name) for name in os.listdir(base))
+        return sorted(d for d in map(parse_day, os.listdir(base)) if self.has_day(d))
+
+
+def _write_replace(path: str, chunks: Iterable[str]) -> None:
+    """Write `chunks` to `<path>.tmp`, then rename it over `path`."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class SnapshotCache:

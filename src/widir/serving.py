@@ -9,6 +9,7 @@ in-process (request parse through response serialize).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -27,7 +28,7 @@ from .textio import read_kv, require_keys
 
 
 class RequestError(ValueError):
-    """Malformed rank request: empty, oversized, or duplicated contest ids."""
+    """Malformed rank request: badly shaped or typed, empty, oversized, or duplicated contest ids."""
 
 
 MAX_LIVE_CONTESTS = 2000
@@ -149,12 +150,34 @@ def rank_live(store: OnlineStore, request: RankRequest) -> RankResponse:
 
 
 def parse_rank_request(body: bytes) -> RankRequest:
+    """Decode a rank request; anything but the documented shape is a RequestError.
+
+    The body is a JSON object with string `player_id` and `match_id` and a
+    `contests` list of objects with string `contest_id` and `template_id`.
+    """
     try:
         doc = json.loads(body)
-        contests = tuple((c["contest_id"], c["template_id"]) for c in doc["contests"])
-        return RankRequest(player_id=doc["player_id"], match_id=doc["match_id"], contests=contests)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise RequestError(f"malformed rank request body: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise RequestError(f"rank request body must be a JSON object, not {type(doc).__name__}")
+    player_id = _field(doc, "player_id", str)
+    match_id = _field(doc, "match_id", str)
+    contests = []
+    for c in _field(doc, "contests", list):
+        if not isinstance(c, dict):
+            raise RequestError(f"each rank request contest must be a JSON object, not {type(c).__name__}")
+        contests.append((_field(c, "contest_id", str), _field(c, "template_id", str)))
+    return RankRequest(player_id=player_id, match_id=match_id, contests=tuple(contests))
+
+
+def _field(doc: dict, key: str, kind: type):
+    if key not in doc:
+        raise RequestError(f"rank request has no {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise RequestError(f"rank request {key!r} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
 
 
 def handle_rank_body(store: OnlineStore, body: bytes) -> tuple[int, bytes]:
@@ -215,6 +238,9 @@ class ServeConfig:
 class _Handler(BaseHTTPRequestHandler):
     store: OnlineStore
     max_request_bytes: int
+    # seconds any one read or write on a connection may stall; a client that
+    # declares more body than it sends would otherwise hold a thread forever
+    timeout = 10.0
 
     def _send(self, status: int, body: bytes) -> None:
         self.send_response(status)
@@ -222,6 +248,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def _drop(self, status: int, message: str) -> None:
+        """Answer an incomplete request if the client still reads, then close."""
+        self.close_connection = True
+        with contextlib.suppress(OSError):
+            self._send(status, json.dumps({"error": message}).encode())
 
     def do_GET(self):  # noqa: N802 (http.server API)
         if self.path != "/health":
@@ -255,7 +287,14 @@ class _Handler(BaseHTTPRequestHandler):
                 ).encode(),
             )
             return
-        body = self.rfile.read(length)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            self._drop(408, f"request body not received within {self.timeout} s")
+            return
+        if len(body) < length:
+            self._drop(400, f"request body ended after {len(body)} of {length} bytes")
+            return
         try:
             status, out = handle_rank_body(self.store, body)
         except Exception as exc:  # defensive: never kill the connection thread

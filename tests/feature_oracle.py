@@ -1,0 +1,268 @@
+"""Reference implementation of the daily player features: one player at a time.
+
+This is the per-(player, day) builder the columnar day sweep in
+`widir.features` replaced. It sums money in integer cents, as the sweep
+does, so the sweep's rows, snapshots and fitted stats must equal these bit
+for bit.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from widir.domain import ContestSpec, day_start, epoch_day, money_units
+from widir.errors import DataError
+from widir.features import (
+    CONTEST_Z_MASK,
+    DAYS_SINCE_CAP,
+    INTERACTION_Z_MASK,
+    LIFETIME_BLOCK,
+    N_BUCKETS,
+    N_TYPES,
+    PLAYER_WINDOWS,
+    PLAYER_Z_MASK,
+    WINDOW_BLOCK,
+    FeatureSnapshot,
+    JoinEvent,
+    NormalizationStats,
+    RecentHists,
+    RecentJoin,
+    _TYPE_INDEX,
+    _identity_stats,
+    _normalize,
+    _raw_interaction_matrix,
+    _raw_template_block,
+    build_recent_hists,
+    contest_features_raw,
+    quantile_edges,
+    recent_summary,
+)
+
+
+@dataclass
+class _PlayerArrays:
+    """A player's joins as sorted parallel arrays (ascending joining_time)."""
+
+    day: np.ndarray        # epoch days, int64
+    fee_cents: np.ndarray  # int64
+    prize_cents: np.ndarray  # int64
+    won: np.ndarray        # uint8
+    multi: np.ndarray      # uint8
+    guar: np.ndarray       # uint8
+    type_idx: np.ndarray   # int8
+    size: np.ndarray       # int64 (distinct-size counting)
+    fee_b: np.ndarray      # int8 bucket
+    size_b: np.ndarray     # int8 bucket
+    match_code: np.ndarray  # int64 codes, per-player
+    first_of_match: np.ndarray  # uint8: 1 on the first join of each match
+
+
+def _arrays_from_events(events: Sequence[JoinEvent], stats: NormalizationStats) -> _PlayerArrays:
+    ordered = sorted(events, key=lambda e: (e.time, e.template_id))
+    n = len(ordered)
+    match_codes: dict[str, int] = {}
+    first = np.zeros(n, dtype=np.uint8)
+    mcode = np.empty(n, dtype=np.int64)
+    for i, e in enumerate(ordered):
+        if e.match_id not in match_codes:
+            match_codes[e.match_id] = len(match_codes)
+            first[i] = 1
+        mcode[i] = match_codes[e.match_id]
+    return _PlayerArrays(
+        day=np.fromiter((epoch_day(e.day) for e in ordered), dtype=np.int64, count=n),
+        fee_cents=np.fromiter((e.entry_fee for e in ordered), dtype=np.int64, count=n),
+        prize_cents=np.fromiter((e.prize_won for e in ordered), dtype=np.int64, count=n),
+        won=np.fromiter((1 if e.prize_won > 0 else 0 for e in ordered), dtype=np.uint8, count=n),
+        multi=np.fromiter((1 if e.multi_entry else 0 for e in ordered), dtype=np.uint8, count=n),
+        guar=np.fromiter((1 if e.guaranteed else 0 for e in ordered), dtype=np.uint8, count=n),
+        type_idx=np.fromiter((_TYPE_INDEX[e.contest_type] for e in ordered), dtype=np.int8, count=n),
+        size=np.fromiter((e.contest_size for e in ordered), dtype=np.int64, count=n),
+        fee_b=np.fromiter((stats.fee_bucket(e.entry_fee) for e in ordered), dtype=np.int8, count=n),
+        size_b=np.fromiter((stats.size_bucket(e.contest_size) for e in ordered), dtype=np.int8, count=n),
+        match_code=mcode,
+        first_of_match=first,
+    )
+
+
+def _money(a: _PlayerArrays, sl: slice) -> tuple[float, float, float, float]:
+    """Fee sum, fee max, prize sum, prize max in units over a non-empty slice."""
+    return (
+        money_units(int(a.fee_cents[sl].sum())),
+        money_units(int(a.fee_cents[sl].max())),
+        money_units(int(a.prize_cents[sl].sum())),
+        money_units(int(a.prize_cents[sl].max())),
+    )
+
+
+def _window_block(a: _PlayerArrays, lo: int, hi: int) -> list[float]:
+    """The 32 window stats over join slice [lo, hi)."""
+    n = hi - lo
+    if n == 0:
+        return [0.0] * WINDOW_BLOCK
+    sl = slice(lo, hi)
+    type_counts = np.bincount(a.type_idx[sl], minlength=N_TYPES)
+    fee_bucket_counts = np.bincount(a.fee_b[sl], minlength=N_BUCKETS)
+    size_bucket_counts = np.bincount(a.size_b[sl], minlength=N_BUCKETS)
+    fee_sum, fee_max, prize_sum, prize_max = _money(a, sl)
+    block = [
+        float(n),
+        float(np.count_nonzero(type_counts)),
+        float(np.unique(a.size[sl]).size),
+        float(np.unique(a.fee_cents[sl]).size),
+        fee_sum / n,
+        fee_max,
+        prize_sum / n,
+        prize_max,
+        fee_sum,
+        float(a.won[sl].sum()) / n,
+        float(np.unique(a.match_code[sl]).size),
+        float(a.multi[sl].sum()),
+        float(a.guar[sl].sum()),
+    ]
+    block.extend(float(c) for c in type_counts)
+    block.extend(float(c) for c in fee_bucket_counts)
+    block.extend(float(c) for c in size_bucket_counts)
+    return block
+
+
+def _row_from_arrays(a: _PlayerArrays, as_of_day: dt.date) -> np.ndarray:
+    d = epoch_day(as_of_day)
+    end = int(np.searchsorted(a.day, d, side="left"))
+    row: list[float] = []
+    for k in PLAYER_WINDOWS:
+        lo = int(np.searchsorted(a.day, d - k, side="left"))
+        row.extend(_window_block(a, lo, end))
+    if end == 0:
+        row.extend([DAYS_SINCE_CAP] + [0.0] * (LIFETIME_BLOCK - 1))
+    else:
+        sl = slice(0, end)
+        n = end
+        fee_sum, fee_max, prize_sum, prize_max = _money(a, sl)
+        row.extend(
+            [
+                min(float(d - a.day[end - 1]), DAYS_SINCE_CAP),
+                float(n),
+                float(np.unique(a.type_idx[sl]).size),
+                fee_sum / n,
+                fee_max,
+                fee_sum,
+                prize_sum / n,
+                prize_max,
+                float(a.won[sl].sum()) / n,
+                float(a.first_of_match[sl].sum()),
+                float(a.multi[sl].sum()) / n,
+            ]
+        )
+    return np.asarray(row, dtype=np.float64)
+
+
+def player_row(history: Sequence[JoinEvent], as_of_day: dt.date, stats: NormalizationStats) -> np.ndarray:
+    """The raw 107-dim row of one player's history."""
+    return _row_from_arrays(_arrays_from_events(history, stats), as_of_day)
+
+
+def build_snapshot(events: Sequence[JoinEvent], day: dt.date, stats: NormalizationStats) -> FeatureSnapshot:
+    """Compute the day's snapshot from the full join history.
+
+    Only joins strictly before `day` 00:00 UTC are visible; players with no
+    join in the 30 days before `day` are omitted.
+    """
+    cutoff = day_start(day)
+    active_floor = day - dt.timedelta(days=30)
+    by_player: dict[str, list[JoinEvent]] = {}
+    for e in events:
+        if e.time < cutoff:
+            by_player.setdefault(e.player_id, []).append(e)
+
+    players: dict[str, np.ndarray] = {}
+    recents: dict[str, list[RecentJoin]] = {}
+    for pid in sorted(by_player):
+        evs = by_player[pid]
+        if not any(active_floor <= e.day < day for e in evs):
+            continue
+        raw = player_row(evs, day, stats)
+        players[pid] = _normalize(raw, stats.player_mean, stats.player_std, PLAYER_Z_MASK).astype(np.float32)
+        ordered = sorted(evs, key=lambda e: (e.time, e.template_id))
+        rows = recent_summary(ordered, day, stats)
+        if rows:
+            recents[pid] = rows
+    return FeatureSnapshot(as_of_day=day, stats=stats, players=players, recents=recents)
+
+
+def fit_normalization(
+    train_events: Sequence[JoinEvent],
+    templates_by_match: Mapping[str, Sequence[ContestSpec]],
+    match_days: Mapping[str, dt.date],
+) -> NormalizationStats:
+    """The per-player fit: rows accumulated one group at a time in sorted order."""
+    if not train_events:
+        raise DataError("cannot fit normalization on an empty training partition")
+
+    stats = _identity_stats()
+    stats.fee_edges = quantile_edges([e.entry_fee for e in train_events])
+    stats.size_edges = quantile_edges([e.contest_size for e in train_events])
+    stats.prize_edges = quantile_edges([e.prize_money for e in train_events])
+
+    by_player: dict[str, list[JoinEvent]] = {}
+    groups: dict[tuple[str, str], list[JoinEvent]] = {}
+    for e in train_events:
+        by_player.setdefault(e.player_id, []).append(e)
+        groups.setdefault((e.player_id, e.match_id), []).append(e)
+    arrays = {pid: _arrays_from_events(evs, stats) for pid, evs in by_player.items()}
+
+    def _add(acc: dict, rows: np.ndarray) -> None:
+        rows = np.atleast_2d(rows)
+        if acc["sum"] is None:
+            acc["sum"] = np.zeros(rows.shape[1])
+            acc["sumsq"] = np.zeros(rows.shape[1])
+        acc["n"] += rows.shape[0]
+        acc["sum"] += rows.sum(axis=0)
+        acc["sumsq"] += (rows * rows).sum(axis=0)
+
+    p_acc = {"n": 0, "sum": None, "sumsq": None}
+    i_acc = {"n": 0, "sum": None, "sumsq": None}
+    seen_player_day: set[tuple[str, dt.date]] = set()
+    hist_cache: dict[tuple[str, dt.date], RecentHists] = {}
+    blocks = {}
+    for (pid, mid) in sorted(groups):
+        day = match_days.get(mid)
+        if day is None:
+            raise DataError(f"no match day known for match {mid}")
+        if (pid, day) not in seen_player_day:
+            seen_player_day.add((pid, day))
+            raw = _row_from_arrays(arrays[pid], day)
+            _add(p_acc, np.log1p(np.maximum(raw, 0.0))[None, :][:, PLAYER_Z_MASK])
+        tpls = templates_by_match.get(mid)
+        if not tpls:
+            continue
+        if mid not in blocks:
+            blocks[mid] = _raw_template_block(tpls, stats)
+        key = (pid, day)
+        if key not in hist_cache:
+            hist_cache[key] = build_recent_hists(recent_summary(by_player[pid], day, stats), day)
+        _add(i_acc, np.log1p(_raw_interaction_matrix(blocks[mid], hist_cache[key])))
+
+    templates_seen: dict[str, ContestSpec] = {}
+    for tpls in templates_by_match.values():
+        for t in tpls:
+            templates_seen.setdefault(t.template_id, t)
+    c_rows = np.stack([contest_features_raw(templates_seen[t]) for t in sorted(templates_seen)])
+    c_log = np.log1p(np.maximum(c_rows[:, CONTEST_Z_MASK], 0.0))
+
+    for acc, mask, mean, std in (
+        (p_acc, PLAYER_Z_MASK, stats.player_mean, stats.player_std),
+        (i_acc, INTERACTION_Z_MASK, stats.inter_mean, stats.inter_std),
+    ):
+        if acc["n"] == 0:
+            continue
+        m = acc["sum"] / acc["n"]
+        var = np.maximum(acc["sumsq"] / acc["n"] - m * m, 0.0)
+        mean[mask] = m
+        std[mask] = np.maximum(np.sqrt(var), 1e-8)
+    stats.contest_mean[CONTEST_Z_MASK] = c_log.mean(axis=0)
+    stats.contest_std[CONTEST_Z_MASK] = np.maximum(c_log.std(axis=0), 1e-8)
+    return stats

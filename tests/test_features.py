@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from widir.domain import CENTS, ContestType, day_of, day_start, match_templates, index_contests
-from widir.errors import StoreError
+from widir.errors import DataError, StoreError
 from widir.features import (
     D_C,
     D_I,
@@ -15,10 +15,11 @@ from widir.features import (
     JoinEvent,
     NormalizationStats,
     PLAYER_WINDOWS,
+    SnapshotCache,
     SnapshotStore,
+    _JoinColumns,
     _identity_stats,
     bucket_of,
-    build_snapshot,
     cold_start_player_raw,
     contest_features,
     contest_features_raw,
@@ -33,6 +34,8 @@ from widir.features import (
 )
 
 from conftest import DAY0, mk_contest
+import feature_oracle
+from feature_oracle import build_snapshot
 
 UTC_TYPES = [ContestType.PUBLIC, ContestType.SPECIAL, ContestType.MEGA]
 
@@ -282,6 +285,100 @@ class TestPlayerFeatureProperties:
         assert raw[0] <= raw[32] <= raw[64]  # total joins per window
 
 
+def _sweep_stats():
+    stats = _identity_stats()
+    stats.fee_edges = np.asarray([300.0, 1000, 2500, 5000, 10000, 20000, 30000, 40000])
+    stats.size_edges = np.asarray([2.0, 10, 100, 1000, 2000, 3000, 4000, 5000])
+    stats.prize_edges = np.asarray([5000.0, 9000, 20000, 50000, 90000, 200000, 500000, 900000])
+    return stats
+
+
+AS_OF = DAY0 + dt.timedelta(days=40)
+
+
+@st.composite
+def multi_player_events(draw):
+    """Joins of a few players around AS_OF, drawn to hit the sweep's edge cases.
+
+    Day offsets sit on every window edge (1, 3, 5, 7, 30 days back), one day
+    past the 30-day edge, on the as-of day and after it; each player was
+    last seen 1, 2, 30, 31 or 45 days before AS_OF. Hours come from three
+    values, so joins tie in time; templates and matches come from small
+    sets, so a player joins one template several times a day.
+    """
+    events = []
+    for p in range(draw(st.integers(1, 4))):
+        last_seen = draw(st.sampled_from([1, 2, 30, 31, 45]))
+        offsets = draw(
+            st.lists(st.sampled_from([0, -1, 1, 2, 3, 4, 5, 6, 7, 8, 29, 30, 31, 60]), max_size=14)
+        )
+        for back in [last_seen] + [b for b in offsets if b >= last_seen or b <= 0]:
+            events.append(
+                ev(
+                    AS_OF - dt.timedelta(days=back),
+                    player=f"p{p}",
+                    match=f"m{draw(st.integers(0, 3))}",
+                    template=f"t{draw(st.integers(0, 2))}",
+                    ctype=draw(st.sampled_from(UTC_TYPES)),
+                    fee=draw(st.sampled_from([0, 1, 5, 10, 10, 250])) * CENTS + draw(st.sampled_from([0, 1, 99])),
+                    prize=draw(st.sampled_from([0, 0, 1, 500, 12_00, 10**9 + 7])),
+                    size=draw(st.sampled_from([2, 10, 100, 1000])),
+                    pool=draw(st.sampled_from([90 * CENTS, 4000 * CENTS])),
+                    multi=draw(st.booleans()),
+                    guaranteed=draw(st.booleans()),
+                    hour=draw(st.sampled_from([0, 12, 23])),
+                )
+            )
+    return draw(st.permutations(events))
+
+
+class TestDaySweepMatchesOracle:
+    """The columnar sweep equals the per-player oracle bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(multi_player_events())
+    def test_raw_rows_snapshots_and_recents(self, events):
+        stats = _sweep_stats()
+        stats.player_mean = np.linspace(0.0, 2.0, D_P)
+        stats.player_std = np.linspace(0.5, 3.0, D_P)
+        days = [AS_OF - dt.timedelta(days=1), AS_OF, AS_OF + dt.timedelta(days=1)]
+        columns = _JoinColumns(events, stats)
+        pids = sorted({e.player_id for e in events}) + ["never-joined"]
+        for day in days:
+            raw = columns.player_rows(columns.codes(pids), day)
+            for pid, row in zip(pids, raw):
+                history = [e for e in events if e.player_id == pid]
+                assert row.tobytes() == feature_oracle.player_row(history, day, stats).tobytes(), (pid, day)
+        for day, snap in iter_snapshots(events, days, stats):
+            oracle = build_snapshot(events, day, stats)
+            assert list(snap.players) == list(oracle.players)
+            for pid, row in oracle.players.items():
+                assert snap.players[pid].dtype == np.float32
+                assert snap.players[pid].tobytes() == row.tobytes(), (pid, day)
+            assert snap.recents == oracle.recents
+            for pid, rows in snap.recents.items():
+                assert [type(x) for x in rows[0]] == [type(x) for x in oracle.recents[pid][0]]
+
+    def test_cold_start_and_empty_log(self):
+        stats = _sweep_stats()
+        columns = _JoinColumns([], stats)
+        raw = columns.player_rows(columns.codes(["a", "b"]), AS_OF)
+        np.testing.assert_array_equal(raw, [cold_start_player_raw()] * 2)
+        assert columns.recents(columns.codes(["a"]), AS_OF) == [[]]
+        (_, snap), = iter_snapshots([], [AS_OF], stats)
+        assert snap.players == {} and snap.recents == {}
+
+    def test_fit_normalization_equals_oracle_fit(self, tiny_world):
+        by_id = index_contests(tiny_world.contests)
+        events = enrich_joins(tiny_world.joins, by_id)
+        by_match = match_templates(tiny_world.contests)
+        days = {m.match_id: day_of(m.start_time) for m in tiny_world.matches}
+        train = [e for e in events if e.day < dt.date(2025, 2, 10)]
+        fitted = fit_normalization(train, by_match, days).to_json_dict()
+        oracle = feature_oracle.fit_normalization(train, by_match, days).to_json_dict()
+        assert fitted == oracle
+
+
 class TestContestFeatures:
     def test_template_level_invariance(self, identity_stats):
         a = mk_contest(contest_id="cA")
@@ -434,6 +531,37 @@ class TestSnapshots:
         store.write_manifest(identity_stats)
         with pytest.raises(StoreError, match="2025-05-05"):
             store.read_day(dt.date(2025, 5, 5))
+
+    def _stored_day(self, tmp_path, identity_stats):
+        store = SnapshotStore(tmp_path / "store")
+        store.write_manifest(identity_stats)
+        snap = build_snapshot(self._world_events(), DAY0 + dt.timedelta(days=30), identity_stats)
+        assert snap.recents
+        store.write_day(snap)
+        return store, snap
+
+    def test_rewriting_a_day_succeeds_and_leaves_no_temporaries(self, tmp_path, identity_stats):
+        store, snap = self._stored_day(tmp_path, identity_stats)
+        store.write_day(snap)
+        day_dir = tmp_path / "store" / "days" / snap.as_of_day.isoformat()
+        assert sorted(p.name for p in day_dir.iterdir()) == [
+            "day.json", "player_features.txt", "recent_joins.txt",
+        ]
+        assert store.days() == [snap.as_of_day]
+        assert store.read_day(snap.as_of_day).recents == snap.recents
+
+    def test_failed_write_reads_as_absent(self, tmp_path, identity_stats):
+        store, snap = self._stored_day(tmp_path, identity_stats)
+        day_dir = tmp_path / "store" / "days" / snap.as_of_day.isoformat()
+        (day_dir / "recent_joins.txt.tmp").mkdir()  # the recents write cannot open its file
+        with pytest.raises(StoreError, match="snapshot write failed"):
+            store.write_day(snap)
+        assert not store.has_day(snap.as_of_day)
+        assert store.days() == []
+        with pytest.raises(DataError, match="missing"):
+            SnapshotCache(store).get(snap.as_of_day)
+        with pytest.raises(StoreError):
+            store.read_day(snap.as_of_day)
 
     def test_cold_start_row_for_unknown_player(self, identity_stats):
         snap = FeatureSnapshot(as_of_day=DAY0, stats=identity_stats, players={}, recents={})

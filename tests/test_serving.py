@@ -1,6 +1,8 @@
 import json
 import socket
 import threading
+import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -14,6 +16,7 @@ from widir.serving import (
     RankRequest,
     RequestError,
     ServeConfig,
+    _Handler,
     handle_rank_body,
     load_fallbacks,
     parse_rank_request,
@@ -181,6 +184,31 @@ class TestWireFormat:
         status, _ = handle_rank_body(store, json.dumps({"player_id": "p"}).encode())
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            "p1",
+            None,
+            {"player_id": 1, "match_id": "m1", "contests": [{"contest_id": "c1", "template_id": "t1"}]},
+            {"player_id": "p1", "match_id": {"m": 1}, "contests": [{"contest_id": "c1", "template_id": "t1"}]},
+            {"player_id": "p1", "match_id": "m1", "contests": {"contest_id": "c1", "template_id": "t1"}},
+            {"player_id": "p1", "match_id": "m1", "contests": "c1"},
+            {"player_id": "p1", "match_id": "m1", "contests": [["c1", "t1"]]},
+            {"player_id": "p1", "match_id": "m1", "contests": [{"contest_id": [1], "template_id": "t1"}]},
+            {"player_id": "p1", "match_id": "m1", "contests": [{"contest_id": "c1", "template_id": None}]},
+            {"player_id": "p1", "match_id": "m1", "contests": [{"contest_id": "c1"}]},
+        ],
+    )
+    def test_badly_typed_body_is_400(self, doc):
+        store = _store_with([_payload()])
+        body = json.dumps(doc).encode()
+        with pytest.raises(RequestError):
+            parse_rank_request(body)
+        status, out = handle_rank_body(store, body)
+        assert status == 400
+        assert "error" in json.loads(out)
+
 
 class TestServeConfig:
     def test_env_overrides_file(self, tmp_path):
@@ -218,12 +246,13 @@ class TestHTTPService:
                                  {"contest_id": "c2", "template_id": "t2"}],
                 }
             ).encode()
-            r = urllib.request.urlopen(
+            with urllib.request.urlopen(
                 urllib.request.Request(f"http://{host}:{port}/rank", data=body, method="POST")
-            )
-            doc = json.loads(r.read())
+            ) as r:
+                doc = json.loads(r.read())
             assert [c["contest_id"] for c in doc["contests"]] == ["c2", "c1"]
-            h = json.loads(urllib.request.urlopen(f"http://{host}:{port}/health").read())
+            with urllib.request.urlopen(f"http://{host}:{port}/health") as r:
+                h = json.loads(r.read())
             assert h["status"] == "ok"
             assert h["model_version"] == "v1"
             assert h["payload_count"] == 1
@@ -240,6 +269,7 @@ class TestHTTPService:
             )
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(request)
+            err.value.close()
             assert err.value.code == 413
         finally:
             service.close()
@@ -271,6 +301,76 @@ class TestHTTPService:
             assert self._raw_status(service.address, content_length) == status
         finally:
             service.close()
+
+
+    def test_badly_typed_contest_id_is_400_over_http(self):
+        store, service = self._start()
+        try:
+            host, port = service.address
+            body = json.dumps(
+                {"player_id": "p1", "match_id": "m1",
+                 "contests": [{"contest_id": [1], "template_id": "t1"}]}
+            ).encode()
+            request = urllib.request.Request(f"http://{host}:{port}/rank", data=body, method="POST")
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request)
+            err.value.close()
+            assert err.value.code == 400
+        finally:
+            service.close()
+
+    @staticmethod
+    def _short_body_client(address):
+        """A POST /rank that declares 100 body bytes and sends 2."""
+        sock = socket.create_connection(address, timeout=5)
+        sock.sendall(b"POST /rank HTTP/1.1\r\nHost: localhost\r\nContent-Length: 100\r\n\r\n{}")
+        return sock
+
+    @staticmethod
+    def _read_all(sock) -> bytes:
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+        return reply
+
+    def test_short_body_released_after_timeout(self, monkeypatch):
+        assert 0 < _Handler.timeout <= 60  # a fixed socket timeout is on by default
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        store, service = self._start()
+        try:
+            t0 = time.monotonic()
+            with self._short_body_client(service.address) as sock:
+                reply = self._read_all(sock)
+            assert time.monotonic() - t0 < 0.5 + 1.0
+            assert reply == b"" or reply.split(b" ", 2)[1] == b"408"
+            assert self._rank_status(service.address) == 200
+        finally:
+            service.close()
+
+    def test_short_body_then_half_close_is_400_without_traceback(self, monkeypatch, capsys):
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        store, service = self._start()
+        try:
+            with self._short_body_client(service.address) as sock:
+                sock.shutdown(socket.SHUT_WR)
+                reply = self._read_all(sock)
+            assert reply.split(b" ", 2)[1] == b"400"
+            assert b"ended after 2 of 100 bytes" in reply  # the short body was never ranked
+            assert self._rank_status(service.address) == 200
+        finally:
+            service.close()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @staticmethod
+    def _rank_status(address) -> int:
+        host, port = address
+        body = json.dumps(
+            {"player_id": "p1", "match_id": "m1",
+             "contests": [{"contest_id": "c1", "template_id": "t1"}]}
+        ).encode()
+        request = urllib.request.Request(f"http://{host}:{port}/rank", data=body, method="POST")
+        with urllib.request.urlopen(request, timeout=5) as r:
+            return r.status
 
 
 class TestLatencyHarness:
