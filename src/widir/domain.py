@@ -10,9 +10,11 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -79,9 +81,20 @@ def format_ts(ts: int) -> str:
     return dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+_TS = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+
+
 def parse_ts(text: str) -> int:
-    t = dt.datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=dt.timezone.utc)
-    return int(t.timestamp())
+    """Epoch seconds of a `format_ts` stamp; any other form raises ValueError.
+
+    The stamp must match YYYY-MM-DDTHH:MM:SSZ exactly, zero-padded; the
+    `datetime` constructor rejects out-of-range fields such as month 13.
+    """
+    m = _TS.fullmatch(text)
+    if m is not None:
+        with contextlib.suppress(ValueError):
+            return int(dt.datetime(*map(int, m.groups()), tzinfo=dt.timezone.utc).timestamp())
+    raise ValueError(f"not a YYYY-MM-DDTHH:MM:SSZ timestamp: {text!r}")
 
 
 def parse_day(text: str) -> dt.date:
@@ -309,21 +322,30 @@ def write_join_log(path, joins: Iterable[JoinRecord]) -> None:
             )
 
 
-def read_join_log(path) -> list[JoinRecord]:
+def _read_rows(path, n_fields: int, parse) -> list:
+    """parse(row) for each CSV row of `path`; a bad row is a DataError naming path:line."""
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            out.append(
-                JoinRecord(
-                    player_id=row[0],
-                    contest_id=row[1],
-                    match_id=row[2],
-                    joining_time=parse_ts(row[3]),
-                    entry_fee_paid=parse_money(row[4]),
-                    prize_won=parse_money(row[5]),
-                )
-            )
+        reader = csv.reader(fh)
+        for row in reader:
+            try:
+                if len(row) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(row)}")
+                out.append(parse(row))
+            except ValueError as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return out
+
+
+def read_join_log(path) -> list[JoinRecord]:
+    return _read_rows(path, 6, lambda row: JoinRecord(
+        player_id=row[0],
+        contest_id=row[1],
+        match_id=row[2],
+        joining_time=parse_ts(row[3]),
+        entry_fee_paid=parse_money(row[4]),
+        prize_won=parse_money(row[5]),
+    ))
 
 
 def write_catalog(path, contests: Iterable[ContestSpec]) -> None:
@@ -347,24 +369,18 @@ def write_catalog(path, contests: Iterable[ContestSpec]) -> None:
 
 
 def read_catalog(path) -> list[ContestSpec]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            out.append(
-                ContestSpec(
-                    contest_id=row[0],
-                    template_id=row[1],
-                    match_id=row[2],
-                    entry_fee=parse_money(row[3]),
-                    prize_money=parse_money(row[4]),
-                    contest_size=int(row[5]),
-                    contest_type=ContestType(row[6]),
-                    prize_distribution=_parse_tiers(row[7]),
-                    guaranteed=_parse_bool(row[8]),
-                    multi_entry=_parse_bool(row[9]),
-                )
-            )
-    return out
+    return _read_rows(path, 10, lambda row: ContestSpec(
+        contest_id=row[0],
+        template_id=row[1],
+        match_id=row[2],
+        entry_fee=parse_money(row[3]),
+        prize_money=parse_money(row[4]),
+        contest_size=int(row[5]),
+        contest_type=ContestType(row[6]),
+        prize_distribution=_parse_tiers(row[7]),
+        guaranteed=_parse_bool(row[8]),
+        multi_entry=_parse_bool(row[9]),
+    ))
 
 
 def write_schedule(path, matches: Iterable[MatchRecord]) -> None:
@@ -375,12 +391,11 @@ def write_schedule(path, matches: Iterable[MatchRecord]) -> None:
 
 
 def read_schedule(path) -> list[MatchRecord]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.reader(fh):
-            ids = tuple(row[2].split(";")) if row[2] else ()
-            out.append(MatchRecord(match_id=row[0], start_time=parse_ts(row[1]), contest_ids=ids))
-    return out
+    return _read_rows(path, 3, lambda row: MatchRecord(
+        match_id=row[0],
+        start_time=parse_ts(row[1]),
+        contest_ids=tuple(row[2].split(";")) if row[2] else (),
+    ))
 
 
 def serialize_join_log(joins: Iterable[JoinRecord]) -> bytes:

@@ -126,13 +126,25 @@ def model_rank(
 def _rank_block(
     params: WidirParams, snapshot: FeatureSnapshot, player_id: str, match_id: str, block: TemplateBlock
 ) -> RankedSlate:
-    player_row = np.asarray(snapshot.player_row(player_id), dtype=np.float32)
-    inter = block.interaction_matrix(snapshot.hists_for(player_id), snapshot.stats).astype(np.float32)
-    contest = block.contest_matrix.astype(np.float32)
-    n = len(block.template_ids)
-    players = np.repeat(player_row[None, :], n, axis=0)
-    scores = forward_batch(params, players, contest, inter)
+    scores = score_players(params, snapshot, block, [player_id])[0]
     return _make_slate(player_id, match_id, block.template_ids, scores.tolist())
+
+
+def score_players(
+    params: WidirParams, snapshot: FeatureSnapshot, block: TemplateBlock, player_ids: Sequence[str]
+) -> np.ndarray:
+    """(players, templates) scores of each player against every template of `block`.
+
+    One forward batch: each player's row repeated once per template, the
+    block's contest rows tiled once per player, and each player's interaction
+    rows stacked. The scoring kernel is batch-invariant, so a player's scores
+    do not depend on the other players in the call.
+    """
+    n = len(block.template_ids)
+    rows = np.asarray([snapshot.player_row(p) for p in player_ids], dtype=np.float32)
+    inter = np.concatenate([block.interaction_matrix(snapshot.hists_for(p), snapshot.stats) for p in player_ids])
+    contest = np.tile(block.contest_matrix, (len(player_ids), 1))
+    return forward_batch(params, np.repeat(rows, n, axis=0), contest, inter).reshape(len(player_ids), n)
 
 
 def precision_at(slate: RankedSlate, actual_joined: set[str], h: int) -> float:

@@ -19,6 +19,13 @@ each day computes all players' windows with array operations. Money is
 summed in integer cents and converted to units once per sum, so a row is
 exact and does not depend on summation order. Snapshots, normalization
 fitting and `player_features_raw` all call this kernel.
+
+One `TemplateBlock` per match builds every contest and interaction row:
+`build_template_block` validates the match's templates and normalizes
+their contest rows in one call, and `TemplateBlock.raw_interaction` is the
+one raw interaction path. Normalization fitting reads its raw rows, and
+training, evaluation and inference read the normalized rows, which the
+block returns as float32, the model's input type.
 """
 
 from __future__ import annotations
@@ -45,7 +52,8 @@ from .domain import (
     prize_stats,
     validate_contest,
 )
-from .errors import DataError, DimensionError, StoreError
+from .errors import DataError, StoreError
+from .textio import write_replace
 
 SNAPSHOT_SCHEMA = "widir-snapshot-v1"
 
@@ -76,24 +84,6 @@ CONTEST_Z_MASK = np.zeros(D_C, dtype=bool)
 CONTEST_Z_MASK[[0, 1, 2, 10]] = True  # fee, prize, size, prize/entry ratio
 
 INTERACTION_Z_MASK = np.ones(D_I, dtype=bool)
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureTriple:
-    """The (player, contest, interaction) raw feature vectors."""
-
-    player_vec: np.ndarray
-    contest_vec: np.ndarray
-    interaction_vec: np.ndarray
-
-    def validate(self, dims: tuple[int, int, int] = (D_P, D_C, D_I)) -> None:
-        names = ("player_vec", "contest_vec", "interaction_vec")
-        vecs = (self.player_vec, self.contest_vec, self.interaction_vec)
-        for name, vec, want in zip(names, vecs, dims):
-            if vec.shape != (want,):
-                raise DimensionError(f"{name} has shape {vec.shape}, expected ({want},)")
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{name} contains non-finite entries")
 
 
 class JoinEvent(NamedTuple):
@@ -176,15 +166,6 @@ class NormalizationStats:
     fee_edges: np.ndarray
     size_edges: np.ndarray
     prize_edges: np.ndarray
-
-    def fee_bucket(self, fee_cents: int) -> int:
-        return bucket_of(fee_cents, self.fee_edges)
-
-    def size_bucket(self, size: int) -> int:
-        return bucket_of(size, self.size_edges)
-
-    def prize_bucket(self, prize_cents: int) -> int:
-        return bucket_of(prize_cents, self.prize_edges)
 
     def to_json_dict(self) -> dict:
         return {
@@ -340,8 +321,8 @@ class _JoinColumns:
     def recents(self, codes: np.ndarray, day: dt.date) -> list[list[RecentJoin]]:
         """Each player's RecentJoin rows over the 5 days before `day`.
 
-        Rows come in recent_summary's order: by (day, template_id), ties in
-        the order of their first join.
+        One row per (day, template, bucket) key, ordered by (day,
+        template_id), ties in the order of their first join.
         """
         out: list[list[RecentJoin]] = [[] for _ in range(codes.size)]
         end = self.edges(codes, day, 0)
@@ -470,11 +451,15 @@ def contest_features_raw(spec: ContestSpec) -> np.ndarray:
     )
 
 
-def contest_features(spec: ContestSpec, stats: NormalizationStats) -> np.ndarray:
-    """Normalized 11-dim contest vector; invalid specs are rejected."""
+def _check_contest(spec: ContestSpec) -> None:
     violations = validate_contest(spec)
     if violations:
         raise ValueError(f"invalid contest {spec.contest_id}: " + "; ".join(violations))
+
+
+def contest_features(spec: ContestSpec, stats: NormalizationStats) -> np.ndarray:
+    """Normalized 11-dim contest vector; invalid specs are rejected."""
+    _check_contest(spec)
     return _normalize(contest_features_raw(spec), stats.contest_mean, stats.contest_std, CONTEST_Z_MASK)
 
 
@@ -491,26 +476,6 @@ class RecentJoin(NamedTuple):
     size_bucket: int
     prize_bucket: int
     count: int
-
-
-def recent_summary(
-    events: Sequence[JoinEvent], as_of_day: dt.date, stats: NormalizationStats
-) -> list[RecentJoin]:
-    """Aggregate a player's joins in the 5 days before `as_of_day`."""
-    horizon = as_of_day - dt.timedelta(days=max(INTERACTION_WINDOWS))
-    counts: dict[tuple, int] = {}
-    for e in events:
-        if horizon <= e.day < as_of_day:
-            key = (
-                e.day,
-                e.template_id,
-                e.contest_type,
-                stats.fee_bucket(e.entry_fee),
-                stats.size_bucket(e.contest_size),
-                stats.prize_bucket(e.prize_money),
-            )
-            counts[key] = counts.get(key, 0) + 1
-    return [RecentJoin(*key, count) for key, count in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1]))]
 
 
 @dataclass
@@ -549,54 +514,28 @@ def build_recent_hists(rows: Sequence[RecentJoin], as_of_day: dt.date) -> Recent
     return h
 
 
-def interaction_from_hists(h: RecentHists, target: ContestSpec, stats: NormalizationStats) -> np.ndarray:
-    """Raw 9-dim interaction counts of recent joins against a target contest."""
-    t = _TYPE_INDEX[target.contest_type]
-    fb = stats.fee_bucket(target.entry_fee)
-    pb = stats.prize_bucket(target.prize_money)
-    sb = stats.size_bucket(target.contest_size)
-    vec = []
-    for w in range(len(INTERACTION_WINDOWS)):
-        vec.extend(
-            [h.type_counts[w, t], h.fee_counts[w, fb], h.prize_counts[w, pb], h.size_counts[w, sb]]
-        )
-    vec.append(float(h.template_counts.get(target.template_id, 0)))
-    return np.asarray(vec, dtype=np.float64)
-
-
-def interaction_features_raw(
-    recent: Sequence[JoinEvent], target: ContestSpec, as_of_day: dt.date, stats: NormalizationStats
-) -> np.ndarray:
-    rows = recent_summary(recent, as_of_day, stats)
-    return interaction_from_hists(build_recent_hists(rows, as_of_day), target, stats)
-
-
-def interaction_features(
-    recent: Sequence[JoinEvent], target: ContestSpec, as_of_day: dt.date, stats: NormalizationStats
-) -> np.ndarray:
-    """Normalized 9-dim interaction vector for (player recent joins, target)."""
-    raw = interaction_features_raw(recent, target, as_of_day, stats)
-    return _normalize(raw, stats.inter_mean, stats.inter_std, INTERACTION_Z_MASK)
-
-
-# --- template blocks (per-match fast path) -------------------------------------
+# --- template blocks: a match's contest and interaction rows ----------------------
 
 
 @dataclass
 class TemplateBlock:
-    """Per-template arrays for scoring a whole match's templates at once."""
+    """A match's templates as arrays: the one source of contest and interaction rows.
+
+    Training, evaluation, inference and normalization fitting all take their
+    rows from a block. `raw_interaction` is the one raw interaction path;
+    `interaction_matrix` normalizes its result.
+    """
 
     template_ids: list[str]
-    contest_matrix: np.ndarray  # (n, D_C) normalized float64
+    contest_matrix: np.ndarray  # (n, D_C) normalized float32
     type_idx: np.ndarray
     fee_b: np.ndarray
     size_b: np.ndarray
     prize_b: np.ndarray
 
-    def interaction_matrix(self, h: RecentHists, stats: NormalizationStats) -> np.ndarray:
-        """Normalized (n, D_I) interaction matrix against every template."""
-        n = len(self.template_ids)
-        raw = np.zeros((n, D_I), dtype=np.float64)
+    def raw_interaction(self, h: RecentHists) -> np.ndarray:
+        """Raw (n, D_I) counts of the recent joins in `h` against every template."""
+        raw = np.zeros((len(self.template_ids), D_I), dtype=np.float64)
         for w in range(len(INTERACTION_WINDOWS)):
             base = 4 * w
             raw[:, base + 0] = h.type_counts[w][self.type_idx]
@@ -605,24 +544,33 @@ class TemplateBlock:
             raw[:, base + 3] = h.size_counts[w][self.size_b]
         if h.template_counts:
             raw[:, 8] = [float(h.template_counts.get(t, 0)) for t in self.template_ids]
-        out = raw
-        zm = INTERACTION_Z_MASK
-        out[:, zm] = (np.log1p(out[:, zm]) - stats.inter_mean[zm]) / stats.inter_std[zm]
-        return np.clip(out, -10.0, 10.0)
+        return raw
+
+    def interaction_matrix(self, h: RecentHists, stats: NormalizationStats) -> np.ndarray:
+        """Normalized (n, D_I) float32 interaction rows against every template."""
+        out = _normalize(self.raw_interaction(h), stats.inter_mean, stats.inter_std, INTERACTION_Z_MASK)
+        return out.astype(np.float32)
 
 
 def build_template_block(templates: Sequence[ContestSpec], stats: NormalizationStats) -> TemplateBlock:
+    """Validate a match's templates once and lay them out as a TemplateBlock.
+
+    The contest rows are the raw rows normalized in one call and stored as
+    float32; the bucket indices use `stats`' edges.
+    """
     ids = [t.template_id for t in templates]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate template_id in template block")
-    mat = np.stack([contest_features(t, stats) for t in templates])
+    for t in templates:
+        _check_contest(t)
+    raw = np.stack([contest_features_raw(t) for t in templates])
     return TemplateBlock(
         template_ids=ids,
-        contest_matrix=mat,
+        contest_matrix=_normalize(raw, stats.contest_mean, stats.contest_std, CONTEST_Z_MASK).astype(np.float32),
         type_idx=np.asarray([_TYPE_INDEX[t.contest_type] for t in templates], dtype=np.int64),
-        fee_b=np.asarray([stats.fee_bucket(t.entry_fee) for t in templates], dtype=np.int64),
-        size_b=np.asarray([stats.size_bucket(t.contest_size) for t in templates], dtype=np.int64),
-        prize_b=np.asarray([stats.prize_bucket(t.prize_money) for t in templates], dtype=np.int64),
+        fee_b=_buckets(np.asarray([t.entry_fee for t in templates]), stats.fee_edges),
+        size_b=_buckets(np.asarray([t.contest_size for t in templates]), stats.size_edges),
+        prize_b=_buckets(np.asarray([t.prize_money for t in templates]), stats.prize_edges),
     )
 
 
@@ -681,8 +629,8 @@ def fit_normalization(
         if not tpls:
             continue
         if mid not in blocks:
-            blocks[mid] = _raw_template_block(tpls, stats)
-        raw_i = np.log1p(_raw_interaction_matrix(blocks[mid], hists[(pid, match_days[mid])]))
+            blocks[mid] = build_template_block(tpls, stats)
+        raw_i = np.log1p(blocks[mid].raw_interaction(hists[(pid, match_days[mid])]))
         i_acc["n"] += raw_i.shape[0]
         i_acc["sum"] += raw_i.sum(axis=0)
         i_acc["sumsq"] += (raw_i * raw_i).sum(axis=0)
@@ -709,32 +657,6 @@ def fit_normalization(
     stats.contest_mean[CONTEST_Z_MASK] = c_log.mean(axis=0)
     stats.contest_std[CONTEST_Z_MASK] = np.maximum(c_log.std(axis=0), 1e-8)
     return stats
-
-
-def _raw_template_block(templates: Sequence[ContestSpec], stats: NormalizationStats) -> TemplateBlock:
-    """TemplateBlock whose contest_matrix is raw (fitting only)."""
-    return TemplateBlock(
-        template_ids=[t.template_id for t in templates],
-        contest_matrix=np.stack([contest_features_raw(t) for t in templates]),
-        type_idx=np.asarray([_TYPE_INDEX[t.contest_type] for t in templates], dtype=np.int64),
-        fee_b=np.asarray([stats.fee_bucket(t.entry_fee) for t in templates], dtype=np.int64),
-        size_b=np.asarray([stats.size_bucket(t.contest_size) for t in templates], dtype=np.int64),
-        prize_b=np.asarray([stats.prize_bucket(t.prize_money) for t in templates], dtype=np.int64),
-    )
-
-
-def _raw_interaction_matrix(block: TemplateBlock, h: RecentHists) -> np.ndarray:
-    n = len(block.template_ids)
-    raw = np.zeros((n, D_I), dtype=np.float64)
-    for w in range(len(INTERACTION_WINDOWS)):
-        base = 4 * w
-        raw[:, base + 0] = h.type_counts[w][block.type_idx]
-        raw[:, base + 1] = h.fee_counts[w][block.fee_b]
-        raw[:, base + 2] = h.prize_counts[w][block.prize_b]
-        raw[:, base + 3] = h.size_counts[w][block.size_b]
-    if h.template_counts:
-        raw[:, 8] = [float(h.template_counts.get(t, 0)) for t in block.template_ids]
-    return raw
 
 
 # --- snapshots and the offline store --------------------------------------------
@@ -819,8 +741,10 @@ class SnapshotStore:
             "d_i": D_I,
             "stats": stats.to_json_dict(),
         }
-        with open(self._manifest_path(), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
+        try:
+            write_replace(self._manifest_path(), [json.dumps(doc, sort_keys=True)])
+        except OSError as exc:
+            raise StoreError(f"store manifest write failed at {self._manifest_path()}: {exc}") from exc
 
     def read_manifest(self) -> NormalizationStats:
         path = self._manifest_path()
@@ -850,10 +774,10 @@ class SnapshotStore:
             os.makedirs(path, exist_ok=True)
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(path, "day.json"))
-            _write_replace(os.path.join(path, "player_features.txt"), (
+            write_replace(os.path.join(path, "player_features.txt"), (
                 f"{pid},{vec.astype('<f4').tobytes().hex()}\n" for pid, vec in snapshot.players.items()
             ))
-            _write_replace(os.path.join(path, "recent_joins.txt"), (
+            write_replace(os.path.join(path, "recent_joins.txt"), (
                 f"{pid},{r.day.isoformat()},{r.template_id},{r.contest_type.value},"
                 f"{r.fee_bucket},{r.size_bucket},{r.prize_bucket},{r.count}\n"
                 for pid, rows in snapshot.recents.items()
@@ -864,7 +788,7 @@ class SnapshotStore:
                 "as_of_day": day.isoformat(),
                 "n_players": len(snapshot.players),
             }
-            _write_replace(os.path.join(path, "day.json"), [json.dumps(meta, sort_keys=True)])
+            write_replace(os.path.join(path, "day.json"), [json.dumps(meta, sort_keys=True)])
         except OSError as exc:
             raise StoreError(f"snapshot write failed for day {day} at {path}: {exc}") from exc
 
@@ -914,19 +838,6 @@ class SnapshotStore:
         if not os.path.isdir(base):
             return []
         return sorted(d for d in map(parse_day, os.listdir(base)) if self.has_day(d))
-
-
-def _write_replace(path: str, chunks: Iterable[str]) -> None:
-    """Write `chunks` to `<path>.tmp`, then rename it over `path`."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
 
 
 class SnapshotCache:

@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .domain import ContestSpec, JoinRecord, MatchRecord, day_of
-from .errors import StoreError
-from .evaluation import _make_slate
+from .evaluation import _make_slate, score_players
 from .features import FeatureSnapshot, build_template_block
-from .model import WidirParams, forward_batch
+from .model import WidirParams
+from .textio import write_replace
 
 _SCORE_CHUNK = 512  # players scored per forward batch
 
@@ -55,30 +52,19 @@ def run_batch(
 ) -> list[RankingPayload]:
     """One payload per (active player, upcoming match), ordered as model_rank orders.
 
-    Scoring batches many players per forward call; the scoring kernel is
-    batch-size independent, so the ordering is bit-identical to per-player
-    model_rank calls.
+    Players are scored in chunks through `score_players`, the function
+    `model_rank` calls for one player; the scoring kernel is batch-invariant,
+    so each ordering is bit-identical to that player's `model_rank`.
     """
     players = sorted(active)
     payloads: list[RankingPayload] = []
     for match, templates in matches:
         block = build_template_block(templates, snapshot.stats)
-        contest = block.contest_matrix.astype(np.float32)
-        n_tpl = len(block.template_ids)
         for base in range(0, len(players), _SCORE_CHUNK):
             chunk = players[base : base + _SCORE_CHUNK]
-            rows = np.stack([np.asarray(snapshot.player_row(p), dtype=np.float32) for p in chunk])
-            inters = np.concatenate(
-                [
-                    block.interaction_matrix(snapshot.hists_for(p), snapshot.stats).astype(np.float32)
-                    for p in chunk
-                ]
-            )
-            big_p = np.repeat(rows, n_tpl, axis=0)
-            big_c = np.tile(contest, (len(chunk), 1))
-            scores = forward_batch(params, big_p, big_c, inters).reshape(len(chunk), n_tpl)
-            for pi, pid in enumerate(chunk):
-                slate = _make_slate(pid, match.match_id, block.template_ids, scores[pi].tolist())
+            scores = score_players(params, snapshot, block, chunk)
+            for pid, row in zip(chunk, scores):
+                slate = _make_slate(pid, match.match_id, block.template_ids, row.tolist())
                 payloads.append(
                     RankingPayload(
                         player_id=pid,
@@ -91,42 +77,22 @@ def run_batch(
     return payloads
 
 
-def publish_payloads(store, payloads: Iterable[RankingPayload], retries: int = 1) -> None:
-    """Atomic per-key replacement into the online store, with one retry."""
-    for payload in payloads:
-        attempt = 0
-        while True:
-            try:
-                store.put(payload)
-                break
-            except Exception as exc:  # store backends may fail transiently
-                attempt += 1
-                if attempt > retries:
-                    raise StoreError(
-                        f"publish failed for player {payload.player_id} "
-                        f"match {payload.match_id}: {exc}"
-                    ) from exc
-
-
 def write_payloads(path, payloads: Sequence[RankingPayload]) -> None:
     """Newline-delimited JSON payload file; written atomically."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for p in payloads:
-            fh.write(
-                json.dumps(
-                    {
-                        "player_id": p.player_id,
-                        "match_id": p.match_id,
-                        "ranking": [[tid, float(score)] for tid, score in p.ranking],
-                        "generated_at": p.generated_at,
-                        "model_version": p.model_version,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    os.replace(tmp, path)
+    write_replace(path, (
+        json.dumps(
+            {
+                "player_id": p.player_id,
+                "match_id": p.match_id,
+                "ranking": [[tid, float(score)] for tid, score in p.ranking],
+                "generated_at": p.generated_at,
+                "model_version": p.model_version,
+            },
+            sort_keys=True,
+        )
+        + "\n"
+        for p in payloads
+    ))
 
 
 def read_payloads(path) -> list[RankingPayload]:

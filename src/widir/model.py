@@ -33,7 +33,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, ModelFormatError, ModelVersionError, ParamCountError
-from .features import FeatureTriple
 
 MODEL_MAGIC = b"WDIR"
 MODEL_VERSION = 1
@@ -268,14 +267,6 @@ def forward_batch(
     return _graph_forward(params, player, contest, interaction, _mm_fast if fast else _mm_exact)
 
 
-def forward(params: WidirParams, triple: FeatureTriple) -> float:
-    """Affinity score for one (player, contest, interaction) triple."""
-    scores = forward_batch(
-        params, triple.player_vec[None, :], triple.contest_vec[None, :], triple.interaction_vec[None, :]
-    )
-    return float(scores[0])
-
-
 # --- loss ----------------------------------------------------------------------
 
 
@@ -334,8 +325,8 @@ def backward_batch(
         sides.append((scores, caches))
     (s_pos, cache_pos), (s_neg, cache_neg) = sides
 
-    losses = np.maximum(0.0, 1.0 - (s_pos - s_neg))
-    active = (1.0 - (s_pos - s_neg)) > 0.0
+    losses = hinge_losses(s_pos, s_neg)
+    active = losses > 0.0
     dtype = s_pos.dtype
 
     for caches, sign in ((cache_pos, -1.0), (cache_neg, 1.0)):
@@ -352,16 +343,6 @@ def backward_batch(
         _mlp_backward(c["contest_branch"], flags["contest_branch"], caches["contest_branch"], dcb, g["contest_branch"], need_input_grad=False)
         _mlp_backward(c["interaction_branch"], flags["interaction_branch"], caches["interaction_branch"], dib, g["interaction_branch"], need_input_grad=False)
     return grads, losses
-
-
-def backward(params: WidirParams, pos: FeatureTriple, neg: FeatureTriple) -> WidirParams:
-    """Exact gradient of hinge_loss(forward(pos), forward(neg)) for one pair."""
-    grads, _ = backward_batch(
-        params,
-        (pos.player_vec[None, :], pos.contest_vec[None, :], pos.interaction_vec[None, :]),
-        (neg.player_vec[None, :], neg.contest_vec[None, :], neg.interaction_vec[None, :]),
-    )
-    return grads
 
 
 # --- serialization ------------------------------------------------------------

@@ -37,7 +37,7 @@ from .generator import GeneratorConfig, SyntheticWorld, generate_synthetic, load
 from .inference import active_players, read_payloads, run_batch, write_payloads
 from .manifest import RunManifest, digest_path
 from .model import WidirDims, load_model, save_model
-from .textio import write_kv
+from .textio import write_kv, write_replace
 from .training import (
     TrainConfig,
     assemble_pair_dataset,
@@ -120,12 +120,8 @@ def _features_impl(data_dir, features_dir, train_end: dt.date, valid_end: dt.dat
     store.write_manifest(stats)
     for _, snapshot in iter_snapshots(all_events, days, stats):
         store.write_day(snapshot)
-    with open(os.path.join(features_dir, "splits.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {"train_end": train_end.isoformat(), "valid_end": valid_end.isoformat()},
-            fh,
-            sort_keys=True,
-        )
+    splits = {"train_end": train_end.isoformat(), "valid_end": valid_end.isoformat()}
+    write_replace(os.path.join(features_dir, "splits.json"), [json.dumps(splits, sort_keys=True)])
 
 
 def _read_splits(features_dir) -> tuple[dt.date, dt.date]:

@@ -1,11 +1,16 @@
-"""Flat key-value text files used for configs and reports.
+"""Flat key-value text files used for configs and reports, and atomic text writes.
 
 Format: one `key = value` per line; blank lines and lines starting with `#`
 are ignored. Keys are validated by each consumer; unknown keys are an error
-there, not here.
+there, not here. `write_replace` writes any text file that another phase
+reads.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+from typing import Iterable
 
 from .errors import ConfigError
 
@@ -42,3 +47,20 @@ def require_keys(items: dict[str, str], known: set[str], context: str) -> None:
     for key in items:
         if key not in known:
             raise ConfigError(f"{context}: unknown config key {key!r}")
+
+
+def write_replace(path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to `<path>.tmp`, then rename it over `path`.
+
+    A reader sees the old file or the new one, never a part; a failed write
+    removes the temporary and leaves `path` as it was.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

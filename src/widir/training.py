@@ -30,7 +30,7 @@ from .features import (
     NormalizationStats,
     build_template_block,
 )
-from .model import WidirDims, WidirParams, backward_batch, forward_batch, init_params
+from .model import WidirDims, WidirParams, backward_batch, forward_batch, hinge_losses, init_params
 from .textio import read_kv, require_keys
 
 logger = logging.getLogger(__name__)
@@ -262,8 +262,8 @@ def assemble_pair_dataset(
         tid_to_row = {tid: r for r, tid in enumerate(block.template_ids)}
 
         player_rows.append(np.asarray(snap.player_row(lst.player_id), dtype=np.float32))
-        inter = block.interaction_matrix(snap.hists_for(lst.player_id), stats).astype(np.float32)
-        contest = block.contest_matrix.astype(np.float32)
+        inter = block.interaction_matrix(snap.hists_for(lst.player_id), stats)
+        contest = block.contest_matrix
 
         for pair in build_pairs(lst, max_pairs, seed):
             pr = tid_to_row.get(pair.pos_template_id)
@@ -395,7 +395,7 @@ def _mean_valid_loss(params: WidirParams, data: PairDataset, batch: int) -> floa
         (pp, pc, pi), (np_, nc, ni) = data.batch(idx)
         s_pos = forward_batch(params, pp, pc, pi, fast=True)
         s_neg = forward_batch(params, np_, nc, ni, fast=True)
-        total += float(np.maximum(0.0, 1.0 - (s_pos - s_neg)).sum())
+        total += float(hinge_losses(s_pos, s_neg).sum())
     return total / n
 
 

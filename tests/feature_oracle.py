@@ -1,9 +1,11 @@
-"""Reference implementation of the daily player features: one player at a time.
+"""Reference implementations of the daily features: one player, one target at a time.
 
-This is the per-(player, day) builder the columnar day sweep in
+The per-(player, day) builder is the one the columnar day sweep in
 `widir.features` replaced. It sums money in integer cents, as the sweep
 does, so the sweep's rows, snapshots and fitted stats must equal these bit
-for bit.
+for bit. `recent_summary` aggregates one player's recent joins, and
+`interaction_row` counts them against one target contest; each row of
+`TemplateBlock.raw_interaction` must equal it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from widir.features import (
     PLAYER_WINDOWS,
     PLAYER_Z_MASK,
     WINDOW_BLOCK,
+    INTERACTION_WINDOWS,
     FeatureSnapshot,
     JoinEvent,
     NormalizationStats,
@@ -34,12 +37,10 @@ from widir.features import (
     _TYPE_INDEX,
     _identity_stats,
     _normalize,
-    _raw_interaction_matrix,
-    _raw_template_block,
+    bucket_of,
     build_recent_hists,
     contest_features_raw,
     quantile_edges,
-    recent_summary,
 )
 
 
@@ -81,11 +82,46 @@ def _arrays_from_events(events: Sequence[JoinEvent], stats: NormalizationStats) 
         guar=np.fromiter((1 if e.guaranteed else 0 for e in ordered), dtype=np.uint8, count=n),
         type_idx=np.fromiter((_TYPE_INDEX[e.contest_type] for e in ordered), dtype=np.int8, count=n),
         size=np.fromiter((e.contest_size for e in ordered), dtype=np.int64, count=n),
-        fee_b=np.fromiter((stats.fee_bucket(e.entry_fee) for e in ordered), dtype=np.int8, count=n),
-        size_b=np.fromiter((stats.size_bucket(e.contest_size) for e in ordered), dtype=np.int8, count=n),
+        fee_b=np.fromiter((bucket_of(e.entry_fee, stats.fee_edges) for e in ordered), dtype=np.int8, count=n),
+        size_b=np.fromiter((bucket_of(e.contest_size, stats.size_edges) for e in ordered), dtype=np.int8, count=n),
         match_code=mcode,
         first_of_match=first,
     )
+
+
+def recent_summary(
+    events: Sequence[JoinEvent], as_of_day: dt.date, stats: NormalizationStats
+) -> list[RecentJoin]:
+    """Aggregate a player's joins in the 5 days before `as_of_day`."""
+    horizon = as_of_day - dt.timedelta(days=max(INTERACTION_WINDOWS))
+    counts: dict[tuple, int] = {}
+    for e in events:
+        if horizon <= e.day < as_of_day:
+            key = (
+                e.day,
+                e.template_id,
+                e.contest_type,
+                bucket_of(e.entry_fee, stats.fee_edges),
+                bucket_of(e.contest_size, stats.size_edges),
+                bucket_of(e.prize_money, stats.prize_edges),
+            )
+            counts[key] = counts.get(key, 0) + 1
+    return [RecentJoin(*key, count) for key, count in sorted(counts.items(), key=lambda kv: (kv[0][0], kv[0][1]))]
+
+
+def interaction_row(h: RecentHists, target: ContestSpec, stats: NormalizationStats) -> np.ndarray:
+    """Raw 9-dim interaction counts of recent joins against one target contest."""
+    t = _TYPE_INDEX[target.contest_type]
+    fb = bucket_of(target.entry_fee, stats.fee_edges)
+    pb = bucket_of(target.prize_money, stats.prize_edges)
+    sb = bucket_of(target.contest_size, stats.size_edges)
+    vec = []
+    for w in range(len(INTERACTION_WINDOWS)):
+        vec.extend(
+            [h.type_counts[w, t], h.fee_counts[w, fb], h.prize_counts[w, pb], h.size_counts[w, sb]]
+        )
+    vec.append(float(h.template_counts.get(target.template_id, 0)))
+    return np.asarray(vec, dtype=np.float64)
 
 
 def _money(a: _PlayerArrays, sl: slice) -> tuple[float, float, float, float]:
@@ -227,7 +263,6 @@ def fit_normalization(
     i_acc = {"n": 0, "sum": None, "sumsq": None}
     seen_player_day: set[tuple[str, dt.date]] = set()
     hist_cache: dict[tuple[str, dt.date], RecentHists] = {}
-    blocks = {}
     for (pid, mid) in sorted(groups):
         day = match_days.get(mid)
         if day is None:
@@ -239,12 +274,10 @@ def fit_normalization(
         tpls = templates_by_match.get(mid)
         if not tpls:
             continue
-        if mid not in blocks:
-            blocks[mid] = _raw_template_block(tpls, stats)
         key = (pid, day)
         if key not in hist_cache:
             hist_cache[key] = build_recent_hists(recent_summary(by_player[pid], day, stats), day)
-        _add(i_acc, np.log1p(_raw_interaction_matrix(blocks[mid], hist_cache[key])))
+        _add(i_acc, np.log1p(np.stack([interaction_row(hist_cache[key], t, stats) for t in tpls])))
 
     templates_seen: dict[str, ContestSpec] = {}
     for tpls in templates_by_match.values():

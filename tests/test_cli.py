@@ -117,6 +117,23 @@ class TestErrorPaths:
         assert code == 1
         assert "outside" in capsys.readouterr().err
 
+    def test_bad_join_row_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.kv"
+        cfg.write_text(GEN_KV)
+        out = tmp_path / "o"
+        assert main(["generate", "--out", str(out), "--config", str(cfg), "--seed", "5"]) == 0
+        joins = out / "data" / "joins.csv"
+        rows = [line.split(",") for line in joins.read_text().splitlines(keepends=True)]
+        rows[2][3] = rows[2][3].replace("T", " ").rstrip("Z")  # a space separator, no Z
+        joins.write_text("".join(",".join(row) for row in rows))
+        capsys.readouterr()
+        code = main(["features", "--out", str(out), "--train-end", "2025-01-30",
+                     "--valid-end", "2025-02-07"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{joins}:3:" in err and "timestamp" in err
+        assert "Traceback" not in err
+
     def test_duplicate_run_id_rejected(self, pipeline_root, capsys):
         code = main(
             ["generate", "--out", str(pipeline_root), "--config",

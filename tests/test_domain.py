@@ -1,6 +1,7 @@
 import datetime as dt
 
 import pytest
+from hypothesis import given, strategies as st
 
 from widir.domain import (
     CENTS,
@@ -24,7 +25,11 @@ from widir.domain import (
     MatchRecord,
 )
 
+from widir.errors import DataError
+
 from conftest import DAY0, mk_contest, mk_join
+
+LAST_FOUR_DIGIT_SECOND = 253_402_300_799  # 9999-12-31T23:59:59Z
 
 
 class TestMoney:
@@ -48,6 +53,25 @@ class TestTime:
         ts = day_start(DAY0) + 17 * 3600 + 30 * 60
         assert parse_ts(format_ts(ts)) == ts
         assert format_ts(ts).endswith("Z")
+
+    @given(st.integers(min_value=0, max_value=LAST_FOUR_DIGIT_SECOND))
+    def test_parse_inverts_format(self, ts):
+        assert parse_ts(format_ts(ts)) == ts
+
+    @pytest.mark.parametrize("text", [
+        "2025-1-3T7:30:0Z",        # not zero-padded
+        "2025-01-03 07:30:00Z",    # space separator
+        "2025-01-03T07:30:00",     # no Z
+        "2025-13-03T07:30:00Z",    # month 13
+        "2025-02-30T07:30:00Z",    # no such day
+        "2025-01-03T24:00:00Z",    # hour 24
+        "2025-01-03T07:30:00Z ",   # trailing space
+        "2025-01-03T07:30:00+00:00",
+        "",
+    ])
+    def test_malformed_stamp_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_ts(text)
 
     def test_day_of_boundary(self):
         assert day_of(day_start(DAY0)) == DAY0
@@ -167,3 +191,36 @@ class TestSerialization:
         path = tmp_path / "matches.csv"
         write_schedule(path, matches)
         assert read_schedule(path) == matches
+
+    GOOD_JOIN = "p1,c1,m1,2025-01-03T07:30:00Z,10.00,0.00\n"
+
+    @pytest.mark.parametrize("bad, message", [
+        ("p2,c1,m1,2025-01-03 07:30:00,10.00,0.00\n", "timestamp"),
+        ("p2,c1,m1\n", "expected 6 fields, got 3"),
+        ("p2,c1,m1,2025-01-03T07:30:00Z,ten,0.00\n", "currency"),
+        ("p2,c1,m1,2025-01-03T07:30:00Z,10.00,0.00,extra\n", "expected 6 fields, got 7"),
+    ])
+    def test_bad_join_row_is_data_error_naming_the_line(self, tmp_path, bad, message):
+        path = tmp_path / "joins.csv"
+        path.write_text(self.GOOD_JOIN + bad)
+        with pytest.raises(DataError, match=message) as info:
+            read_join_log(path)
+        assert f"{path}:2:" in str(info.value)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("m2,2025-01-03T25:00:00Z,c3\n", "timestamp"),
+        ("m2\n", "expected 3 fields, got 1"),
+    ])
+    def test_bad_schedule_row_is_data_error_naming_the_line(self, tmp_path, bad, message):
+        path = tmp_path / "matches.csv"
+        path.write_text("m1,2025-01-03T15:00:00Z,c1;c2\n" + bad)
+        with pytest.raises(DataError, match=message) as info:
+            read_schedule(path)
+        assert f"{path}:2:" in str(info.value)
+
+    def test_bad_catalog_row_is_data_error(self, tmp_path):
+        path = tmp_path / "contests.csv"
+        write_catalog(path, [mk_contest()])
+        path.write_text(path.read_text().replace("Public", "Private"))
+        with pytest.raises(DataError, match=f"{path}:1:"):
+            read_catalog(path)

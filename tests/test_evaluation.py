@@ -18,10 +18,13 @@ from widir.evaluation import (
     popularity_rank,
     precision_at,
     recall_at,
+    score_players,
 )
 from widir.features import (
     FeatureSnapshot,
+    RecentJoin,
     _identity_stats,
+    build_template_block,
     enrich_joins,
     fit_normalization,
     iter_snapshots,
@@ -102,14 +105,40 @@ class TestModelRank:
         ordered = [s for _, s in slate.ranked]
         assert ordered == sorted(ordered, reverse=True)
         # recompute one template's score through the public forward path
-        from widir.features import build_template_block
-
         block = build_template_block(contests, snap.stats)
         p = np.repeat(snap.player_row("p1")[None, :].astype(np.float32), 6, axis=0)
         inter = block.interaction_matrix(snap.hists_for("p1"), snap.stats).astype(np.float32)
         expect = forward_batch(params, p, block.contest_matrix.astype(np.float32), inter)
         for tid, s in zip(block.template_ids, expect):
             assert scores[tid] == float(s)
+
+    def test_score_players_rows_are_each_players_own_forward(self):
+        params = init_params(self.dims, 3)
+        rng = np.random.default_rng(5)
+        contests = [
+            mk_contest(contest_id=f"c{i}", template_id=f"t{i}", entry_fee=(i + 1) * CENTS,
+                       contest_type=[ContestType.PUBLIC, ContestType.MEGA][i % 2])
+            for i in range(4)
+        ]
+        recents = {
+            pid: [RecentJoin(DAY0 - dt.timedelta(days=d), f"t{d}", ContestType.MEGA, d, 0, d, d)]
+            for pid, d in (("a", 1), ("b", 3))
+        }
+        players = {pid: rng.standard_normal(self.dims.d_p).astype(np.float32) for pid in ("a", "b")}
+        snap = FeatureSnapshot(as_of_day=DAY0, stats=_identity_stats(), players=players, recents=recents)
+        block = build_template_block(contests, snap.stats)
+        ids = ["b", "cold", "a"]
+        scores = score_players(params, snap, block, ids)
+        assert scores.shape == (3, 4)
+        for pid, row in zip(ids, scores):
+            alone = forward_batch(
+                params,
+                np.repeat(snap.player_row(pid)[None, :], 4, axis=0),
+                block.contest_matrix,
+                block.interaction_matrix(snap.hists_for(pid), snap.stats),
+            )
+            assert row.tobytes() == alone.tobytes()
+        assert scores[0].tobytes() != scores[2].tobytes()
 
 
 class TestMetricFormulas:

@@ -1,4 +1,5 @@
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from widir.features import (
     D_I,
     D_P,
     DAYS_SINCE_CAP,
+    INTERACTION_Z_MASK,
     FeatureSnapshot,
     JoinEvent,
     NormalizationStats,
@@ -19,18 +21,19 @@ from widir.features import (
     SnapshotStore,
     _JoinColumns,
     _identity_stats,
+    _normalize,
     bucket_of,
+    build_recent_hists,
+    build_template_block,
     cold_start_player_raw,
     contest_features,
     contest_features_raw,
     enrich_joins,
     fit_normalization,
-    interaction_features_raw,
     iter_snapshots,
     player_features,
     player_features_raw,
     quantile_edges,
-    recent_summary,
 )
 
 from conftest import DAY0, mk_contest
@@ -420,10 +423,16 @@ class TestContestFeatures:
             contest_features(bad, identity_stats)
 
 
+def interaction_raw(events, target, day, stats):
+    """Player p1's raw interaction row against `target`, via the day's snapshot and a block."""
+    (_, snap), = iter_snapshots(events, [day], stats)
+    return build_template_block([target], stats).raw_interaction(snap.hists_for("p1"))[0]
+
+
 class TestInteractionFeatures:
     def test_empty_history_zero_counts(self, identity_stats):
         target = mk_contest()
-        raw = interaction_features_raw([], target, DAY0, identity_stats)
+        raw = interaction_raw([], target, DAY0, identity_stats)
         np.testing.assert_array_equal(raw, np.zeros(D_I))
 
     def test_same_type_counts(self):
@@ -437,14 +446,14 @@ class TestInteractionFeatures:
                size=3000, pool=70_000 * CENTS)
             for i in range(3)
         ]
-        raw = interaction_features_raw(joins, target, DAY0, stats)
+        raw = interaction_raw(joins, target, DAY0, stats)
         # same type in both windows; every bucket differs from the target's
         np.testing.assert_array_equal(raw, [3, 0, 0, 0, 3, 0, 0, 0, 0])
 
     def test_window_overlap(self, identity_stats):
         target = mk_contest(template_id="tT")
         joins = [ev(DAY0 - dt.timedelta(days=3), template="tT")]
-        raw = interaction_features_raw(joins, target, DAY0, identity_stats)
+        raw = interaction_raw(joins, target, DAY0, identity_stats)
         assert raw[0] == 0.0  # not in the 1-day window
         assert raw[4] == 1.0  # in the 5-day window
         assert raw[8] == 1.0  # same template within 5 days
@@ -452,7 +461,7 @@ class TestInteractionFeatures:
     def test_six_day_old_join_outside_both_windows(self, identity_stats):
         target = mk_contest(template_id="tT")
         joins = [ev(DAY0 - dt.timedelta(days=6), template="tT")]
-        raw = interaction_features_raw(joins, target, DAY0, identity_stats)
+        raw = interaction_raw(joins, target, DAY0, identity_stats)
         np.testing.assert_array_equal(raw, np.zeros(D_I))
 
     @settings(max_examples=40, deadline=None)
@@ -460,8 +469,67 @@ class TestInteractionFeatures:
     def test_one_day_counts_nested_in_five_day(self, events):
         stats = _identity_stats()
         target = mk_contest()
-        raw = interaction_features_raw(events, target, DAY0, stats)
+        raw = interaction_raw(events, target, DAY0, stats)
         assert np.all(raw[:4] <= raw[4:8])
+
+
+@st.composite
+def template_lists(draw):
+    """Valid templates with distinct ids, some shared with event_lists' t0..t5."""
+    ids = draw(st.lists(st.sampled_from([f"t{i}" for i in range(9)]), min_size=1, max_size=8, unique=True))
+    return [
+        mk_contest(
+            contest_id=f"c{tid}",
+            template_id=tid,
+            entry_fee=draw(st.integers(0, 500)) * CENTS,
+            prize_money=draw(st.integers(1, 5_000)) * CENTS,
+            contest_size=draw(st.sampled_from([2, 10, 100, 1000])),
+            contest_type=draw(st.sampled_from(UTC_TYPES)),
+        )
+        for tid in ids
+    ]
+
+
+def bucketed_stats():
+    stats = _identity_stats()
+    stats.fee_edges = np.asarray([100.0, 2500, 7500, 15000, 25000, 35000, 45000, 50000])
+    stats.size_edges = np.asarray([2.0, 10, 100, 1000, 2000, 3000, 4000, 5000])
+    stats.prize_edges = np.asarray([50.0, 90, 5e3, 2e4, 1e5, 2e5, 3e5, 5e5])
+    return stats
+
+
+class TestTemplateBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(event_lists(), template_lists(), st.integers(-2, 3))
+    def test_raw_interaction_rows_equal_single_target_oracle(self, events, templates, offset):
+        stats = bucketed_stats()
+        day = DAY0 + dt.timedelta(days=offset)
+        h = build_recent_hists(feature_oracle.recent_summary(events, day, stats), day)
+        block = build_template_block(templates, stats)
+        raw = block.raw_interaction(h)
+        assert raw.shape == (len(templates), D_I)
+        for k, target in enumerate(templates):
+            assert raw[k].tobytes() == feature_oracle.interaction_row(h, target, stats).tobytes()
+        expect = _normalize(raw, stats.inter_mean, stats.inter_std, INTERACTION_Z_MASK).astype(np.float32)
+        assert block.interaction_matrix(h, stats).tobytes() == expect.tobytes()
+
+    def test_contest_matrix_equals_per_row_contest_features(self, tiny_world):
+        by_match = match_templates(tiny_world.contests)
+        days = {m.match_id: day_of(m.start_time) for m in tiny_world.matches}
+        events = enrich_joins(tiny_world.joins, index_contests(tiny_world.contests))
+        stats = fit_normalization([e for e in events if e.day < dt.date(2025, 2, 10)], by_match, days)
+        for tpls in by_match.values():
+            block = build_template_block(tpls, stats)
+            expect = np.stack([contest_features(t, stats) for t in tpls]).astype(np.float32)
+            assert block.contest_matrix.dtype == np.float32
+            assert block.contest_matrix.tobytes() == expect.tobytes()
+
+    def test_invalid_spec_and_duplicate_template_rejected(self, identity_stats):
+        bad = mk_contest(contest_id="c2", template_id="t2", contest_size=4, tiers=((1, 5, 10 * CENTS),))
+        with pytest.raises(ValueError, match="invalid contest c2"):
+            build_template_block([mk_contest(), bad], identity_stats)
+        with pytest.raises(DataError, match="duplicate template_id"):
+            build_template_block([mk_contest(contest_id="a"), mk_contest(contest_id="b")], identity_stats)
 
 
 class TestSnapshots:
@@ -562,6 +630,24 @@ class TestSnapshots:
             SnapshotCache(store).get(snap.as_of_day)
         with pytest.raises(StoreError):
             store.read_day(snap.as_of_day)
+
+    def test_failed_manifest_write_keeps_previous_manifest(self, tmp_path, identity_stats, monkeypatch):
+        store = SnapshotStore(tmp_path / "store")
+        store.write_manifest(identity_stats)
+        before = (tmp_path / "store" / "manifest.json").read_bytes()
+        changed = _identity_stats()
+        changed.player_mean[:] = 3.0
+
+        def fail_rename(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail_rename)
+        with pytest.raises(StoreError, match="manifest write failed"):
+            store.write_manifest(changed)
+        monkeypatch.undo()
+        assert (tmp_path / "store" / "manifest.json").read_bytes() == before
+        assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["manifest.json"]
+        assert store.read_manifest().to_json_dict() == identity_stats.to_json_dict()
 
     def test_cold_start_row_for_unknown_player(self, identity_stats):
         snap = FeatureSnapshot(as_of_day=DAY0, stats=identity_stats, players={}, recents={})

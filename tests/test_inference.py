@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from widir.domain import CENTS, MatchRecord, day_start
-from widir.errors import StoreError
 from widir.evaluation import model_rank
 from widir.features import FeatureSnapshot, _identity_stats
 from widir.inference import (
     RankingPayload,
     active_players,
-    publish_payloads,
     read_payloads,
     run_batch,
     write_payloads,
 )
 from widir.model import WidirDims, init_params
-from widir.serving import OnlineStore
 
 from conftest import DAY0, mk_contest, mk_join
 
@@ -88,35 +85,14 @@ class TestRunBatch:
         write_payloads(path, payloads)
         assert read_payloads(path) == payloads
 
-
-class TestPublish:
-    def _payload(self):
-        return RankingPayload("p1", "m1", (("t1", 1.0),), day_start(DAY0), "v1")
-
-    def test_publish_into_store(self):
-        store = OnlineStore()
-        publish_payloads(store, [self._payload()])
-        assert store.get("p1", "m1") == self._payload()
-        assert store.payload_count == 1
-
-    def test_retry_then_succeed(self):
-        inner = OnlineStore()
-        calls = {"n": 0}
-
-        class Flaky:
-            def put(self, payload):
-                calls["n"] += 1
-                if calls["n"] == 1:
-                    raise OSError("transient")
-                inner.put(payload)
-
-        publish_payloads(Flaky(), [self._payload()], retries=1)
-        assert inner.payload_count == 1
-
-    def test_persistent_failure_surfaces_context(self):
-        class Broken:
-            def put(self, payload):
-                raise OSError("disk on fire")
-
-        with pytest.raises(StoreError, match="p1"):
-            publish_payloads(Broken(), [self._payload()], retries=1)
+    def test_failed_payload_write_keeps_previous_file(self, tmp_path):
+        params, snap, matches, active = _setup(n_players=2)
+        payloads = run_batch(params, snap, matches, active, "v2", day_start(DAY0))
+        path = tmp_path / "payloads.jsonl"
+        write_payloads(path, payloads)
+        before = path.read_bytes()
+        unserializable = RankingPayload("p9", "m1", (("t1", 1.0),), object(), "v2")
+        with pytest.raises(TypeError):
+            write_payloads(path, payloads + [unserializable])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["payloads.jsonl"]

@@ -8,14 +8,11 @@ from widir.errors import (
     ModelVersionError,
     ParamCountError,
 )
-from widir.features import FeatureTriple
 from widir.model import (
     MODEL_MAGIC,
     WidirDims,
-    backward,
     backward_batch,
     deserialize,
-    forward,
     forward_batch,
     hinge_loss,
     hinge_losses,
@@ -152,15 +149,12 @@ class TestForward:
         c["final"][0].b[:] = [0.1, 0, -0.2, 0.3]
         c["final"][1].w[:, 0] = [1, 1, 1, 1]
         c["final"][1].b[0] = -0.05
-        triple = FeatureTriple(
-            player_vec=np.array([1.0, 2.0]),
-            contest_vec=np.array([3.0, 4.0]),
-            interaction_vec=np.array([5.0, 6.0]),
-        )
+        scores = forward_batch(params, np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]), np.array([[5.0, 6.0]]))
         # wide = 1+4+9+16+25+36+0.5 = 91.5; deep side is all zeros
         # final hidden = relu([92.6-1, -91.5, 183-0.2, 0.3]) = [91.6, 0, 182.8, 0.3]
         # score = 91.6 + 182.8 + 0.3 - 0.05 = 274.65
-        assert forward(params, triple) == pytest.approx(274.65, abs=1e-12)
+        assert scores.shape == (1,)
+        assert scores[0] == pytest.approx(274.65, abs=1e-12)
 
     def test_hand_traced_deep_path(self):
         dims = WidirDims(2, 2, 2)
@@ -175,13 +169,10 @@ class TestForward:
         c["final"][0].w[0, 0] = 1.0
         c["final"][1].w[0, 0] = 2.0
         c["final"][1].b[0] = 1.0
-        triple = FeatureTriple(
-            player_vec=np.array([1.5, -3.0]),
-            contest_vec=np.array([7.0, 7.0]),
-            interaction_vec=np.array([7.0, 7.0]),
-        )
+        scores = forward_batch(params, np.array([[1.5, -3.0]]), np.array([[7.0, 7.0]]), np.array([[7.0, 7.0]]))
         # the 1.5 passes down the [0,0] chain; score = 2 * 1.5 + 1
-        assert forward(params, triple) == pytest.approx(4.0, abs=1e-12)
+        assert scores.shape == (1,)
+        assert scores[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_ranking_invariant_to_final_layer_scale(self):
         dims = WidirDims(6, 5, 4)
@@ -310,14 +301,6 @@ class TestHingeLoss:
     )
     def test_shift_invariance_approximate_for_arbitrary_floats(self, s, t, k):
         assert hinge_loss(s + k, t + k) == pytest.approx(hinge_loss(s, t), abs=1e-9)
-
-
-def _triple(rng, dims):
-    return FeatureTriple(
-        player_vec=rng.standard_normal(dims.d_p),
-        contest_vec=rng.standard_normal(dims.d_c),
-        interaction_vec=rng.standard_normal(dims.d_i),
-    )
 
 
 def rel_error(fd: float, an: float, floor: float = 1e-6) -> float:
@@ -467,12 +450,6 @@ class TestBackward:
                 a += b
         for a, b in zip(acc.arrays(), batch_grads.arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
-
-    def test_pair_api_with_feature_triples(self):
-        params = init_params(self.dims, 41, dtype=np.float64)
-        rng = np.random.default_rng(43)
-        grads = backward(params, _triple(rng, self.dims), _triple(rng, self.dims))
-        assert grads.tally() == params.tally()
 
 
 class TestSerialization:
