@@ -20,7 +20,7 @@ import numpy as np
 
 from .domain import ContestSpec, MatchRecord
 from .errors import ConfigError, DataError
-from .evaluation import popularity_rank
+from .evaluation import PopularityScorer, RankedSlate
 from .generator import (
     MAX_JOINS_PER_MATCH,
     PlayerArchetype,
@@ -149,42 +149,19 @@ class SimJoin(NamedTuple):
 # --- ranking policies ---------------------------------------------------------
 
 
-class PopularityPolicy:
-    name = "popularity"
-
-    def top_templates(self, player_id: str, match_id: str, templates, h: int) -> set[str]:
-        return set(popularity_rank(templates).top(h))
-
-
-class GroundTruthPolicy:
-    name = "ground_truth"
-
-    def __init__(self, archetypes: Mapping[str, PlayerArchetype]):
-        self.archetypes = archetypes
-
-    def top_templates(self, player_id: str, match_id: str, templates, h: int) -> set[str]:
-        arch = self.archetypes.get(player_id)
-        if arch is None:
-            raise DataError(f"no archetype known for player {player_id}")
-        ts = template_stats(templates)
-        utils = archetype_utilities(arch, ts)
-        order = sorted(range(len(utils)), key=lambda i: (-utils[i], ts.template_ids[i]))
-        return {ts.template_ids[i] for i in order[:h]}
-
-
-class PayloadPolicy:
-    """Recommends from precomputed batch payload rankings; popularity fallback."""
+class PayloadScorer:
+    """Ranks by the batch payloads; a (player, match) without one falls back to popularity."""
 
     name = "payloads"
 
-    def __init__(self, rankings: Mapping[tuple[str, str], Sequence[str]]):
+    def __init__(self, rankings: Mapping[tuple[str, str], tuple[tuple[str, float], ...]]):
         self.rankings = rankings
 
-    def top_templates(self, player_id: str, match_id: str, templates, h: int) -> set[str]:
+    def rank(self, player_id, match_id, templates, snapshot) -> RankedSlate:
         ranked = self.rankings.get((player_id, match_id))
         if ranked is None:
-            return set(popularity_rank(templates).top(h))
-        return set(ranked[:h])
+            return PopularityScorer().rank(player_id, match_id, templates, snapshot)
+        return RankedSlate(player_id=player_id, match_id=match_id, ranked=ranked)
 
 
 # --- simulation -----------------------------------------------------------------
@@ -204,8 +181,9 @@ def simulate_period(
     """Run one experiment period through the synthetic behavior model.
 
     Treatment groups (every group with a policy) get the exposure boost in
-    the post period only; the control group and the pre period use the
-    untreated choice model. Returns per-group aggregates plus the simulated
+    the post period only, on the top `h_exposed` templates of their policy,
+    a scorer (`rank(player, match, templates, None)`); the control group
+    and the pre period use the untreated choice model. Returns per-group aggregates plus the simulated
     join log for independent conservation checks.
     """
     if period not in _PERIOD_CODE:
@@ -239,7 +217,7 @@ def simulate_period(
             boost_idx = None
             rate = arch.activity_rate
             if boosting and group in treated_groups:
-                top = policies[group].top_templates(pid, match.match_id, templates, h_exposed)
+                top = set(policies[group].rank(pid, match.match_id, templates, None).top(h_exposed))
                 rows = [tid_to_row[t] for t in top if t in tid_to_row]
                 if rows:
                     boost_idx = np.asarray(rows, dtype=np.int64)

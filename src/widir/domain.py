@@ -13,13 +13,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import datetime as dt
-import io
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import DataError
+from .textio import write_replace
 
 # --- money -----------------------------------------------------------------
 
@@ -307,7 +307,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def write_join_log(path, joins: Iterable[JoinRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_replace(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         for r in joins:
             w.writerow(
@@ -349,7 +349,7 @@ def read_join_log(path) -> list[JoinRecord]:
 
 
 def write_catalog(path, contests: Iterable[ContestSpec]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_replace(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         for c in contests:
             w.writerow(
@@ -384,7 +384,7 @@ def read_catalog(path) -> list[ContestSpec]:
 
 
 def write_schedule(path, matches: Iterable[MatchRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with write_replace(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         for m in matches:
             w.writerow((m.match_id, format_ts(m.start_time), ";".join(m.contest_ids)))
@@ -396,24 +396,6 @@ def read_schedule(path) -> list[MatchRecord]:
         start_time=parse_ts(row[1]),
         contest_ids=tuple(row[2].split(";")) if row[2] else (),
     ))
-
-
-def serialize_join_log(joins: Iterable[JoinRecord]) -> bytes:
-    """Join log as bytes (the on-disk format), for digesting and tests."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    for r in joins:
-        w.writerow(
-            (
-                r.player_id,
-                r.contest_id,
-                r.match_id,
-                format_ts(r.joining_time),
-                format_money(r.entry_fee_paid),
-                format_money(r.prize_won),
-            )
-        )
-    return buf.getvalue().encode("utf-8")
 
 
 def index_contests(contests: Sequence[ContestSpec]) -> dict[str, ContestSpec]:

@@ -15,6 +15,7 @@ import numpy as np
 from .domain import ContestSpec
 from .errors import DataError
 from .features import (
+    D_I,
     FeatureSnapshot,
     JoinEvent,
     NormalizationStats,
@@ -141,10 +142,10 @@ def score_players(
     do not depend on the other players in the call.
     """
     n = len(block.template_ids)
-    rows = np.asarray([snapshot.player_row(p) for p in player_ids], dtype=np.float32)
-    inter = np.concatenate([block.interaction_matrix(snapshot.hists_for(p), snapshot.stats) for p in player_ids])
+    rows = np.repeat(snapshot.player_rows(player_ids), n, axis=0)
+    inter = block.interaction_matrix(snapshot, player_ids).reshape(-1, D_I)
     contest = np.tile(block.contest_matrix, (len(player_ids), 1))
-    return forward_batch(params, np.repeat(rows, n, axis=0), contest, inter).reshape(len(player_ids), n)
+    return forward_batch(params, rows, contest, inter).reshape(len(player_ids), n)
 
 
 def precision_at(slate: RankedSlate, actual_joined: set[str], h: int) -> float:

@@ -20,12 +20,18 @@ summed in integer cents and converted to units once per sum, so a row is
 exact and does not depend on summation order. Snapshots, normalization
 fitting and `player_features_raw` all call this kernel.
 
+A `FeatureSnapshot` is the day as arrays: the player rows, and each
+player's joins of the last 5 days as integer columns, one row per join.
+The sweep produces it, `SnapshotStore` writes and reads it as `.npy`
+files, and `TemplateBlock` counts its joins against a match's templates.
+
 One `TemplateBlock` per match builds every contest and interaction row:
 `build_template_block` validates the match's templates and normalizes
-their contest rows in one call, and `TemplateBlock.raw_interaction` is the
-one raw interaction path. Normalization fitting reads its raw rows, and
-training, evaluation and inference read the normalized rows, which the
-block returns as float32, the model's input type.
+their contest rows in one call, and `TemplateBlock.raw_interaction` counts
+a batch of players' recent joins against every template. Normalization
+fitting reads its raw rows, and training, evaluation and inference read
+the normalized rows, which the block returns as float32, the model's input
+type.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from .domain import (
 from .errors import DataError, StoreError
 from .textio import write_replace
 
-SNAPSHOT_SCHEMA = "widir-snapshot-v1"
+SNAPSHOT_SCHEMA = "widir-snapshot-v2"
 
 PLAYER_WINDOWS = (3, 7, 30)
 INTERACTION_WINDOWS = (1, 5)
@@ -69,7 +75,6 @@ D_I = 2 * 4 + 1  # 9
 DAYS_SINCE_CAP = 365.0
 
 _TYPE_INDEX = {ContestType.PUBLIC: 0, ContestType.SPECIAL: 1, ContestType.MEGA: 2}
-_TYPES = sorted(_TYPE_INDEX, key=_TYPE_INDEX.get)
 
 # Dims that are log1p + z-scored; the rest pass through raw.
 _WIN_RATE_IN_BLOCK = 9
@@ -262,7 +267,7 @@ class _JoinColumns:
 
     def codes(self, player_ids: Iterable[str]) -> np.ndarray:
         """Player codes, with -1 for a player without joins."""
-        return np.asarray([self._code.get(p, -1) for p in player_ids], dtype=np.int64)
+        return _lookup(self._code, player_ids)
 
     def edges(self, codes: np.ndarray, day: dt.date, days_back: int) -> np.ndarray:
         """Index of each player's first join on or after `day` - `days_back`."""
@@ -318,35 +323,25 @@ class _JoinColumns:
         block[:, 9] = self.cum_new_match[end] - self.cum_new_match[start]
         np.divide(self.cum_multi[end] - self.cum_multi[start], n, out=block[:, 10], where=seen)
 
-    def recents(self, codes: np.ndarray, day: dt.date) -> list[list[RecentJoin]]:
-        """Each player's RecentJoin rows over the 5 days before `day`.
+    def snapshot(self, codes: np.ndarray, day: dt.date, stats: NormalizationStats,
+                 rows: np.ndarray) -> "FeatureSnapshot":
+        """The players `codes` (all >= 0) with their `rows` and their joins of the 5 days before `day`."""
+        n, _, idx = _gather(self.edges(codes, day, max(INTERACTION_WINDOWS)), self.edges(codes, day, 0))
+        recent = np.stack([
+            epoch_day(day) - self.day[idx], self.tcode[idx], self.type_idx[idx],
+            self.fee_b[idx], self.size_b[idx], self.prize_b[idx],
+        ], axis=1)
+        return FeatureSnapshot(
+            as_of_day=day, stats=stats,
+            players={self.player_ids[c]: i for i, c in enumerate(codes.tolist())}, rows=rows,
+            join_offsets=_prefix(n, np.int64), recent=recent.astype(np.int32),
+            templates={t: i for i, t in enumerate(self.template_ids)},
+        )
 
-        One row per (day, template, bucket) key, ordered by (day,
-        template_id), ties in the order of their first join.
-        """
-        out: list[list[RecentJoin]] = [[] for _ in range(codes.size)]
-        end = self.edges(codes, day, 0)
-        _, seg, idx = _gather(self.edges(codes, day, max(INTERACTION_WINDOWS)), end)
-        if not idx.size:
-            return out
-        tcode, days = self.tcode[idx], self.day[idx]
-        keys = (self.prize_b[idx], self.size_b[idx], self.fee_b[idx], self.type_idx[idx], tcode, days, seg)
-        by_key = np.lexsort(keys)  # stable, so each key's run starts at its first join
-        ordered = np.stack([k[by_key] for k in keys])
-        starts = np.flatnonzero(np.r_[True, (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)])
-        count = np.diff(np.append(starts, by_key.size))
-        first = by_key[starts]  # one per RecentJoin row: the position of its first join
-        rows = np.lexsort((first, tcode[first], days[first], seg[first]))
-        first, count = first[rows], count[rows]
-        j = idx[first]
-        dates = {d: day_of(d * SECONDS_PER_DAY) for d in np.unique(self.day[j]).tolist()}
-        for s, d, t, ty, fb, sb, pb, c in zip(
-            seg[first].tolist(), self.day[j].tolist(), self.tcode[j].tolist(),
-            self.type_idx[j].tolist(), self.fee_b[j].tolist(), self.size_b[j].tolist(),
-            self.prize_b[j].tolist(), count.tolist(),
-        ):
-            out[s].append(RecentJoin(dates[d], self.template_ids[t], _TYPES[ty], fb, sb, pb, c))
-        return out
+
+def _lookup(index: Mapping[str, int], keys: Iterable[str]) -> np.ndarray:
+    """index[key] for each key, -1 for a key it lacks."""
+    return np.fromiter((index.get(k, -1) for k in keys), dtype=np.int64)
 
 
 def _buckets(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -463,58 +458,12 @@ def contest_features(spec: ContestSpec, stats: NormalizationStats) -> np.ndarray
     return _normalize(contest_features_raw(spec), stats.contest_mean, stats.contest_std, CONTEST_Z_MASK)
 
 
-# --- interaction features -----------------------------------------------------
-
-
-class RecentJoin(NamedTuple):
-    """A recent-join summary row: one (player, day, template) with a count."""
-
-    day: dt.date
-    template_id: str
-    contest_type: ContestType
-    fee_bucket: int
-    size_bucket: int
-    prize_bucket: int
-    count: int
-
-
-@dataclass
-class RecentHists:
-    """Window histograms of a player's recent joins, for fast lookups."""
-
-    type_counts: np.ndarray   # (2, N_TYPES) rows: 1-day, 5-day
-    fee_counts: np.ndarray    # (2, N_BUCKETS)
-    size_counts: np.ndarray   # (2, N_BUCKETS)
-    prize_counts: np.ndarray  # (2, N_BUCKETS)
-    template_counts: dict[str, int] = field(default_factory=dict)  # 5-day window
-
-    @classmethod
-    def empty(cls) -> "RecentHists":
-        return cls(
-            type_counts=np.zeros((2, N_TYPES)),
-            fee_counts=np.zeros((2, N_BUCKETS)),
-            size_counts=np.zeros((2, N_BUCKETS)),
-            prize_counts=np.zeros((2, N_BUCKETS)),
-        )
-
-
-def build_recent_hists(rows: Sequence[RecentJoin], as_of_day: dt.date) -> RecentHists:
-    h = RecentHists.empty()
-    for r in rows:
-        age = (as_of_day - r.day).days
-        if not 1 <= age <= max(INTERACTION_WINDOWS):
-            continue
-        windows = [w for w, k in enumerate(INTERACTION_WINDOWS) if age <= k]
-        for w in windows:
-            h.type_counts[w, _TYPE_INDEX[r.contest_type]] += r.count
-            h.fee_counts[w, r.fee_bucket] += r.count
-            h.size_counts[w, r.size_bucket] += r.count
-            h.prize_counts[w, r.prize_bucket] += r.count
-        h.template_counts[r.template_id] = h.template_counts.get(r.template_id, 0) + r.count
-    return h
-
-
 # --- template blocks: a match's contest and interaction rows ----------------------
+
+# the first bin of each of a window's histograms: type, then fee, size and
+# prize bucket (the order of a recent join's columns)
+_BIN_BASE = np.asarray([0, N_TYPES, N_TYPES + N_BUCKETS, N_TYPES + 2 * N_BUCKETS])
+_WINDOW_BINS = N_TYPES + 3 * N_BUCKETS
 
 
 @dataclass
@@ -528,27 +477,43 @@ class TemplateBlock:
 
     template_ids: list[str]
     contest_matrix: np.ndarray  # (n, D_C) normalized float32
-    type_idx: np.ndarray
-    fee_b: np.ndarray
-    size_b: np.ndarray
-    prize_b: np.ndarray
+    own_bins: np.ndarray        # (n, 4) the template's type, fee, prize and size bins in a window
 
-    def raw_interaction(self, h: RecentHists) -> np.ndarray:
-        """Raw (n, D_I) counts of the recent joins in `h` against every template."""
-        raw = np.zeros((len(self.template_ids), D_I), dtype=np.float64)
-        for w in range(len(INTERACTION_WINDOWS)):
-            base = 4 * w
-            raw[:, base + 0] = h.type_counts[w][self.type_idx]
-            raw[:, base + 1] = h.fee_counts[w][self.fee_b]
-            raw[:, base + 2] = h.prize_counts[w][self.prize_b]
-            raw[:, base + 3] = h.size_counts[w][self.size_b]
-        if h.template_counts:
-            raw[:, 8] = [float(h.template_counts.get(t, 0)) for t in self.template_ids]
-        return raw
+    def raw_interaction(self, snapshot: FeatureSnapshot, player_ids: Sequence[str]) -> np.ndarray:
+        """Raw (players, n, D_I) counts of each player's recent joins against every template.
 
-    def interaction_matrix(self, h: RecentHists, stats: NormalizationStats) -> np.ndarray:
-        """Normalized (n, D_I) float32 interaction rows against every template."""
-        out = _normalize(self.raw_interaction(h), stats.inter_mean, stats.inter_std, INTERACTION_Z_MASK)
+        Per window (1 day, then 5 days), the player's joins of the template's
+        type and in its fee, prize and size buckets; then the player's 5-day
+        joins of the template itself. One weighted bincount over all the
+        players' joins fills every count; each template then reads its bins.
+        """
+        slot = _lookup(snapshot.players, player_ids)
+        known = slot >= 0
+        lo = np.where(known, snapshot.join_offsets[slot], 0)
+        _, seg, idx = _gather(lo, np.where(known, snapshot.join_offsets[slot + 1], 0))
+        joins = snapshot.recent[idx]  # age, template, type, fee, size, prize
+        # bins: each window's type, fee, size and prize histograms, one bin
+        # per template code, and a last bin that stays 0
+        width = 2 * _WINDOW_BINS + len(snapshot.templates) + 1
+        in_window = joins[:, 2:] + _BIN_BASE
+        keys = np.concatenate([in_window, in_window + _WINDOW_BINS, 2 * _WINDOW_BINS + joins[:, 1:2]], axis=1)
+        weights = np.ones(keys.shape)
+        for w, days in enumerate(INTERACTION_WINDOWS):
+            weights[:, 4 * w:4 * w + 4] = joins[:, :1] <= days
+        keys += seg[:, None] * width
+        counts = np.bincount(keys.ravel(), weights.ravel(), minlength=slot.size * width)
+        code = _lookup(snapshot.templates, self.template_ids)
+        bins = np.concatenate([
+            self.own_bins, self.own_bins + _WINDOW_BINS,
+            np.where(code >= 0, 2 * _WINDOW_BINS + code, width - 1)[:, None],
+        ], axis=1)
+        return counts.reshape(slot.size, width)[:, bins]
+
+    def interaction_matrix(self, snapshot: FeatureSnapshot, player_ids: Sequence[str]) -> np.ndarray:
+        """Normalized (players, n, D_I) float32 interaction rows against every template."""
+        stats = snapshot.stats
+        out = _normalize(self.raw_interaction(snapshot, player_ids), stats.inter_mean, stats.inter_std,
+                         INTERACTION_Z_MASK)
         return out.astype(np.float32)
 
 
@@ -556,7 +521,7 @@ def build_template_block(templates: Sequence[ContestSpec], stats: NormalizationS
     """Validate a match's templates once and lay them out as a TemplateBlock.
 
     The contest rows are the raw rows normalized in one call and stored as
-    float32; the bucket indices use `stats`' edges.
+    float32; the buckets use `stats`' edges.
     """
     ids = [t.template_id for t in templates]
     if len(set(ids)) != len(ids):
@@ -567,10 +532,12 @@ def build_template_block(templates: Sequence[ContestSpec], stats: NormalizationS
     return TemplateBlock(
         template_ids=ids,
         contest_matrix=_normalize(raw, stats.contest_mean, stats.contest_std, CONTEST_Z_MASK).astype(np.float32),
-        type_idx=np.asarray([_TYPE_INDEX[t.contest_type] for t in templates], dtype=np.int64),
-        fee_b=_buckets(np.asarray([t.entry_fee for t in templates]), stats.fee_edges),
-        size_b=_buckets(np.asarray([t.contest_size for t in templates]), stats.size_edges),
-        prize_b=_buckets(np.asarray([t.prize_money for t in templates]), stats.prize_edges),
+        own_bins=(_BIN_BASE + np.stack([
+            np.asarray([_TYPE_INDEX[t.contest_type] for t in templates]),
+            _buckets(np.asarray([t.entry_fee for t in templates]), stats.fee_edges),
+            _buckets(np.asarray([t.contest_size for t in templates]), stats.size_edges),
+            _buckets(np.asarray([t.prize_money for t in templates]), stats.prize_edges),
+        ], axis=1))[:, [0, 1, 3, 2]],  # the interaction columns' order: type, fee, prize, size
     )
 
 
@@ -600,40 +567,39 @@ def fit_normalization(
 
     groups = sorted({(e.player_id, e.match_id) for e in train_events})
     row_of: dict[tuple[str, dt.date], int] = {}  # (player, match day) rows, in groups order
-    for pid, mid in groups:
+    by_day: dict[dt.date, dict[str, list[int]]] = {}  # match day -> match -> group indices
+    for g, (pid, mid) in enumerate(groups):
         day = match_days.get(mid)
         if day is None:
             raise DataError(f"no match day known for match {mid}")
         row_of.setdefault((pid, day), len(row_of))
+        by_day.setdefault(day, {}).setdefault(mid, []).append(g)
 
     # one sweep per match day over its players, those with no earlier join
-    # included; a sum over axis 0 adds the rows one after another, so both
-    # sums below run in the order of `groups`
+    # included, and one interaction block per match over its players. Rows
+    # are stored in `groups` order and summed over axis 0, which adds them
+    # one after another, so the sums run in the order of `groups`
     columns = _JoinColumns(train_events, stats)
-    by_day: dict[dt.date, list[str]] = {}
-    for pid, day in row_of:
-        by_day.setdefault(day, []).append(pid)
     p_log = np.empty((len(row_of), np.count_nonzero(PLAYER_Z_MASK)), dtype=np.float64)
-    hists: dict[tuple[str, dt.date], RecentHists] = {}
-    for day, pids in sorted(by_day.items()):
+    i_log = np.zeros((2, len(groups), D_I), dtype=np.float64)  # per group: sum, sum of squares
+    i_n = 0
+    for day, by_match in sorted(by_day.items()):
+        pids = sorted({groups[g][0] for gs in by_match.values() for g in gs})
         codes = columns.codes(pids)
         raw = columns.player_rows(codes, day)
         p_log[[row_of[(pid, day)] for pid in pids]] = np.log1p(np.maximum(raw[:, PLAYER_Z_MASK], 0.0))
-        for pid, rows in zip(pids, columns.recents(codes, day)):
-            hists[(pid, day)] = build_recent_hists(rows, day)
+        snapshot = columns.snapshot(codes, day, stats, raw)  # only its recent joins are read
+        for mid, gs in by_match.items():
+            tpls = templates_by_match.get(mid)
+            if not tpls:
+                continue
+            block = build_template_block(tpls, stats)
+            logs = np.log1p(block.raw_interaction(snapshot, [groups[g][0] for g in gs]))
+            i_log[0, gs] = logs.sum(axis=1)
+            i_log[1, gs] = (logs * logs).sum(axis=1)
+            i_n += logs.shape[0] * logs.shape[1]
     p_acc = {"n": len(p_log), "sum": p_log.sum(axis=0), "sumsq": (p_log * p_log).sum(axis=0)}
-    i_acc = {"n": 0, "sum": np.zeros(D_I), "sumsq": np.zeros(D_I)}
-    blocks: dict[str, TemplateBlock] = {}
-    for pid, mid in groups:
-        tpls = templates_by_match.get(mid)
-        if not tpls:
-            continue
-        if mid not in blocks:
-            blocks[mid] = build_template_block(tpls, stats)
-        raw_i = np.log1p(blocks[mid].raw_interaction(hists[(pid, match_days[mid])]))
-        i_acc["n"] += raw_i.shape[0]
-        i_acc["sum"] += raw_i.sum(axis=0)
-        i_acc["sumsq"] += (raw_i * raw_i).sum(axis=0)
+    i_acc = {"n": i_n, "sum": i_log[0].sum(axis=0), "sumsq": i_log[1].sum(axis=0)}
 
     templates_seen: dict[str, ContestSpec] = {}
     for tpls in templates_by_match.values():
@@ -664,26 +630,35 @@ def fit_normalization(
 
 @dataclass
 class FeatureSnapshot:
-    """Per-day feature state: normalized player rows plus recent-join summaries."""
+    """One day's features as arrays, from the day sweep, the store or a test.
+
+    Player `i` (`players[id] == i`) has the normalized float32 row
+    `rows[i]`, and its joins of the 5 days before `as_of_day` are
+    `recent[join_offsets[i]:join_offsets[i + 1]]`, one int32 row per join:
+    age in days (1-5), template code (`templates[id]`), type, and fee, size
+    and prize bucket.
+    """
 
     as_of_day: dt.date
     stats: NormalizationStats
-    players: dict[str, np.ndarray]
-    recents: dict[str, list[RecentJoin]]
+    players: dict[str, int]
+    rows: np.ndarray          # (players, D_P) float32
+    join_offsets: np.ndarray  # (players + 1,) int64
+    recent: np.ndarray        # (joins, 6) int32
+    templates: dict[str, int]
     schema_version: str = SNAPSHOT_SCHEMA
+    cold_row: np.ndarray = field(init=False, repr=False)
 
-    def player_row(self, player_id: str) -> np.ndarray:
-        """Stored row, or the cold-start vector for unknown players."""
-        row = self.players.get(player_id)
-        if row is None:
-            return cold_start_player_row(self.stats).astype(np.float32)
-        return row
+    def __post_init__(self):
+        self.cold_row = cold_start_player_row(self.stats).astype(np.float32)
 
-    def hists_for(self, player_id: str) -> RecentHists:
-        rows = self.recents.get(player_id)
-        if not rows:
-            return RecentHists.empty()
-        return build_recent_hists(rows, self.as_of_day)
+    def player_rows(self, player_ids: Sequence[str]) -> np.ndarray:
+        """(len(player_ids), D_P) stored rows; an unknown player gets the cold-start row."""
+        slot = _lookup(self.players, player_ids)
+        out = np.empty((slot.size, D_P), dtype=np.float32)
+        out[slot >= 0] = self.rows[slot[slot >= 0]]
+        out[slot < 0] = self.cold_row
+        return out
 
 
 def iter_snapshots(
@@ -700,27 +675,41 @@ def iter_snapshots(
     for day in sorted(days):
         end = columns.edges(everyone, day, 0)
         active = everyone[end > columns.edges(everyone, day, max(PLAYER_WINDOWS))]
-        pids = [columns.player_ids[c] for c in active.tolist()]
         raw = columns.player_rows(active, day)
         rows = _normalize(raw, stats.player_mean, stats.player_std, PLAYER_Z_MASK).astype(np.float32)
-        players = dict(zip(pids, rows))
-        recents = {pid: r for pid, r in zip(pids, columns.recents(active, day)) if r}
-        yield day, FeatureSnapshot(as_of_day=day, stats=stats, players=players, recents=recents)
+        yield day, columns.snapshot(active, day, stats, rows)
+
+
+# A day's arrays in the store: file name -> (dtype prefix, dims)
+_DAY_ARRAYS = {
+    "player_ids": ("<U", 1),
+    "player_rows": ("<f4", 2),
+    "join_offsets": ("<i8", 1),
+    "recent_joins": ("<i4", 2),
+    "template_ids": ("<U", 1),
+}
 
 
 class SnapshotStore:
     """File-based offline feature store: one directory per as_of_day.
 
-    Layout:
-        <root>/manifest.json          dims, schema version, normalization stats
-        <root>/days/<ISO-day>/player_features.txt   player_id,<hex float32 LE>
-        <root>/days/<ISO-day>/recent_joins.txt      summary rows
-        <root>/days/<ISO-day>/day.json              schema version, row count
+    Layout (arrays are `.npy` files, written by `np.save` and read with
+    `np.load(..., allow_pickle=False)`):
+        <root>/manifest.json                 dims, schema version, normalization stats
+        <root>/days/<ISO-day>/player_ids.npy     (players,) unicode
+        <root>/days/<ISO-day>/player_rows.npy    (players, 107) little-endian float32
+        <root>/days/<ISO-day>/join_offsets.npy   (players + 1,) int64
+        <root>/days/<ISO-day>/recent_joins.npy   (joins, 6) int32
+        <root>/days/<ISO-day>/template_ids.npy   (templates,) unicode
+        <root>/days/<ISO-day>/day.json           schema version, as_of_day, n_players
 
-    day.json is each day's commit marker: `write_day` removes it before it
-    touches the day and writes it last, each file through a rename. A day
-    without day.json (a write that failed part-way) reads as absent:
-    `has_day` is False, `days()` skips it and `read_day` raises StoreError.
+    The arrays are `FeatureSnapshot`'s fields. day.json is each day's commit
+    marker: `write_day` removes it before it touches the day and writes it
+    last, each file through a rename. A day without day.json (a write that
+    failed part-way) reads as absent: `has_day` is False, `days()` skips it
+    and `read_day` raises StoreError. `read_day` also raises StoreError for
+    another schema version, an array of the wrong dtype or shape, lengths
+    that disagree, or a recent-join value out of its range.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -742,7 +731,8 @@ class SnapshotStore:
             "stats": stats.to_json_dict(),
         }
         try:
-            write_replace(self._manifest_path(), [json.dumps(doc, sort_keys=True)])
+            with write_replace(self._manifest_path()) as fh:
+                json.dump(doc, fh, sort_keys=True)
         except OSError as exc:
             raise StoreError(f"store manifest write failed at {self._manifest_path()}: {exc}") from exc
 
@@ -770,25 +760,27 @@ class SnapshotStore:
         """
         day = snapshot.as_of_day
         path = self._day_dir(day)
+        arrays = {
+            "player_ids": np.asarray(list(snapshot.players), dtype=str),
+            "player_rows": snapshot.rows.astype("<f4"),
+            "join_offsets": snapshot.join_offsets.astype("<i8"),
+            "recent_joins": snapshot.recent.astype("<i4"),
+            "template_ids": np.asarray(list(snapshot.templates), dtype=str),
+        }
         try:
             os.makedirs(path, exist_ok=True)
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(path, "day.json"))
-            write_replace(os.path.join(path, "player_features.txt"), (
-                f"{pid},{vec.astype('<f4').tobytes().hex()}\n" for pid, vec in snapshot.players.items()
-            ))
-            write_replace(os.path.join(path, "recent_joins.txt"), (
-                f"{pid},{r.day.isoformat()},{r.template_id},{r.contest_type.value},"
-                f"{r.fee_bucket},{r.size_bucket},{r.prize_bucket},{r.count}\n"
-                for pid, rows in snapshot.recents.items()
-                for r in rows
-            ))
+            for name, array in arrays.items():
+                with write_replace(os.path.join(path, f"{name}.npy"), "wb") as fh:
+                    np.save(fh, array, allow_pickle=False)
             meta = {
                 "schema_version": snapshot.schema_version,
                 "as_of_day": day.isoformat(),
                 "n_players": len(snapshot.players),
             }
-            write_replace(os.path.join(path, "day.json"), [json.dumps(meta, sort_keys=True)])
+            with write_replace(os.path.join(path, "day.json")) as fh:
+                json.dump(meta, fh, sort_keys=True)
         except OSError as exc:
             raise StoreError(f"snapshot write failed for day {day} at {path}: {exc}") from exc
 
@@ -798,36 +790,40 @@ class SnapshotStore:
         try:
             with open(os.path.join(path, "day.json"), "r", encoding="utf-8") as fh:
                 meta = json.load(fh)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise StoreError(f"no snapshot for day {day} at {path}: {exc}") from exc
         if meta.get("schema_version") != SNAPSHOT_SCHEMA:
             raise StoreError(
                 f"{path}: snapshot schema {meta.get('schema_version')!r} != {SNAPSHOT_SCHEMA!r}"
             )
-        players: dict[str, np.ndarray] = {}
-        with open(os.path.join(path, "player_features.txt"), "r", encoding="utf-8") as fh:
-            for line in fh:
-                pid, hexed = line.rstrip("\n").split(",", 1)
-                vec = np.frombuffer(bytes.fromhex(hexed), dtype="<f4")
-                if vec.shape != (D_P,):
-                    raise StoreError(f"{path}: row for {pid} has {vec.shape[0]} dims, expected {D_P}")
-                players[pid] = vec.copy()
-        recents: dict[str, list[RecentJoin]] = {}
-        with open(os.path.join(path, "recent_joins.txt"), "r", encoding="utf-8") as fh:
-            for line in fh:
-                pid, d, tpl, ctype, fee_b, size_b, prize_b, count = line.rstrip("\n").split(",")
-                recents.setdefault(pid, []).append(
-                    RecentJoin(
-                        day=parse_day(d),
-                        template_id=tpl,
-                        contest_type=ContestType(ctype),
-                        fee_bucket=int(fee_b),
-                        size_bucket=int(size_b),
-                        prize_bucket=int(prize_b),
-                        count=int(count),
-                    )
+        arrays = {}
+        for name, (dtype, ndim) in _DAY_ARRAYS.items():
+            try:
+                array = np.load(os.path.join(path, f"{name}.npy"), allow_pickle=False)
+            except (OSError, ValueError, EOFError) as exc:
+                raise StoreError(f"{path}: cannot read {name}.npy: {exc}") from exc
+            if not array.dtype.str.startswith(dtype) or array.ndim != ndim:
+                raise StoreError(
+                    f"{path}: {name}.npy is {array.dtype.str} {array.shape}, expected {dtype} in {ndim} dims"
                 )
-        return FeatureSnapshot(as_of_day=day, stats=stats, players=players, recents=recents)
+            arrays[name] = array
+        ids, rows, offsets, recent, tids = arrays.values()
+        templates = {t: i for i, t in enumerate(tids.tolist())}
+        players = {p: i for i, p in enumerate(ids.tolist())}
+        # the inclusive range of each recent-join column
+        low = (1, 0, 0, 0, 0, 0)
+        high = (max(INTERACTION_WINDOWS), len(templates) - 1, N_TYPES - 1) + (N_BUCKETS - 1,) * 3
+        if (
+            meta.get("n_players") != len(ids) or len(players) != len(ids) or rows.shape != (len(ids), D_P)
+            or offsets.shape != (len(ids) + 1,) or offsets[0] != 0 or np.any(np.diff(offsets) < 0)
+            or offsets[-1] != len(recent) or recent.shape[1] != len(low)
+            or len(templates) != len(tids)
+        ):
+            raise StoreError(f"{path}: snapshot arrays disagree in length or shape")
+        if recent.size and (np.any(recent.min(axis=0) < low) or np.any(recent.max(axis=0) > high)):
+            raise StoreError(f"{path}: a recent join is out of range")
+        return FeatureSnapshot(as_of_day=day, stats=stats, players=players, rows=rows,
+                               join_offsets=offsets, recent=recent, templates=templates)
 
     def has_day(self, day: dt.date) -> bool:
         """True once a write of `day` has committed its day.json."""

@@ -50,7 +50,7 @@ from .domain import (
     write_schedule,
 )
 from .errors import ConfigError
-from .textio import read_kv, write_kv
+from .textio import read_kv, write_replace
 
 MAX_JOINS_PER_MATCH = 20  # truncation point of the per-match join count
 
@@ -445,7 +445,7 @@ class SyntheticWorld:
         write_join_log(os.path.join(path, "joins.csv"), self.joins)
         write_catalog(os.path.join(path, "contests.csv"), self.contests)
         write_schedule(os.path.join(path, "matches.csv"), self.matches)
-        with open(os.path.join(path, "archetypes.csv"), "w", encoding="utf-8") as fh:
+        with write_replace(os.path.join(path, "archetypes.csv")) as fh:
             for pid in sorted(self.archetypes):
                 a = self.archetypes[pid]
                 vals = ",".join(repr(getattr(a, f)) for f in _ARCHETYPE_FIELDS)

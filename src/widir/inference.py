@@ -79,20 +79,21 @@ def run_batch(
 
 def write_payloads(path, payloads: Sequence[RankingPayload]) -> None:
     """Newline-delimited JSON payload file; written atomically."""
-    write_replace(path, (
-        json.dumps(
-            {
-                "player_id": p.player_id,
-                "match_id": p.match_id,
-                "ranking": [[tid, float(score)] for tid, score in p.ranking],
-                "generated_at": p.generated_at,
-                "model_version": p.model_version,
-            },
-            sort_keys=True,
+    with write_replace(path) as fh:
+        fh.writelines(
+            json.dumps(
+                {
+                    "player_id": p.player_id,
+                    "match_id": p.match_id,
+                    "ranking": [[tid, float(score)] for tid, score in p.ranking],
+                    "generated_at": p.generated_at,
+                    "model_version": p.model_version,
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for p in payloads
         )
-        + "\n"
-        for p in payloads
-    ))
 
 
 def read_payloads(path) -> list[RankingPayload]:

@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import DataError
+from .textio import write_replace
 
 MANIFEST_SCHEMA = "widir-manifest-v1"
 
@@ -87,7 +88,7 @@ class RunManifest:
             "outputs": self.outputs,
             "schema_versions": self.schema_versions,
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with write_replace(path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         return path
 

@@ -25,7 +25,6 @@ to float rounding.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -33,6 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionError, ModelFormatError, ModelVersionError, ParamCountError
+from .textio import write_replace
 
 MODEL_MAGIC = b"WDIR"
 MODEL_VERSION = 1
@@ -424,10 +424,8 @@ def deserialize(data: bytes) -> WidirParams:
 
 def save_model(path, params: WidirParams) -> None:
     """Write the model atomically: a failed write leaves the previous file."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with write_replace(path, "wb") as fh:
         fh.write(serialize(params))
-    os.replace(tmp, path)
 
 
 def load_model(path) -> WidirParams:

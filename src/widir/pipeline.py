@@ -23,9 +23,10 @@ from .domain import (
     read_join_log,
     read_schedule,
     split_by_time,
+    validate_catalog,
 )
 from .errors import ConfigError, DataError
-from .evaluation import EVAL_H_VALUES, ModelScorer, PopularityScorer, evaluate
+from .evaluation import EVAL_H_VALUES, GroundTruthScorer, ModelScorer, PopularityScorer, evaluate
 from .features import (
     SnapshotCache,
     SnapshotStore,
@@ -54,6 +55,9 @@ def _new_run_id(phase: str, seed: int) -> str:
 
 def _load_world(data_dir):
     joins, contests, matches, archetypes = load_world_dir(data_dir)
+    violations = validate_catalog(contests, matches)
+    if violations:
+        raise DataError(f"{data_dir}: invalid catalog: {violations[0]}")
     by_id = index_contests(contests)
     by_match = match_templates(contests)
     match_days = {m.match_id: day_of(m.start_time) for m in matches}
@@ -121,7 +125,8 @@ def _features_impl(data_dir, features_dir, train_end: dt.date, valid_end: dt.dat
     for _, snapshot in iter_snapshots(all_events, days, stats):
         store.write_day(snapshot)
     splits = {"train_end": train_end.isoformat(), "valid_end": valid_end.isoformat()}
-    write_replace(os.path.join(features_dir, "splits.json"), [json.dumps(splits, sort_keys=True)])
+    with write_replace(os.path.join(features_dir, "splits.json")) as fh:
+        json.dump(splits, fh, sort_keys=True)
 
 
 def _read_splits(features_dir) -> tuple[dt.date, dt.date]:
@@ -207,7 +212,7 @@ def _eval_impl(data_dir, features_dir, model_path, report_dir) -> dict[str, str]
     for scorer in (ModelScorer(params), PopularityScorer()):
         report = evaluate(scorer, test_ev, by_match, match_days, snapshots, EVAL_H_VALUES)
         path = os.path.join(report_dir, f"eval_{scorer.name}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
+        with write_replace(path) as fh:
             fh.write(report.to_text())
         outputs[f"eval_{scorer.name}.txt"] = path
     return outputs
@@ -310,17 +315,14 @@ def _abtest_impl(data_dir, report_path, config: ab.ABConfig, payloads_path=None)
     policies: dict[str, object] = {}
     for group, name in config.policies.items():
         if name == "popularity":
-            policies[group] = ab.PopularityPolicy()
+            policies[group] = PopularityScorer()
         elif name == "ground_truth":
-            policies[group] = ab.GroundTruthPolicy(archetypes)
+            policies[group] = GroundTruthScorer(archetypes)
         elif name == "payloads":
             if payloads_path is None:
                 raise ConfigError(f"policy.{group} = payloads requires --payloads")
-            ranked = {
-                (p.player_id, p.match_id): [tid for tid, _ in p.ranking]
-                for p in read_payloads(payloads_path)
-            }
-            policies[group] = ab.PayloadPolicy(ranked)
+            ranked = {(p.player_id, p.match_id): p.ranking for p in read_payloads(payloads_path)}
+            policies[group] = ab.PayloadScorer(ranked)
         else:
             raise ConfigError(f"unknown policy {name!r} for group {group}")
 
@@ -343,7 +345,7 @@ def _abtest_impl(data_dir, report_path, config: ab.ABConfig, payloads_path=None)
             if agg.cea != fees or agg.ggr != fees - prizes:
                 raise DataError("GGR conservation violated in simulation aggregates")
 
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with write_replace(report_path) as fh:
         fh.write(ab.ab_report_text(pre_aggs, post_aggs))
 
 

@@ -49,28 +49,23 @@ class RankResponse:
 
 
 class OnlineStore:
-    """In-memory payload store: atomic per-key replacement, many readers."""
+    """In-memory payload store: one template -> score map per (player, match),
+    replaced atomically; many readers."""
 
-    _EMPTY_FALLBACK = ((), {}, {})
+    _EMPTY_FALLBACK = ({}, {})
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._payloads: dict[tuple[str, str], RankingPayload] = {}
-        # match_id -> (ranked tuple, rank map, score map), built once at put
-        self._fallbacks: dict[str, tuple] = {}
+        # match_id -> (rank map, score map), built once at set_fallback
+        self._fallbacks: dict[str, tuple[dict[str, int], dict[str, float]]] = {}
         self._score_maps: dict[tuple[str, str], dict[str, float]] = {}
         self.model_version: str = ""
 
     def put(self, payload: RankingPayload) -> None:
         score_map = {tid: score for tid, score in payload.ranking}
         with self._lock:
-            key = (payload.player_id, payload.match_id)
-            self._payloads[key] = payload
-            self._score_maps[key] = score_map
+            self._score_maps[(payload.player_id, payload.match_id)] = score_map
             self.model_version = payload.model_version
-
-    def get(self, player_id: str, match_id: str) -> RankingPayload | None:
-        return self._payloads.get((player_id, match_id))
 
     def score_map(self, player_id: str, match_id: str) -> dict[str, float] | None:
         return self._score_maps.get((player_id, match_id))
@@ -80,18 +75,14 @@ class OnlineStore:
         rank_map = {tid: i for i, (tid, _) in enumerate(ranked)}
         score_map = {tid: score for tid, score in ranked}
         with self._lock:
-            self._fallbacks[match_id] = (ranked, rank_map, score_map)
-
-    def fallback(self, match_id: str) -> tuple[tuple[str, float], ...]:
-        return self._fallbacks.get(match_id, self._EMPTY_FALLBACK)[0]
+            self._fallbacks[match_id] = (rank_map, score_map)
 
     def fallback_maps(self, match_id: str) -> tuple[dict[str, int], dict[str, float]]:
-        entry = self._fallbacks.get(match_id, self._EMPTY_FALLBACK)
-        return entry[1], entry[2]
+        return self._fallbacks.get(match_id, self._EMPTY_FALLBACK)
 
     @property
     def payload_count(self) -> int:
-        return len(self._payloads)
+        return len(self._score_maps)
 
 
 def load_fallbacks(store: OnlineStore, contests: Sequence[ContestSpec]) -> None:

@@ -1,16 +1,15 @@
-"""Flat key-value text files used for configs and reports, and atomic text writes.
+"""Flat key-value text files used for configs and reports, and atomic writes.
 
 Format: one `key = value` per line; blank lines and lines starting with `#`
 are ignored. Keys are validated by each consumer; unknown keys are an error
-there, not here. `write_replace` writes any text file that another phase
-reads.
+there, not here. Every file the program writes, text or binary, goes
+through `write_replace`, so no reader ever sees a half-written file.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import Iterable
 
 from .errors import ConfigError
 
@@ -33,9 +32,8 @@ def read_kv(path) -> dict[str, str]:
 
 
 def write_kv(path, items: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in items.items():
-            fh.write(f"{key} = {value}\n")
+    with write_replace(path) as fh:
+        fh.write(format_kv(items))
 
 
 def format_kv(items: dict[str, str]) -> str:
@@ -49,16 +47,20 @@ def require_keys(items: dict[str, str], known: set[str], context: str) -> None:
             raise ConfigError(f"{context}: unknown config key {key!r}")
 
 
-def write_replace(path, chunks: Iterable[str]) -> None:
-    """Write `chunks` to `<path>.tmp`, then rename it over `path`.
+@contextlib.contextmanager
+def write_replace(path, mode: str = "w"):
+    """Open `<path>.tmp` for writing ("w" for UTF-8 text, "wb" for bytes) and
+    rename it over `path` when the block ends.
 
-    A reader sees the old file or the new one, never a part; a failed write
-    removes the temporary and leaves `path` as it was.
+    A reader sees the old file or the new one, never a part; if the block
+    raises, the temporary is removed, `path` is left as it was and the
+    error propagates. Text is written with "\n" line ends on every platform.
     """
     tmp = f"{path}.tmp"
+    text = "b" not in mode
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        with open(tmp, mode, encoding="utf-8" if text else None, newline="" if text else None) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

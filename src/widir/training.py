@@ -23,15 +23,13 @@ import numpy as np
 from .domain import ContestSpec
 from .errors import ConfigError, DataError
 from .features import (
-    D_C,
-    D_I,
     D_P,
     JoinEvent,
     NormalizationStats,
     build_template_block,
 )
 from .model import WidirDims, WidirParams, backward_batch, forward_batch, hinge_losses, init_params
-from .textio import read_kv, require_keys
+from .textio import read_kv, require_keys, write_replace
 
 logger = logging.getLogger(__name__)
 
@@ -238,55 +236,57 @@ def assemble_pair_dataset(
     max_pairs: int | None,
     seed: int,
 ) -> PairDataset:
-    """Materialize pair features from snapshots (`snapshots.get(day)` lookup)."""
-    blocks: dict[str, object] = {}
-    player_rows: list[np.ndarray] = []
-    list_idx: list[int] = []
-    pos_c: list[np.ndarray] = []
-    neg_c: list[np.ndarray] = []
-    pos_i: list[np.ndarray] = []
-    neg_i: list[np.ndarray] = []
+    """Materialize pair features from snapshots (`snapshots.get(day)` lookup).
 
+    The player and interaction rows of each match's lists come from one
+    snapshot call and one template-block call; the pairs then gather their
+    rows in list order.
+    """
+    by_match: dict[str, list[int]] = {}
     for li, lst in enumerate(lists):
-        day = match_days.get(lst.match_id)
+        by_match.setdefault(lst.match_id, []).append(li)
+    player_rows = np.empty((len(lists), D_P), dtype=np.float32)
+    rows_of: list = [None] * len(lists)  # per list: (contest rows, interaction rows, template -> row)
+    for mid, lis in by_match.items():
+        day = match_days.get(mid)
         if day is None:
-            raise DataError(f"no match day known for match {lst.match_id}")
+            raise DataError(f"no match day known for match {mid}")
+        tpls = templates_by_match.get(mid)
+        if not tpls:
+            raise DataError(f"match {mid} missing from catalog")
         snap = snapshots.get(day)
-        block = blocks.get(lst.match_id)
-        if block is None:
-            tpls = templates_by_match.get(lst.match_id)
-            if not tpls:
-                raise DataError(f"match {lst.match_id} missing from catalog")
-            block = build_template_block(tpls, stats)
-            blocks[lst.match_id] = block
+        block = build_template_block(tpls, stats)
         tid_to_row = {tid: r for r, tid in enumerate(block.template_ids)}
+        ids = [lists[li].player_id for li in lis]
+        player_rows[lis] = snap.player_rows(ids)
+        for li, inter in zip(lis, block.interaction_matrix(snap, ids)):
+            rows_of[li] = (block.contest_matrix, inter, tid_to_row)
 
-        player_rows.append(np.asarray(snap.player_row(lst.player_id), dtype=np.float32))
-        inter = block.interaction_matrix(snap.hists_for(lst.player_id), stats)
-        contest = block.contest_matrix
+    list_idx, pos_c, neg_c, pos_i, neg_i = [], [], [], [], []
+    for li, lst in enumerate(lists):
+        contest, inter, tid_to_row = rows_of[li]
+        try:
+            pr, nr = np.asarray([
+                (tid_to_row[p.pos_template_id], tid_to_row[p.neg_template_id])
+                for p in build_pairs(lst, max_pairs, seed)
+            ], dtype=np.int64).reshape(-1, 2).T
+        except KeyError:
+            raise DataError(f"pair references template missing from match {lst.match_id} catalog") from None
+        list_idx.append(np.full(pr.size, li, dtype=np.int32))
+        pos_c.append(contest[pr])
+        neg_c.append(contest[nr])
+        pos_i.append(inter[pr])
+        neg_i.append(inter[nr])
 
-        for pair in build_pairs(lst, max_pairs, seed):
-            pr = tid_to_row.get(pair.pos_template_id)
-            nr = tid_to_row.get(pair.neg_template_id)
-            if pr is None or nr is None:
-                raise DataError(
-                    f"pair references template missing from match {lst.match_id} catalog"
-                )
-            list_idx.append(li)
-            pos_c.append(contest[pr])
-            neg_c.append(contest[nr])
-            pos_i.append(inter[pr])
-            neg_i.append(inter[nr])
-
-    if not list_idx:
+    if not sum(a.size for a in list_idx):
         raise DataError("no training pairs could be built (empty pair stream)")
     return PairDataset(
-        player_rows=np.stack(player_rows),
-        list_idx=np.asarray(list_idx, dtype=np.int32),
-        pos_contest=np.stack(pos_c),
-        neg_contest=np.stack(neg_c),
-        pos_inter=np.stack(pos_i),
-        neg_inter=np.stack(neg_i),
+        player_rows=player_rows,
+        list_idx=np.concatenate(list_idx),
+        pos_contest=np.concatenate(pos_c),
+        neg_contest=np.concatenate(neg_c),
+        pos_inter=np.concatenate(pos_i),
+        neg_inter=np.concatenate(neg_i),
     )
 
 
@@ -373,7 +373,7 @@ class TrainResult:
 
 
 def write_report(path, report: TrainingReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_replace(path) as fh:
         for r in report.rows:
             fh.write(f"{r.epoch},{r.train_loss!r},{r.valid_loss!r},{r.seconds!r}\n")
 

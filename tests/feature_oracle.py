@@ -3,20 +3,23 @@
 The per-(player, day) builder is the one the columnar day sweep in
 `widir.features` replaced. It sums money in integer cents, as the sweep
 does, so the sweep's rows, snapshots and fitted stats must equal these bit
-for bit. `recent_summary` aggregates one player's recent joins, and
-`interaction_row` counts them against one target contest; each row of
-`TemplateBlock.raw_interaction` must equal it.
+for bit. `recent_summary` aggregates one player's recent joins into
+`RecentJoin` rows, `build_recent_hists` turns them into window histograms,
+and `interaction_row` counts those against one target contest; each row of
+`TemplateBlock.raw_interaction` must equal it. `snapshot_from` lays
+per-player rows and `RecentJoin` lists out as a columnar `FeatureSnapshot`,
+and `recent_joins` reads one player's joins back from any snapshot.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from widir.domain import ContestSpec, day_start, epoch_day, money_units
+from widir.domain import ContestSpec, ContestType, day_start, epoch_day, money_units
 from widir.errors import DataError
 from widir.features import (
     CONTEST_Z_MASK,
@@ -29,19 +32,118 @@ from widir.features import (
     PLAYER_Z_MASK,
     WINDOW_BLOCK,
     INTERACTION_WINDOWS,
+    D_P,
     FeatureSnapshot,
     JoinEvent,
     NormalizationStats,
-    RecentHists,
-    RecentJoin,
     _TYPE_INDEX,
     _identity_stats,
     _normalize,
     bucket_of,
-    build_recent_hists,
     contest_features_raw,
     quantile_edges,
 )
+
+_TYPES = sorted(_TYPE_INDEX, key=_TYPE_INDEX.get)
+
+
+class RecentJoin(NamedTuple):
+    """A recent-join summary row: one (player, day, template) with a count."""
+
+    day: dt.date
+    template_id: str
+    contest_type: ContestType
+    fee_bucket: int
+    size_bucket: int
+    prize_bucket: int
+    count: int
+
+
+@dataclass
+class RecentHists:
+    """Window histograms of a player's recent joins."""
+
+    type_counts: np.ndarray   # (2, N_TYPES) rows: 1-day, 5-day
+    fee_counts: np.ndarray    # (2, N_BUCKETS)
+    size_counts: np.ndarray   # (2, N_BUCKETS)
+    prize_counts: np.ndarray  # (2, N_BUCKETS)
+    template_counts: dict[str, int] = field(default_factory=dict)  # 5-day window
+
+    @classmethod
+    def empty(cls) -> "RecentHists":
+        return cls(
+            type_counts=np.zeros((2, N_TYPES)),
+            fee_counts=np.zeros((2, N_BUCKETS)),
+            size_counts=np.zeros((2, N_BUCKETS)),
+            prize_counts=np.zeros((2, N_BUCKETS)),
+        )
+
+
+def build_recent_hists(rows: Sequence[RecentJoin], as_of_day: dt.date) -> RecentHists:
+    h = RecentHists.empty()
+    for r in rows:
+        age = (as_of_day - r.day).days
+        if not 1 <= age <= max(INTERACTION_WINDOWS):
+            continue
+        windows = [w for w, k in enumerate(INTERACTION_WINDOWS) if age <= k]
+        for w in windows:
+            h.type_counts[w, _TYPE_INDEX[r.contest_type]] += r.count
+            h.fee_counts[w, r.fee_bucket] += r.count
+            h.size_counts[w, r.size_bucket] += r.count
+            h.prize_counts[w, r.prize_bucket] += r.count
+        h.template_counts[r.template_id] = h.template_counts.get(r.template_id, 0) + r.count
+    return h
+
+
+def snapshot_from(
+    day: dt.date,
+    stats: NormalizationStats,
+    players: Mapping[str, np.ndarray],
+    recents: Mapping[str, Sequence[RecentJoin]] | None = None,
+) -> FeatureSnapshot:
+    """A columnar snapshot of per-player rows and RecentJoin lists.
+
+    Each RecentJoin row becomes `count` joins; `recents` may name only
+    players in `players`.
+    """
+    recents = recents or {}
+    assert set(recents) <= set(players)
+    templates = {t: i for i, t in enumerate(sorted({r.template_id for rs in recents.values() for r in rs}))}
+    joins, offsets = [], [0]
+    for pid in players:
+        for r in recents.get(pid, ()):
+            joins += [[(day - r.day).days, templates[r.template_id], _TYPE_INDEX[r.contest_type],
+                       r.fee_bucket, r.size_bucket, r.prize_bucket]] * r.count
+        offsets.append(len(joins))
+    return FeatureSnapshot(
+        as_of_day=day, stats=stats,
+        players={pid: i for i, pid in enumerate(players)},
+        rows=np.asarray(list(players.values()), dtype=np.float32).reshape(-1, D_P),
+        join_offsets=np.asarray(offsets, dtype=np.int64),
+        recent=np.asarray(joins, dtype=np.int32).reshape(-1, 6),
+        templates=templates,
+    )
+
+
+def recent_joins(snapshot: FeatureSnapshot, player_id: str) -> list[tuple]:
+    """A player's joins in `snapshot`, sorted, as RecentJoin rows of count 1."""
+    i = snapshot.players.get(player_id)
+    if i is None:
+        return []
+    template_ids = list(snapshot.templates)
+    return sorted((
+        RecentJoin(snapshot.as_of_day - dt.timedelta(days=age), template_ids[t], _TYPES[ty], fb, sb, pb, 1)
+        for age, t, ty, fb, sb, pb in snapshot.recent[snapshot.join_offsets[i]:snapshot.join_offsets[i + 1]].tolist()
+    ), key=_order)
+
+
+def expand(rows: Sequence[RecentJoin]) -> list[RecentJoin]:
+    """RecentJoin rows as sorted rows of count 1, as `recent_joins` reads them."""
+    return sorted((r._replace(count=1) for r in rows for _ in range(r.count)), key=_order)
+
+
+def _order(r: RecentJoin) -> tuple:
+    return (r.day, r.template_id, _TYPE_INDEX[r.contest_type], r.fee_bucket, r.size_bucket, r.prize_bucket)
 
 
 @dataclass
@@ -226,7 +328,7 @@ def build_snapshot(events: Sequence[JoinEvent], day: dt.date, stats: Normalizati
         rows = recent_summary(ordered, day, stats)
         if rows:
             recents[pid] = rows
-    return FeatureSnapshot(as_of_day=day, stats=stats, players=players, recents=recents)
+    return snapshot_from(day, stats, players, recents)
 
 
 def fit_normalization(

@@ -6,8 +6,7 @@ import pytest
 
 from widir.abtest import (
     ABConfig,
-    GroundTruthPolicy,
-    PopularityPolicy,
+    PayloadScorer,
     assign_cohorts,
     ab_report_text,
     delta,
@@ -15,6 +14,7 @@ from widir.abtest import (
 )
 from widir.domain import MatchRecord, day_start
 from widir.errors import ConfigError
+from widir.evaluation import GroundTruthScorer, PopularityScorer
 from widir.generator import GeneratorConfig, PlayerArchetype, build_template_pool
 
 from conftest import DAY0
@@ -117,7 +117,7 @@ class TestSimulatePeriod:
     def test_empty_schedule_zero_aggregates(self):
         _, archetypes, assignment = _sim_world()
         aggs, joins = simulate_period(
-            assignment, {"TG1": PopularityPolicy()}, [], archetypes, 0.3, "pre", seed=0
+            assignment, {"TG1": PopularityScorer()}, [], archetypes, 0.3, "pre", seed=0
         )
         assert joins == []
         for agg in aggs.values():
@@ -131,7 +131,7 @@ class TestSimulatePeriod:
     def test_ggr_conservation_exact(self):
         matches, archetypes, assignment = _sim_world()
         aggs, joins = simulate_period(
-            assignment, {"TG1": GroundTruthPolicy(archetypes)}, matches, archetypes,
+            assignment, {"TG1": GroundTruthScorer(archetypes)}, matches, archetypes,
             0.3, "post", seed=1, boost=2.0, h_exposed=5,
         )
         for g, agg in aggs.items():
@@ -145,7 +145,7 @@ class TestSimulatePeriod:
     def test_relevant_boost_raises_joins(self):
         matches, archetypes, assignment = _sim_world()
         aggs, _ = simulate_period(
-            assignment, {"TG1": GroundTruthPolicy(archetypes)}, matches, archetypes,
+            assignment, {"TG1": GroundTruthScorer(archetypes)}, matches, archetypes,
             0.3, "post", seed=2, boost=2.0, h_exposed=5,
         )
         assert aggs["TG1"].cj > aggs["CG"].cj * 1.1
@@ -155,7 +155,7 @@ class TestSimulatePeriod:
         deltas = []
         for seed in range(6):
             common = dict(
-                assignment=assignment, policies={"TG1": PopularityPolicy()},
+                assignment=assignment, policies={"TG1": PopularityScorer()},
                 archetypes=archetypes, participation_rate=0.3, seed=seed,
                 boost=1.0, h_exposed=5,
             )
@@ -175,12 +175,26 @@ class TestSimulatePeriod:
             seed=4, boost=5.0, h_exposed=5,
         )
         a, _ = simulate_period(matches=matches, period="pre",
-                               policies={"TG1": GroundTruthPolicy(archetypes)}, **common)
+                               policies={"TG1": GroundTruthScorer(archetypes)}, **common)
         b, _ = simulate_period(matches=matches, period="pre",
-                               policies={"TG1": PopularityPolicy()}, **common)
+                               policies={"TG1": PopularityScorer()}, **common)
         # pre-period behavior is identical whatever the policy is
         assert (a["TG1"].cj, a["TG1"].cea) == (b["TG1"].cj, b["TG1"].cea)
         assert (a["CG"].cj, a["CG"].cea) == (b["CG"].cj, b["CG"].cea)
+
+
+class TestPayloadScorer:
+    def test_ranks_by_payload_and_falls_back_to_popularity(self):
+        matches, _, _ = _sim_world()
+        match, templates = matches[0]
+        ids = sorted(t.template_id for t in templates)
+        ranking = tuple((tid, float(i)) for i, tid in enumerate(reversed(ids)))
+        scorer = PayloadScorer({("p1", match.match_id): ranking})
+        slate = scorer.rank("p1", match.match_id, templates, None)
+        assert slate.ranked == ranking
+        assert slate.top(2) == list(reversed(ids))[:2]
+        cold = scorer.rank("p2", match.match_id, templates, None)
+        assert cold == PopularityScorer().rank("p2", match.match_id, templates, None)
 
 
 class TestABConfig:
@@ -206,7 +220,7 @@ class TestABConfig:
     def test_report_contains_deltas(self):
         matches, archetypes, assignment = _sim_world(n_players=200, n_matches=6)
         common = dict(
-            assignment=assignment, policies={"TG1": PopularityPolicy()},
+            assignment=assignment, policies={"TG1": PopularityScorer()},
             archetypes=archetypes, participation_rate=0.3, seed=0,
             boost=2.0, h_exposed=5,
         )

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import widir.training as training_mod
-from widir.abtest import PopularityPolicy, assign_cohorts, delta, simulate_period
+from widir.abtest import assign_cohorts, delta, simulate_period
 from widir.domain import MatchRecord, day_start
-from widir.evaluation import EvalReport, RankedSlate, precision_at, recall_at
+from widir.evaluation import EvalReport, PopularityScorer, RankedSlate, precision_at, recall_at
 from widir.generator import GeneratorConfig, PlayerArchetype, build_template_pool
 from widir.inference import RankingPayload
 from widir.model import (
@@ -349,7 +349,7 @@ def test_criterion_8_delta_and_null_effect():
     conservation_ok = True
     for seed in range(20):
         common = dict(
-            assignment=assignment, policies={"TG1": PopularityPolicy()},
+            assignment=assignment, policies={"TG1": PopularityScorer()},
             archetypes=archetypes, participation_rate=0.3, seed=seed,
             boost=1.0, h_exposed=5,
         )

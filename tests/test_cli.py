@@ -134,6 +134,26 @@ class TestErrorPaths:
         assert f"{joins}:3:" in err and "timestamp" in err
         assert "Traceback" not in err
 
+    def test_match_with_two_mega_templates_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.kv"
+        cfg.write_text(GEN_KV)
+        out = tmp_path / "o"
+        assert main(["generate", "--out", str(out), "--config", str(cfg), "--seed", "5"]) == 0
+        contests = out / "data" / "contests.csv"
+        rows = [line.split(",") for line in contests.read_text().splitlines(keepends=True)]
+        match_id = rows[0][2]
+        # a second template of the first match becomes Mega
+        row = next(r for r in rows if r[2] == match_id and r[6] != "Mega")
+        row[6] = "Mega"
+        contests.write_text("".join(",".join(r) for r in rows))
+        capsys.readouterr()
+        code = main(["features", "--out", str(out), "--train-end", "2025-01-30",
+                     "--valid-end", "2025-02-07"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"match {match_id} has 2 Mega contests" in err and "invalid catalog" in err
+        assert "Traceback" not in err
+
     def test_duplicate_run_id_rejected(self, pipeline_root, capsys):
         code = main(
             ["generate", "--out", str(pipeline_root), "--config",

@@ -21,8 +21,6 @@ from widir.evaluation import (
     score_players,
 )
 from widir.features import (
-    FeatureSnapshot,
-    RecentJoin,
     _identity_stats,
     build_template_block,
     enrich_joins,
@@ -32,6 +30,7 @@ from widir.features import (
 from widir.model import WidirDims, forward_batch, init_params
 
 from conftest import DAY0, mk_contest
+from feature_oracle import RecentJoin, snapshot_from
 
 
 class _BlankSnapshots:
@@ -39,7 +38,7 @@ class _BlankSnapshots:
         self.stats = stats
 
     def get(self, day):
-        return FeatureSnapshot(as_of_day=day, stats=self.stats, players={}, recents={})
+        return snapshot_from(day, self.stats, {})
 
 
 class TestPopularityRank:
@@ -76,7 +75,7 @@ class TestModelRank:
     dims = WidirDims()
 
     def _snapshot(self):
-        return FeatureSnapshot(as_of_day=DAY0, stats=_identity_stats(), players={}, recents={})
+        return snapshot_from(DAY0, _identity_stats(), {})
 
     def test_duplicate_templates_rejected(self):
         params = init_params(self.dims, 0)
@@ -106,9 +105,9 @@ class TestModelRank:
         assert ordered == sorted(ordered, reverse=True)
         # recompute one template's score through the public forward path
         block = build_template_block(contests, snap.stats)
-        p = np.repeat(snap.player_row("p1")[None, :].astype(np.float32), 6, axis=0)
-        inter = block.interaction_matrix(snap.hists_for("p1"), snap.stats).astype(np.float32)
-        expect = forward_batch(params, p, block.contest_matrix.astype(np.float32), inter)
+        p = np.repeat(snap.player_rows(["p1"]), 6, axis=0)
+        inter = block.interaction_matrix(snap, ["p1"])[0]
+        expect = forward_batch(params, p, block.contest_matrix, inter)
         for tid, s in zip(block.template_ids, expect):
             assert scores[tid] == float(s)
 
@@ -125,7 +124,7 @@ class TestModelRank:
             for pid, d in (("a", 1), ("b", 3))
         }
         players = {pid: rng.standard_normal(self.dims.d_p).astype(np.float32) for pid in ("a", "b")}
-        snap = FeatureSnapshot(as_of_day=DAY0, stats=_identity_stats(), players=players, recents=recents)
+        snap = snapshot_from(DAY0, _identity_stats(), players, recents)
         block = build_template_block(contests, snap.stats)
         ids = ["b", "cold", "a"]
         scores = score_players(params, snap, block, ids)
@@ -133,9 +132,9 @@ class TestModelRank:
         for pid, row in zip(ids, scores):
             alone = forward_batch(
                 params,
-                np.repeat(snap.player_row(pid)[None, :], 4, axis=0),
+                np.repeat(snap.player_rows([pid]), 4, axis=0),
                 block.contest_matrix,
-                block.interaction_matrix(snap.hists_for(pid), snap.stats),
+                block.interaction_matrix(snap, [pid])[0],
             )
             assert row.tobytes() == alone.tobytes()
         assert scores[0].tobytes() != scores[2].tobytes()

@@ -1,5 +1,6 @@
 import datetime as dt
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from widir.features import (
     D_P,
     DAYS_SINCE_CAP,
     INTERACTION_Z_MASK,
-    FeatureSnapshot,
     JoinEvent,
     NormalizationStats,
     PLAYER_WINDOWS,
@@ -23,9 +23,9 @@ from widir.features import (
     _identity_stats,
     _normalize,
     bucket_of,
-    build_recent_hists,
     build_template_block,
     cold_start_player_raw,
+    cold_start_player_row,
     contest_features,
     contest_features_raw,
     enrich_joins,
@@ -38,7 +38,7 @@ from widir.features import (
 
 from conftest import DAY0, mk_contest
 import feature_oracle
-from feature_oracle import build_snapshot
+from feature_oracle import build_recent_hists, build_snapshot, expand, recent_joins, snapshot_from
 
 UTC_TYPES = [ContestType.PUBLIC, ContestType.SPECIAL, ContestType.MEGA]
 
@@ -354,22 +354,23 @@ class TestDaySweepMatchesOracle:
                 assert row.tobytes() == feature_oracle.player_row(history, day, stats).tobytes(), (pid, day)
         for day, snap in iter_snapshots(events, days, stats):
             oracle = build_snapshot(events, day, stats)
-            assert list(snap.players) == list(oracle.players)
-            for pid, row in oracle.players.items():
-                assert snap.players[pid].dtype == np.float32
-                assert snap.players[pid].tobytes() == row.tobytes(), (pid, day)
-            assert snap.recents == oracle.recents
-            for pid, rows in snap.recents.items():
-                assert [type(x) for x in rows[0]] == [type(x) for x in oracle.recents[pid][0]]
+            assert snap.players == oracle.players
+            assert snap.rows.dtype == np.float32
+            assert snap.rows.tobytes() == oracle.rows.tobytes(), day
+            for pid in pids:
+                history = [e for e in events if e.player_id == pid]
+                expect = expand(feature_oracle.recent_summary(history, day, stats))
+                assert recent_joins(snap, pid) == recent_joins(oracle, pid) == expect, (pid, day)
 
     def test_cold_start_and_empty_log(self):
         stats = _sweep_stats()
         columns = _JoinColumns([], stats)
         raw = columns.player_rows(columns.codes(["a", "b"]), AS_OF)
         np.testing.assert_array_equal(raw, [cold_start_player_raw()] * 2)
-        assert columns.recents(columns.codes(["a"]), AS_OF) == [[]]
         (_, snap), = iter_snapshots([], [AS_OF], stats)
-        assert snap.players == {} and snap.recents == {}
+        assert snap.players == {} and snap.recent.shape == (0, 6)
+        assert snap.join_offsets.tolist() == [0]
+        np.testing.assert_array_equal(snap.player_rows(["a"]), [snap.cold_row])
 
     def test_fit_normalization_equals_oracle_fit(self, tiny_world):
         by_id = index_contests(tiny_world.contests)
@@ -426,7 +427,7 @@ class TestContestFeatures:
 def interaction_raw(events, target, day, stats):
     """Player p1's raw interaction row against `target`, via the day's snapshot and a block."""
     (_, snap), = iter_snapshots(events, [day], stats)
-    return build_template_block([target], stats).raw_interaction(snap.hists_for("p1"))[0]
+    return build_template_block([target], stats).raw_interaction(snap, ["p1"])[0, 0]
 
 
 class TestInteractionFeatures:
@@ -500,18 +501,29 @@ def bucketed_stats():
 
 class TestTemplateBlock:
     @settings(max_examples=60, deadline=None)
-    @given(event_lists(), template_lists(), st.integers(-2, 3))
+    @given(multi_player_events(), template_lists(), st.integers(-1, 1))
     def test_raw_interaction_rows_equal_single_target_oracle(self, events, templates, offset):
-        stats = bucketed_stats()
-        day = DAY0 + dt.timedelta(days=offset)
-        h = build_recent_hists(feature_oracle.recent_summary(events, day, stats), day)
+        """Rows from the sweep's snapshot and from the same day written and read back."""
+        stats = _sweep_stats()
+        day = AS_OF + dt.timedelta(days=offset)
         block = build_template_block(templates, stats)
-        raw = block.raw_interaction(h)
-        assert raw.shape == (len(templates), D_I)
-        for k, target in enumerate(templates):
-            assert raw[k].tobytes() == feature_oracle.interaction_row(h, target, stats).tobytes()
-        expect = _normalize(raw, stats.inter_mean, stats.inter_std, INTERACTION_Z_MASK).astype(np.float32)
-        assert block.interaction_matrix(h, stats).tobytes() == expect.tobytes()
+        pids = ["never-joined"] + sorted({e.player_id for e in events})
+        (_, swept), = iter_snapshots(events, [day], stats)
+        with tempfile.TemporaryDirectory() as root:
+            store = SnapshotStore(root)
+            store.write_manifest(stats)
+            store.write_day(swept)
+            stored = store.read_day(day)
+        for snap in (swept, stored):
+            raw = block.raw_interaction(snap, pids)
+            assert raw.shape == (len(pids), len(templates), D_I)
+            for pid, rows in zip(pids, raw):
+                history = [e for e in events if e.player_id == pid]
+                h = build_recent_hists(feature_oracle.recent_summary(history, day, stats), day)
+                for row, target in zip(rows, templates):
+                    assert row.tobytes() == feature_oracle.interaction_row(h, target, stats).tobytes(), pid
+            expect = _normalize(raw, snap.stats.inter_mean, snap.stats.inter_std, INTERACTION_Z_MASK)
+            assert block.interaction_matrix(snap, pids).tobytes() == expect.astype(np.float32).tobytes()
 
     def test_contest_matrix_equals_per_row_contest_features(self, tiny_world):
         by_match = match_templates(tiny_world.contests)
@@ -532,6 +544,14 @@ class TestTemplateBlock:
             build_template_block([mk_contest(contest_id="a"), mk_contest(contest_id="b")], identity_stats)
 
 
+def assert_same_snapshot(a, b):
+    assert a.as_of_day == b.as_of_day
+    assert a.players == b.players and a.templates == b.templates
+    for name in ("rows", "join_offsets", "recent"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
 class TestSnapshots:
     def _world_events(self):
         events = []
@@ -550,10 +570,7 @@ class TestSnapshots:
         store.write_manifest(identity_stats)
         store.write_day(snap)
         loaded = store.read_day(day)
-        assert set(loaded.players) == set(snap.players)
-        for pid, vec in snap.players.items():
-            np.testing.assert_array_equal(loaded.players[pid], vec)
-        assert loaded.recents == snap.recents
+        assert_same_snapshot(loaded, snap)
 
     def test_stale_player_absent(self, identity_stats):
         day = DAY0 + dt.timedelta(days=40)
@@ -571,7 +588,7 @@ class TestSnapshots:
         with_leak = past + [ev(day, player="p0"), ev(day + dt.timedelta(days=1), player="p0")]
         a = build_snapshot(past, day, identity_stats)
         b = build_snapshot(with_leak, day, identity_stats)
-        np.testing.assert_array_equal(a.players["p0"], b.players["p0"])
+        np.testing.assert_array_equal(a.player_rows(["p0"]), b.player_rows(["p0"]))
 
     def test_iter_snapshots_matches_single_day_builds(self, identity_stats):
         events = self._world_events()
@@ -579,10 +596,10 @@ class TestSnapshots:
         streamed = dict(iter_snapshots(events, days, identity_stats))
         for day in days:
             single = build_snapshot(events, day, identity_stats)
-            assert set(streamed[day].players) == set(single.players)
+            assert streamed[day].players == single.players
+            assert streamed[day].rows.tobytes() == single.rows.tobytes()
             for pid in single.players:
-                np.testing.assert_array_equal(streamed[day].players[pid], single.players[pid])
-            assert streamed[day].recents == single.recents
+                assert recent_joins(streamed[day], pid) == recent_joins(single, pid)
 
     def test_schema_mismatch_is_error(self, tmp_path, identity_stats):
         store = SnapshotStore(tmp_path / "store")
@@ -590,7 +607,7 @@ class TestSnapshots:
         snap = build_snapshot(self._world_events(), DAY0 + dt.timedelta(days=30), identity_stats)
         store.write_day(snap)
         day_json = tmp_path / "store" / "days" / snap.as_of_day.isoformat() / "day.json"
-        day_json.write_text(day_json.read_text().replace("widir-snapshot-v1", "widir-snapshot-v0"))
+        day_json.write_text(day_json.read_text().replace("widir-snapshot-v2", "widir-snapshot-v0"))
         with pytest.raises(StoreError):
             store.read_day(snap.as_of_day)
 
@@ -604,7 +621,7 @@ class TestSnapshots:
         store = SnapshotStore(tmp_path / "store")
         store.write_manifest(identity_stats)
         snap = build_snapshot(self._world_events(), DAY0 + dt.timedelta(days=30), identity_stats)
-        assert snap.recents
+        assert snap.recent.size
         store.write_day(snap)
         return store, snap
 
@@ -613,15 +630,16 @@ class TestSnapshots:
         store.write_day(snap)
         day_dir = tmp_path / "store" / "days" / snap.as_of_day.isoformat()
         assert sorted(p.name for p in day_dir.iterdir()) == [
-            "day.json", "player_features.txt", "recent_joins.txt",
+            "day.json", "join_offsets.npy", "player_ids.npy", "player_rows.npy",
+            "recent_joins.npy", "template_ids.npy",
         ]
         assert store.days() == [snap.as_of_day]
-        assert store.read_day(snap.as_of_day).recents == snap.recents
+        assert_same_snapshot(store.read_day(snap.as_of_day), snap)
 
     def test_failed_write_reads_as_absent(self, tmp_path, identity_stats):
         store, snap = self._stored_day(tmp_path, identity_stats)
         day_dir = tmp_path / "store" / "days" / snap.as_of_day.isoformat()
-        (day_dir / "recent_joins.txt.tmp").mkdir()  # the recents write cannot open its file
+        (day_dir / "recent_joins.npy.tmp").mkdir()  # the recents write cannot open its file
         with pytest.raises(StoreError, match="snapshot write failed"):
             store.write_day(snap)
         assert not store.has_day(snap.as_of_day)
@@ -650,10 +668,81 @@ class TestSnapshots:
         assert store.read_manifest().to_json_dict() == identity_stats.to_json_dict()
 
     def test_cold_start_row_for_unknown_player(self, identity_stats):
-        snap = FeatureSnapshot(as_of_day=DAY0, stats=identity_stats, players={}, recents={})
-        row = snap.player_row("nobody")
-        assert row.shape == (D_P,)
-        assert np.all(np.isfinite(row))
+        known = np.arange(D_P, dtype=np.float32)
+        snap = snapshot_from(DAY0, identity_stats, {"known": known})
+        rows = snap.player_rows(["nobody", "known", "nobody"])
+        assert rows.dtype == np.float32 and rows.shape == (3, D_P)
+        expect = cold_start_player_row(identity_stats).astype(np.float32)
+        assert rows[0].tobytes() == rows[2].tobytes() == expect.tobytes()
+        assert rows[1].tobytes() == known.tobytes()
+        assert np.all(np.isfinite(rows))
+
+    def test_unreadable_day_json_is_error(self, tmp_path, identity_stats):
+        store, snap = self._stored_day(tmp_path, identity_stats)
+        day_json = tmp_path / "store" / "days" / snap.as_of_day.isoformat() / "day.json"
+        day_json.write_text(day_json.read_text()[:-3])
+        with pytest.raises(StoreError, match="no snapshot"):
+            store.read_day(snap.as_of_day)
+
+    def test_v1_store_is_error(self, tmp_path, identity_stats):
+        """A store written in the text layout (schema v1) is refused, not misread."""
+        store, snap = self._stored_day(tmp_path, identity_stats)
+        day_dir = tmp_path / "store" / "days" / snap.as_of_day.isoformat()
+        day_json = day_dir / "day.json"
+        day_json.write_text(day_json.read_text().replace("widir-snapshot-v2", "widir-snapshot-v1"))
+        for name in ("player_features.txt", "recent_joins.txt"):
+            (day_dir / name).write_text("")
+        with pytest.raises(StoreError, match="widir-snapshot-v1"):
+            store.read_day(snap.as_of_day)
+        manifest = tmp_path / "store" / "manifest.json"
+        manifest.write_text(manifest.read_text().replace("widir-snapshot-v2", "widir-snapshot-v1"))
+        with pytest.raises(StoreError, match="widir-snapshot-v1"):
+            store.read_manifest()
+
+    @pytest.mark.parametrize("name", [
+        "player_ids", "player_rows", "join_offsets", "recent_joins", "template_ids",
+    ])
+    def test_truncated_or_missing_array_is_error(self, tmp_path, identity_stats, name):
+        store, snap = self._stored_day(tmp_path, identity_stats)
+        path = tmp_path / "store" / "days" / snap.as_of_day.isoformat() / f"{name}.npy"
+        data = path.read_bytes()
+        for cut in (len(data) - 1, 40, 0):
+            path.write_bytes(data[:cut])
+            with pytest.raises(StoreError, match=name):
+                store.read_day(snap.as_of_day)
+        path.unlink()
+        with pytest.raises(StoreError, match=name):
+            store.read_day(snap.as_of_day)
+
+    @pytest.mark.parametrize("name, change", [
+        ("player_rows", lambda a: a[:, :-1]),
+        ("player_rows", lambda a: a[:-1]),
+        ("player_rows", lambda a: a.astype(np.float64)),
+        ("player_rows", lambda a: a.astype(">f4")),
+        ("player_ids", lambda a: a[:-1]),
+        ("player_ids", lambda a: np.asarray([a[0]] * len(a))),
+        ("player_ids", lambda a: np.arange(len(a))),
+        ("join_offsets", lambda a: a[:-1]),
+        ("join_offsets", lambda a: a.astype(np.int32)),
+        ("join_offsets", lambda a: a + 1),
+        ("join_offsets", lambda a: a[::-1].copy()),
+        ("recent_joins", lambda a: a[:-1]),
+        ("recent_joins", lambda a: a[:, :5]),
+        ("recent_joins", lambda a: a.ravel()),
+        ("recent_joins", lambda a: a.astype(np.int64)),
+        ("recent_joins", lambda a: np.where(np.arange(6) == 0, 6, a).astype(np.int32)),
+        ("recent_joins", lambda a: np.where(np.arange(6) == 0, 0, a).astype(np.int32)),
+        ("recent_joins", lambda a: np.where(np.arange(6) == 1, -1, a).astype(np.int32)),
+        ("recent_joins", lambda a: np.where(np.arange(6) == 2, 3, a).astype(np.int32)),
+        ("recent_joins", lambda a: np.where(np.arange(6) == 5, 8, a).astype(np.int32)),
+        ("template_ids", lambda a: a[:-1]),
+    ])
+    def test_misshaped_array_is_error(self, tmp_path, identity_stats, name, change):
+        store, snap = self._stored_day(tmp_path, identity_stats)
+        path = tmp_path / "store" / "days" / snap.as_of_day.isoformat() / f"{name}.npy"
+        np.save(path, change(np.load(path)), allow_pickle=False)
+        with pytest.raises(StoreError):
+            store.read_day(snap.as_of_day)
 
 
 class TestFitNormalization:

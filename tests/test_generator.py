@@ -8,7 +8,6 @@ from widir.domain import (
     ContestType,
     day_of,
     index_contests,
-    serialize_join_log,
     validate_catalog,
     validate_contest,
 )
@@ -95,20 +94,26 @@ class TestTemplatePool:
 
 
 class TestGenerateSynthetic:
-    def test_deterministic_bytes(self):
+    def test_deterministic_bytes(self, tmp_path):
         config = small_config()
         a = generate_synthetic(config, 7)
         b = generate_synthetic(config, 7)
-        assert serialize_join_log(a.joins) == serialize_join_log(b.joins)
+        assert a.joins == b.joins
         assert a.contests == b.contests
         assert a.matches == b.matches
         assert a.archetypes == b.archetypes
+        a.write_dir(tmp_path / "a")
+        b.write_dir(tmp_path / "b")
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["archetypes.csv", "contests.csv", "joins.csv", "matches.csv"]
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_different_seeds_differ(self):
         config = small_config()
         a = generate_synthetic(config, 7)
         b = generate_synthetic(config, 8)
-        assert serialize_join_log(a.joins) != serialize_join_log(b.joins)
+        assert a.joins != b.joins
 
     def test_referential_integrity_and_mega(self, tiny_world):
         assert validate_catalog(tiny_world.contests, tiny_world.matches) == []

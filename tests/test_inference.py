@@ -5,7 +5,7 @@ import pytest
 
 from widir.domain import CENTS, MatchRecord, day_start
 from widir.evaluation import model_rank
-from widir.features import FeatureSnapshot, _identity_stats
+from widir.features import _identity_stats
 from widir.inference import (
     RankingPayload,
     active_players,
@@ -16,6 +16,7 @@ from widir.inference import (
 from widir.model import WidirDims, init_params
 
 from conftest import DAY0, mk_contest, mk_join
+from feature_oracle import snapshot_from
 
 
 class TestActivePlayers:
@@ -36,7 +37,7 @@ class TestActivePlayers:
 def _setup(n_templates=8, n_players=6):
     dims = WidirDims()
     params = init_params(dims, 0)
-    snap = FeatureSnapshot(as_of_day=DAY0, stats=_identity_stats(), players={}, recents={})
+    snap = snapshot_from(DAY0, _identity_stats(), {})
     templates = [
         mk_contest(contest_id=f"c{i}", template_id=f"t{i}", match_id="m1",
                    entry_fee=(i + 1) * CENTS, contest_size=10 + i,

@@ -48,16 +48,19 @@ def req(contests, player="p1", match="m1"):
 class TestStore:
     def test_put_get_round_trip(self):
         store = _store_with([_payload()])
-        assert store.get("p1", "m1") == _payload()
+        assert store.score_map("p1", "m1") == {"t2": 2.0, "t1": 1.0}
+        assert store.payload_count == 1
 
     def test_unknown_key_absent(self):
-        assert _store_with().get("p9", "m9") is None
+        assert _store_with().score_map("p9", "m9") is None
+        assert _store_with().payload_count == 0
 
     def test_put_replaces_whole_payload(self):
-        store = _store_with([_payload()])
+        store = _store_with([_payload(ranking=(("t2", 2.0), ("t1", 1.0), ("t3", 0.5)))])
         newer = _payload(ranking=(("t1", 9.0), ("t2", 8.0)), version="v2")
         store.put(newer)
-        assert store.get("p1", "m1") == newer
+        assert store.score_map("p1", "m1") == {"t1": 9.0, "t2": 8.0}
+        assert store.payload_count == 1
         assert store.model_version == "v2"
 
     def test_concurrent_reads_never_see_mixed_payloads(self):
@@ -76,10 +79,9 @@ class TestStore:
 
         def reader():
             while not stop.is_set():
-                payload = store.get("p1", "m1")
-                scores = {s for _, s in payload.ranking}
-                if len(scores) != 1:  # a mixture of the two versions
-                    bad.append(payload)
+                score_map = store.score_map("p1", "m1")
+                if len(set(score_map.values())) != 1:  # a mixture of the two versions
+                    bad.append(score_map)
 
         threads = [threading.Thread(target=writer)] + [
             threading.Thread(target=reader) for _ in range(3)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widir.domain import CENTS, day_start
+from widir.domain import CENTS, ContestType, day_start
 from widir.errors import ConfigError, DataError
-from widir.features import FeatureSnapshot, JoinEvent, _identity_stats
+from widir.features import JoinEvent, _identity_stats, build_template_block
 from widir.model import WidirDims, forward_batch
 from widir.training import (
     EarlyStopper,
@@ -23,6 +23,7 @@ from widir.training import (
 )
 
 from conftest import DAY0, mk_contest
+from feature_oracle import RecentJoin, snapshot_from
 
 
 def ev(day, player, match, template, fee=10 * CENTS):
@@ -308,7 +309,7 @@ class TestTrain:
 
 class TestAssemblePairDataset:
     def _snapshot_lookup(self, stats, players):
-        snap = FeatureSnapshot(as_of_day=DAY0, stats=stats, players=players, recents={})
+        snap = snapshot_from(DAY0, stats, players)
 
         class Lookup:
             def get(self, day):
@@ -335,6 +336,50 @@ class TestAssemblePairDataset:
         np.testing.assert_array_equal(ds.player_rows[0], players["p1"])
         assert ds.pos_contest.shape == (9, 11)
         assert ds.pos_inter.shape == (9, 9)
+
+    def test_rows_equal_per_list_lookups(self):
+        """Lists of several players, matches and days: every pair side holds its own
+        list's player row and its template's contest and interaction rows."""
+        stats = _identity_stats()
+        day1 = DAY0 + dt.timedelta(days=1)
+        templates = {"m1": match_of(6), "m2": match_of(5, "m2")}
+        days = {"m1": DAY0, "m2": day1}
+        events = []
+        for k, pid in enumerate(("p3", "p1", "p2")):
+            events += [ev(DAY0, pid, "m1", f"t{k:03d}")] * (k + 1) + [ev(DAY0, pid, "m1", "t005")]
+            events += [ev(day1, pid, "m2", f"t{(k + 2) % 5:03d}")] * 2 + [ev(day1, pid, "m2", "t004")]
+        lists = build_ordered_lists(events, templates, 50, seed=0)
+        rng = np.random.default_rng(1)
+        recents = {pid: [RecentJoin(DAY0 - dt.timedelta(days=d), f"t{d:03d}", ContestType.PUBLIC, 0, 0, 0, d)]
+                   for d, pid in enumerate(("p1", "p2"), start=1)}
+        snaps = {
+            day: snapshot_from(day, stats, {p: rng.standard_normal(107).astype(np.float32)
+                                            for p in ("p1", "p2")}, recents)
+            for day in (DAY0, day1)
+        }
+
+        class Lookup:
+            def get(self, day):
+                return snaps[day]
+
+        ds = assemble_pair_dataset(lists, Lookup(), templates, days, stats, None, seed=0)
+        k = 0
+        for li, lst in enumerate(lists):
+            snap = snaps[days[lst.match_id]]
+            block = build_template_block(templates[lst.match_id], stats)
+            inter = block.interaction_matrix(snap, [lst.player_id])[0]
+            assert ds.player_rows[li].tobytes() == snap.player_rows([lst.player_id])[0].tobytes()
+            for pair in build_pairs(lst, None, 0):
+                pr = block.template_ids.index(pair.pos_template_id)
+                nr = block.template_ids.index(pair.neg_template_id)
+                assert ds.list_idx[k] == li
+                assert ds.pos_contest[k].tobytes() == block.contest_matrix[pr].tobytes()
+                assert ds.neg_contest[k].tobytes() == block.contest_matrix[nr].tobytes()
+                assert ds.pos_inter[k].tobytes() == inter[pr].tobytes()
+                assert ds.neg_inter[k].tobytes() == inter[nr].tobytes()
+                k += 1
+        assert k == ds.n_pairs
+        assert len({ds.pos_inter[i].tobytes() for i in range(k)}) > 1
 
     def test_missing_snapshot_day_is_error(self):
         stats = _identity_stats()
