@@ -8,7 +8,8 @@ on relevant templates raises join volume while boost 1 is an exact null).
 Metrics: CJ (contest joins), CEA (entry amounts), GGR (entry amounts minus
 prizes paid), aggregated exactly in integer cents. Prizes here are the
 per-entry expected payout (pool/size), which keeps GGR conservation exact
-while avoiding the heavy tail of sampled finishing ranks.
+while avoiding the heavy tail of sampled finishing ranks. A treated group's
+policy ranks a match's active group members in one `rank_players` call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .domain import ContestSpec, MatchRecord
 from .errors import ConfigError, DataError
-from .evaluation import PopularityScorer, RankedSlate
+from .evaluation import RankedSlate, popularity_rank
 from .generator import (
     MAX_JOINS_PER_MATCH,
     PlayerArchetype,
@@ -157,11 +158,12 @@ class PayloadScorer:
     def __init__(self, rankings: Mapping[tuple[str, str], tuple[tuple[str, float], ...]]):
         self.rankings = rankings
 
-    def rank(self, player_id, match_id, templates, snapshot) -> RankedSlate:
-        ranked = self.rankings.get((player_id, match_id))
-        if ranked is None:
-            return PopularityScorer().rank(player_id, match_id, templates, snapshot)
-        return RankedSlate(player_id=player_id, match_id=match_id, ranked=ranked)
+    def rank_players(self, match_id, templates, snapshot, player_ids) -> list[RankedSlate]:
+        popular = popularity_rank(templates).ranked
+        return [
+            RankedSlate(player_id=pid, match_id=match_id, ranked=self.rankings.get((pid, match_id), popular))
+            for pid in player_ids
+        ]
 
 
 # --- simulation -----------------------------------------------------------------
@@ -182,9 +184,9 @@ def simulate_period(
 
     Treatment groups (every group with a policy) get the exposure boost in
     the post period only, on the top `h_exposed` templates of their policy,
-    a scorer (`rank(player, match, templates, None)`); the control group
-    and the pre period use the untreated choice model. Returns per-group aggregates plus the simulated
-    join log for independent conservation checks.
+    a scorer (`rank_players(match, templates, None, players)`); the control
+    group and the pre period use the untreated choice model. Returns
+    per-group aggregates plus the simulated join log for conservation checks.
     """
     if period not in _PERIOD_CODE:
         raise ValueError(f"period must be 'pre' or 'post', got {period!r}")
@@ -206,19 +208,23 @@ def simulate_period(
         rng = np.random.default_rng(
             np.random.SeedSequence((seed, _AB_STREAM, _PERIOD_CODE[period], mi))
         )
-        active = rng.random(len(assigned)) < participation_rate
+        active = [assigned[pi] for pi in np.flatnonzero(rng.random(len(assigned)) < participation_rate)]
+        exposed: dict[str, set[str]] = {}  # player -> the policy's top h_exposed templates
+        if boosting:
+            for g in sorted(treated_groups):
+                players = [pid for pid in active if group_of[pid] == g]
+                for pid, slate in zip(players, policies[g].rank_players(match.match_id, templates, None, players)):
+                    exposed[pid] = set(slate.top(h_exposed))
 
-        for pi in np.flatnonzero(active):
-            pid = assigned[pi]
+        for pid in active:
             group = group_of[pid]
             arch = archetypes.get(pid)
             if arch is None:
                 raise DataError(f"no archetype known for player {pid}")
             boost_idx = None
             rate = arch.activity_rate
-            if boosting and group in treated_groups:
-                top = set(policies[group].rank(pid, match.match_id, templates, None).top(h_exposed))
-                rows = [tid_to_row[t] for t in top if t in tid_to_row]
+            if pid in exposed:
+                rows = [tid_to_row[t] for t in exposed[pid] if t in tid_to_row]
                 if rows:
                     boost_idx = np.asarray(rows, dtype=np.int64)
                     # a more attractive boosted slate raises the join rate

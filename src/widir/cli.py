@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import pipeline

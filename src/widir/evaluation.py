@@ -2,6 +2,11 @@
 
 Metrics are computed at template level and macro-averaged over the
 (player, match) pairs of the test partition that have at least one join.
+
+Every scorer ranks one match's templates for a list of players in one call,
+`rank_players(match_id, templates, snapshot, player_ids)`, which returns the
+slates in `player_ids` order. Evaluation, batch inference and the A/B
+simulation all rank through it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from .features import (
     D_I,
     FeatureSnapshot,
     JoinEvent,
-    NormalizationStats,
     TemplateBlock,
     build_template_block,
 )
@@ -27,6 +31,7 @@ from .model import WidirParams, forward_batch
 from .textio import format_kv
 
 EVAL_H_VALUES = (1, 3, 5, 10)
+_SCORE_CHUNK = 512  # players scored per forward batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,15 +125,7 @@ def model_rank(
     """
     if not contests:
         raise ValueError("model_rank requires a non-empty contest list")
-    block = build_template_block(contests, snapshot.stats)
-    return _rank_block(params, snapshot, player_id, contests[0].match_id, block)
-
-
-def _rank_block(
-    params: WidirParams, snapshot: FeatureSnapshot, player_id: str, match_id: str, block: TemplateBlock
-) -> RankedSlate:
-    scores = score_players(params, snapshot, block, [player_id])[0]
-    return _make_slate(player_id, match_id, block.template_ids, scores.tolist())
+    return ModelScorer(params).rank_players(contests[0].match_id, contests, snapshot, [player_id])[0]
 
 
 def score_players(
@@ -170,33 +167,33 @@ def recall_at(slate: RankedSlate, actual_joined: set[str], h: int) -> float:
 class PopularityScorer:
     name = "popularity"
 
-    def rank(self, player_id, match_id, templates, snapshot) -> RankedSlate:
-        slate = popularity_rank(templates)
-        return RankedSlate(player_id=player_id, match_id=match_id, ranked=slate.ranked)
+    def rank_players(self, match_id, templates, snapshot, player_ids) -> list[RankedSlate]:
+        ranked = popularity_rank(templates).ranked
+        return [RankedSlate(player_id=pid, match_id=match_id, ranked=ranked) for pid in player_ids]
 
 
 class ModelScorer:
-    """Ranks with the model; scores equal `model_rank`'s bit for bit.
+    """Ranks with the model; each slate equals that player's `model_rank` bit for bit.
 
-    The template block depends only on the match's templates and the
-    snapshot's normalization stats, so it is built once per match and reused
-    while the same template list and stats objects come back.
+    The match's template block is built once per call, and the players are
+    scored in chunks through `score_players`, whose kernel is batch-invariant.
     """
 
     name = "widir"
 
     def __init__(self, params: WidirParams):
         self.params = params
-        self._blocks: dict[str, tuple[Sequence[ContestSpec], NormalizationStats, TemplateBlock]] = {}
 
-    def rank(self, player_id, match_id, templates, snapshot) -> RankedSlate:
-        if not templates:
-            raise ValueError("model_rank requires a non-empty contest list")
-        cached = self._blocks.get(match_id)
-        if cached is None or cached[0] is not templates or cached[1] is not snapshot.stats:
-            cached = (templates, snapshot.stats, build_template_block(templates, snapshot.stats))
-            self._blocks[match_id] = cached
-        return _rank_block(self.params, snapshot, player_id, templates[0].match_id, cached[2])
+    def rank_players(self, match_id, templates, snapshot, player_ids) -> list[RankedSlate]:
+        block = build_template_block(templates, snapshot.stats)
+        slates: list[RankedSlate] = []
+        for base in range(0, len(player_ids), _SCORE_CHUNK):
+            chunk = player_ids[base : base + _SCORE_CHUNK]
+            scores = score_players(self.params, snapshot, block, chunk)
+            slates.extend(
+                _make_slate(pid, match_id, block.template_ids, row.tolist()) for pid, row in zip(chunk, scores)
+            )
+        return slates
 
 
 class GroundTruthScorer:
@@ -207,28 +204,15 @@ class GroundTruthScorer:
     def __init__(self, archetypes: Mapping[str, PlayerArchetype]):
         self.archetypes = archetypes
 
-    def rank(self, player_id, match_id, templates, snapshot) -> RankedSlate:
-        arch = self.archetypes.get(player_id)
-        if arch is None:
-            raise DataError(f"no archetype known for player {player_id}")
+    def rank_players(self, match_id, templates, snapshot, player_ids) -> list[RankedSlate]:
         ts = template_stats(templates)
-        utils = archetype_utilities(arch, ts)
-        return _make_slate(player_id, match_id, ts.template_ids, utils.tolist())
-
-
-class RandomScorer:
-    name = "random"
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def rank(self, player_id, match_id, templates, snapshot) -> RankedSlate:
-        import hashlib
-
-        digest = hashlib.blake2b(f"{self.seed}|{player_id}|{match_id}".encode(), digest_size=8).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        ids = [t.template_id for t in templates]
-        return _make_slate(player_id, match_id, ids, rng.random(len(ids)).tolist())
+        slates: list[RankedSlate] = []
+        for pid in player_ids:
+            arch = self.archetypes.get(pid)
+            if arch is None:
+                raise DataError(f"no archetype known for player {pid}")
+            slates.append(_make_slate(pid, match_id, ts.template_ids, archetype_utilities(arch, ts).tolist()))
+        return slates
 
 
 def evaluate(
@@ -243,31 +227,40 @@ def evaluate(
 
     For each pair with at least one join, the slate ranks the match's
     available templates using features as of the match's day
-    (`snapshots.get(day)` lookup).
+    (`snapshots.get(day)` lookup). Each match's test players are ranked in
+    one `scorer.rank_players` call, in sorted order; the metrics are summed
+    in sorted (player, match) order.
     """
     joined: dict[tuple[str, str], set[str]] = {}
     for e in test_events:
         joined.setdefault((e.player_id, e.match_id), set()).add(e.template_id)
+    if not joined:
+        raise DataError("no (player, match) pairs with joins in the test partition")
+    pairs = sorted(joined)
+    players_by_match: dict[str, list[str]] = {}
+    for pid, mid in pairs:
+        players_by_match.setdefault(mid, []).append(pid)
 
-    prec_sum = {h: 0.0 for h in h_values}
-    rec_sum = {h: 0.0 for h in h_values}
-    n = 0
-    for (pid, mid) in sorted(joined):
+    metrics: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    for mid in sorted(players_by_match):
         templates = templates_by_match.get(mid)
         if not templates:
             raise DataError(f"match {mid} missing from catalog")
         day = match_days.get(mid)
         if day is None:
             raise DataError(f"no match day known for match {mid}")
-        snap = snapshots.get(day)
-        slate = scorer.rank(pid, mid, templates, snap)
-        actual = joined[(pid, mid)]
-        for h in h_values:
-            prec_sum[h] += precision_at(slate, actual, h)
-            rec_sum[h] += recall_at(slate, actual, h)
-        n += 1
-    if n == 0:
-        raise DataError("no (player, match) pairs with joins in the test partition")
+        pids = players_by_match[mid]
+        for pid, slate in zip(pids, scorer.rank_players(mid, templates, snapshots.get(day), pids)):
+            actual = joined[(pid, mid)]
+            metrics[(pid, mid)] = [(precision_at(slate, actual, h), recall_at(slate, actual, h)) for h in h_values]
+
+    prec_sum = {h: 0.0 for h in h_values}
+    rec_sum = {h: 0.0 for h in h_values}
+    for pair in pairs:
+        for h, (p, r) in zip(h_values, metrics[pair]):
+            prec_sum[h] += p
+            rec_sum[h] += r
+    n = len(pairs)
     report = EvalReport(
         model=getattr(scorer, "name", "scorer"),
         n_pairs=n,

@@ -17,8 +17,8 @@ One day-sweep kernel (`_JoinColumns`) builds every player row: the joins
 are laid out once as columns sorted by (player, time, template_id), and
 each day computes all players' windows with array operations. Money is
 summed in integer cents and converted to units once per sum, so a row is
-exact and does not depend on summation order. Snapshots, normalization
-fitting and `player_features_raw` all call this kernel.
+exact and does not depend on summation order. Snapshots and normalization
+fitting both call this kernel.
 
 A `FeatureSnapshot` is the day as arrays: the player rows, and each
 player's joins of the last 5 days as integer columns, one row per join.
@@ -49,7 +49,6 @@ from .domain import (
     ContestSpec,
     ContestType,
     JoinRecord,
-    MatchRecord,
     SECONDS_PER_DAY,
     day_of,
     epoch_day,
@@ -388,26 +387,6 @@ def _mean_max(out: np.ndarray, total: np.ndarray, cents: np.ndarray,
         out[seen, 1] = money_units(np.maximum.reduceat(cents, bounds)[::2])
 
 
-def player_features_raw(
-    history: Sequence[JoinEvent], as_of_day: dt.date, stats: NormalizationStats
-) -> np.ndarray:
-    """107 window + lifetime stats on the natural scale (pre-normalization).
-
-    `history` is one player's joins, whatever player ids they carry. `stats`
-    supplies only the bucket edges here; no z-scoring is applied.
-    """
-    columns = _JoinColumns([e._replace(player_id="") for e in history], stats)
-    return columns.player_rows(columns.codes([""]), as_of_day)[0]
-
-
-def player_features(
-    history: Sequence[JoinEvent], as_of_day: dt.date, stats: NormalizationStats
-) -> np.ndarray:
-    """Normalized 107-dim player vector as of `as_of_day`."""
-    raw = player_features_raw(history, as_of_day, stats)
-    return _normalize(raw, stats.player_mean, stats.player_std, PLAYER_Z_MASK)
-
-
 def cold_start_player_raw() -> np.ndarray:
     """The all-defaults raw vector for a player with no history."""
     raw = np.zeros(D_P, dtype=np.float64)
@@ -450,12 +429,6 @@ def _check_contest(spec: ContestSpec) -> None:
     violations = validate_contest(spec)
     if violations:
         raise ValueError(f"invalid contest {spec.contest_id}: " + "; ".join(violations))
-
-
-def contest_features(spec: ContestSpec, stats: NormalizationStats) -> np.ndarray:
-    """Normalized 11-dim contest vector; invalid specs are rejected."""
-    _check_contest(spec)
-    return _normalize(contest_features_raw(spec), stats.contest_mean, stats.contest_std, CONTEST_Z_MASK)
 
 
 # --- template blocks: a match's contest and interaction rows ----------------------
@@ -741,15 +714,20 @@ class SnapshotStore:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:
             raise StoreError(f"cannot read store manifest {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise StoreError(f"{path}: store manifest is not a JSON object")
         if doc.get("schema_version") != SNAPSHOT_SCHEMA:
             raise StoreError(
                 f"{path}: schema version {doc.get('schema_version')!r} != {SNAPSHOT_SCHEMA!r}"
             )
         if (doc.get("d_p"), doc.get("d_c"), doc.get("d_i")) != (D_P, D_C, D_I):
             raise StoreError(f"{path}: dims mismatch")
-        return NormalizationStats.from_json_dict(doc["stats"])
+        try:
+            return NormalizationStats.from_json_dict(doc["stats"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreError(f"{path}: bad normalization stats: {exc!r}") from exc
 
     def write_day(self, snapshot: FeatureSnapshot) -> None:
         """Write (or overwrite) one day; day.json is its commit marker.

@@ -37,9 +37,7 @@ from .domain import (
     MatchRecord,
     PrizeDistribution,
     day_start,
-    format_money,
     parse_day,
-    parse_money,
     prize_stats,
     read_catalog,
     read_join_log,
@@ -156,9 +154,6 @@ class GeneratorConfig:
     def mixture_mean_rate(self) -> float:
         total = sum(a.weight for a in self.archetypes)
         return sum(a.weight * a.base.activity_rate for a in self.archetypes) / total
-
-    def expected_joins(self) -> float:
-        return self.players * self.matches * self.participation_rate * self.mixture_mean_rate()
 
     # -- flat key-value form --------------------------------------------------
 

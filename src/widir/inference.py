@@ -2,7 +2,8 @@
 
 Payloads carry a full template ordering per (player, match) so the serving
 layer never runs the model; `generated_at` is an input, making re-runs
-bytewise idempotent.
+bytewise idempotent. Each upcoming match's active players are ranked in one
+`ModelScorer.rank_players` call, the call evaluation makes per test match.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .domain import ContestSpec, JoinRecord, MatchRecord, day_of
-from .evaluation import _make_slate, score_players
-from .features import FeatureSnapshot, build_template_block
+from .errors import DataError
+from .evaluation import ModelScorer
+from .features import FeatureSnapshot
 from .model import WidirParams
 from .textio import write_replace
-
-_SCORE_CHUNK = 512  # players scored per forward batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,29 +52,24 @@ def run_batch(
 ) -> list[RankingPayload]:
     """One payload per (active player, upcoming match), ordered as model_rank orders.
 
-    Players are scored in chunks through `score_players`, the function
-    `model_rank` calls for one player; the scoring kernel is batch-invariant,
-    so each ordering is bit-identical to that player's `model_rank`.
+    Each match's active players are ranked in one `ModelScorer.rank_players`
+    call, the path `model_rank` takes for one player; the scoring kernel is
+    batch-invariant, so each ordering is bit-identical to that player's
+    `model_rank`.
     """
     players = sorted(active)
-    payloads: list[RankingPayload] = []
-    for match, templates in matches:
-        block = build_template_block(templates, snapshot.stats)
-        for base in range(0, len(players), _SCORE_CHUNK):
-            chunk = players[base : base + _SCORE_CHUNK]
-            scores = score_players(params, snapshot, block, chunk)
-            for pid, row in zip(chunk, scores):
-                slate = _make_slate(pid, match.match_id, block.template_ids, row.tolist())
-                payloads.append(
-                    RankingPayload(
-                        player_id=pid,
-                        match_id=match.match_id,
-                        ranking=slate.ranked,
-                        generated_at=generated_at,
-                        model_version=model_version,
-                    )
-                )
-    return payloads
+    scorer = ModelScorer(params)
+    return [
+        RankingPayload(
+            player_id=slate.player_id,
+            match_id=slate.match_id,
+            ranking=slate.ranked,
+            generated_at=generated_at,
+            model_version=model_version,
+        )
+        for match, templates in matches
+        for slate in scorer.rank_players(match.match_id, templates, snapshot, players)
+    ]
 
 
 def write_payloads(path, payloads: Sequence[RankingPayload]) -> None:
@@ -97,17 +92,21 @@ def write_payloads(path, payloads: Sequence[RankingPayload]) -> None:
 
 
 def read_payloads(path) -> list[RankingPayload]:
+    """Parse a payload file; a line that is not a payload is a DataError naming `path:line`."""
     out: list[RankingPayload] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            doc = json.loads(line)
-            out.append(
-                RankingPayload(
-                    player_id=doc["player_id"],
-                    match_id=doc["match_id"],
-                    ranking=tuple((tid, float(s)) for tid, s in doc["ranking"]),
-                    generated_at=int(doc["generated_at"]),
-                    model_version=doc["model_version"],
+        for lineno, line in enumerate(fh, 1):
+            try:
+                doc = json.loads(line)
+                out.append(
+                    RankingPayload(
+                        player_id=doc["player_id"],
+                        match_id=doc["match_id"],
+                        ranking=tuple((tid, float(s)) for tid, s in doc["ranking"]),
+                        generated_at=int(doc["generated_at"]),
+                        model_version=doc["model_version"],
+                    )
                 )
-            )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise DataError(f"{path}:{lineno}: not a ranking payload: {exc!r}") from exc
     return out

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -270,12 +270,8 @@ def forward_batch(
 # --- loss ----------------------------------------------------------------------
 
 
-def hinge_loss(s_pos: float, s_neg: float) -> float:
-    """Pairwise hinge: max(0, 1 - (s_pos - s_neg)); depends on the difference only."""
-    return max(0.0, 1.0 - (s_pos - s_neg))
-
-
 def hinge_losses(s_pos: np.ndarray, s_neg: np.ndarray) -> np.ndarray:
+    """Pairwise hinge per pair: max(0, 1 - (s_pos - s_neg)); depends on the difference only."""
     return np.maximum(0.0, 1.0 - (np.asarray(s_pos) - np.asarray(s_neg)))
 
 

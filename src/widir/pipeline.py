@@ -9,8 +9,6 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
-import time
-from typing import Mapping
 
 from . import abtest as ab
 from .domain import (
@@ -19,9 +17,6 @@ from .domain import (
     match_templates,
     index_contests,
     parse_day,
-    read_catalog,
-    read_join_log,
-    read_schedule,
     split_by_time,
     validate_catalog,
 )
@@ -136,7 +131,12 @@ def _read_splits(features_dir) -> tuple[dt.date, dt.date]:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"missing split boundaries at {path}") from exc
-    return parse_day(doc["train_end"]), parse_day(doc["valid_end"])
+    except ValueError as exc:
+        raise DataError(f"{path}: split boundaries are not JSON: {exc}") from exc
+    try:
+        return parse_day(doc["train_end"]), parse_day(doc["valid_end"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad split boundaries: {exc!r}") from exc
 
 
 def run_features(

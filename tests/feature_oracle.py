@@ -3,7 +3,9 @@
 The per-(player, day) builder is the one the columnar day sweep in
 `widir.features` replaced. It sums money in integer cents, as the sweep
 does, so the sweep's rows, snapshots and fitted stats must equal these bit
-for bit. `recent_summary` aggregates one player's recent joins into
+for bit; `player_features` is a normalized snapshot row. `contest_features`
+normalizes one template's contest row, as `TemplateBlock.contest_matrix`
+does for a match. `recent_summary` aggregates one player's recent joins into
 `RecentJoin` rows, `build_recent_hists` turns them into window histograms,
 and `interaction_row` counts those against one target contest; each row of
 `TemplateBlock.raw_interaction` must equal it. `snapshot_from` lays
@@ -19,7 +21,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from widir.domain import ContestSpec, ContestType, day_start, epoch_day, money_units
+from widir.domain import ContestSpec, ContestType, day_start, epoch_day, money_units, validate_contest
 from widir.errors import DataError
 from widir.features import (
     CONTEST_Z_MASK,
@@ -303,6 +305,19 @@ def player_row(history: Sequence[JoinEvent], as_of_day: dt.date, stats: Normaliz
     return _row_from_arrays(_arrays_from_events(history, stats), as_of_day)
 
 
+def player_features(history: Sequence[JoinEvent], as_of_day: dt.date, stats: NormalizationStats) -> np.ndarray:
+    """The normalized 107-dim row of one player's history (a snapshot stores it as float32)."""
+    return _normalize(player_row(history, as_of_day, stats), stats.player_mean, stats.player_std, PLAYER_Z_MASK)
+
+
+def contest_features(spec: ContestSpec, stats: NormalizationStats) -> np.ndarray:
+    """One template's normalized 11-dim contest row; invalid specs are rejected."""
+    violations = validate_contest(spec)
+    if violations:
+        raise ValueError(f"invalid contest {spec.contest_id}: " + "; ".join(violations))
+    return _normalize(contest_features_raw(spec), stats.contest_mean, stats.contest_std, CONTEST_Z_MASK)
+
+
 def build_snapshot(events: Sequence[JoinEvent], day: dt.date, stats: NormalizationStats) -> FeatureSnapshot:
     """Compute the day's snapshot from the full join history.
 
@@ -322,8 +337,7 @@ def build_snapshot(events: Sequence[JoinEvent], day: dt.date, stats: Normalizati
         evs = by_player[pid]
         if not any(active_floor <= e.day < day for e in evs):
             continue
-        raw = player_row(evs, day, stats)
-        players[pid] = _normalize(raw, stats.player_mean, stats.player_std, PLAYER_Z_MASK).astype(np.float32)
+        players[pid] = player_features(evs, day, stats).astype(np.float32)
         ordered = sorted(evs, key=lambda e: (e.time, e.template_id))
         rows = recent_summary(ordered, day, stats)
         if rows:

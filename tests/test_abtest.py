@@ -190,11 +190,11 @@ class TestPayloadScorer:
         ids = sorted(t.template_id for t in templates)
         ranking = tuple((tid, float(i)) for i, tid in enumerate(reversed(ids)))
         scorer = PayloadScorer({("p1", match.match_id): ranking})
-        slate = scorer.rank("p1", match.match_id, templates, None)
+        cold, slate = scorer.rank_players(match.match_id, templates, None, ["p2", "p1"])
+        assert slate.player_id == "p1"
         assert slate.ranked == ranking
         assert slate.top(2) == list(reversed(ids))[:2]
-        cold = scorer.rank("p2", match.match_id, templates, None)
-        assert cold == PopularityScorer().rank("p2", match.match_id, templates, None)
+        assert [cold] == PopularityScorer().rank_players(match.match_id, templates, None, ["p2"])
 
 
 class TestABConfig:

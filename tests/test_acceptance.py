@@ -24,7 +24,7 @@ from widir.model import (
     WidirDims,
     backward_batch,
     forward_batch,
-    hinge_loss,
+    hinge_losses,
     init_params,
     param_count,
 )
@@ -113,11 +113,11 @@ def test_criterion_2_gradients_match_finite_differences():
                 a.flat[fi] = orig + step
                 sp = forward_batch(params, *pos)[0]
                 sn = forward_batch(params, *neg)[0]
-                lp = hinge_loss(sp, sn)
+                lp = hinge_losses(sp, sn)
                 a.flat[fi] = orig - step
                 sp = forward_batch(params, *pos)[0]
                 sn = forward_batch(params, *neg)[0]
-                lm = hinge_loss(sp, sn)
+                lm = hinge_losses(sp, sn)
                 a.flat[fi] = orig
                 fd = (lp - lm) / (2 * step)
                 an = garrays[ai].flat[fi]
@@ -134,9 +134,9 @@ def test_criterion_2_gradients_match_finite_differences():
 def test_criterion_3_hinge_contract():
     t0 = time.perf_counter()
     exact = (
-        hinge_loss(2.0, 0.5) == 0.0
-        and all(hinge_loss(s, s) == 1.0 for s in (-1e6, -2.5, 0.0, 3.25, 1e9))
-        and hinge_loss(0.2, 0.5) == 1.3
+        hinge_losses(2.0, 0.5) == 0.0
+        and all(hinge_losses(s, s) == 1.0 for s in (-1e6, -2.5, 0.0, 3.25, 1e9))
+        and hinge_losses(0.2, 0.5) == 1.3
     )
     rng = np.random.default_rng(33)
     shift_ok = True
@@ -144,8 +144,8 @@ def test_criterion_3_hinge_contract():
     for _ in range(1000):
         # dyadic lattice values make float arithmetic exact
         s, t, k = (int(x) / 1024.0 for x in rng.integers(-8192, 8193, size=3))
-        shift_ok &= hinge_loss(s + k, t + k) == hinge_loss(s, t)
-        nonneg_ok &= hinge_loss(s, t) >= 0.0
+        shift_ok &= hinge_losses(s + k, t + k) == hinge_losses(s, t)
+        nonneg_ok &= hinge_losses(s, t) >= 0.0
     report(3, exact and shift_ok and nonneg_ok,
            f"hand cases exact, shift-invariance on 1000 pairs, {time.perf_counter() - t0:.2f}s")
 

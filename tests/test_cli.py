@@ -1,11 +1,14 @@
 import json
 import os
+import shutil
 
 import pytest
 
 from widir.cli import main
+from widir.errors import DataError
 from widir.evaluation import EvalReport
 from widir.manifest import RunManifest
+from widir.pipeline import _read_splits
 
 GEN_KV = """\
 players = 120
@@ -161,6 +164,46 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "gen-1" in capsys.readouterr().err
+
+
+class TestCorruptInputs:
+    @pytest.mark.parametrize("text", [
+        '{"train_end": "2025-01-30", "valid_end": "2025-02',
+        '["2025-01-30", "2025-02-07"]',
+        '{"train_end": "2025-01-30"}',
+        '{"valid_end": "2025-02-07"}',
+        '{"train_end": "2025-13-30", "valid_end": "2025-02-07"}',
+        '{"train_end": 20250130, "valid_end": "2025-02-07"}',
+    ], ids=["truncated", "not-an-object", "no-valid-end", "no-train-end", "bad-day", "day-not-a-string"])
+    def test_bad_splits_file_is_data_error(self, tmp_path, text):
+        (tmp_path / "splits.json").write_text(text)
+        with pytest.raises(DataError, match="splits.json"):
+            _read_splits(tmp_path)
+
+    def test_eval_on_truncated_manifest_exit_2(self, pipeline_root, tmp_path, capsys):
+        features = tmp_path / "features"
+        shutil.copytree(pipeline_root / "features", features)
+        manifest = features / "manifest.json"
+        manifest.write_text(manifest.read_text()[:-5])
+        capsys.readouterr()
+        code = main(["eval", "--out", str(tmp_path / "o"), "--data", str(pipeline_root / "data"),
+                     "--features", str(features), "--model", str(pipeline_root / "models" / "model.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cut", [
+        lambda line: line[: len(line) // 2],
+        lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "ranking"}),
+    ], ids=["truncated-line", "no-ranking"])
+    def test_serve_on_bad_payload_line_exit_2(self, pipeline_root, tmp_path, capsys, cut):
+        lines = (pipeline_root / "payloads" / "payloads.jsonl").read_text().splitlines()
+        bad = tmp_path / "payloads.jsonl"
+        bad.write_text("\n".join([lines[0], cut(lines[1]), *lines[2:]]) + "\n")
+        capsys.readouterr()
+        assert main(["serve", "--payloads", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and "internal error" not in err
 
 
 class TestDeterminism:

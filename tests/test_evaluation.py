@@ -1,9 +1,11 @@
 import datetime as dt
+import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from widir import evaluation
 from widir.domain import CENTS, ContestType, day_of, index_contests, match_templates
 from widir.errors import DataError
 from widir.evaluation import (
@@ -11,8 +13,8 @@ from widir.evaluation import (
     GroundTruthScorer,
     ModelScorer,
     PopularityScorer,
-    RandomScorer,
     RankedSlate,
+    _make_slate,
     evaluate,
     model_rank,
     popularity_rank,
@@ -31,6 +33,24 @@ from widir.model import WidirDims, forward_batch, init_params
 
 from conftest import DAY0, mk_contest
 from feature_oracle import RecentJoin, snapshot_from
+
+
+class RandomScorer:
+    """A no-skill baseline: seeded random scores, one stream per (player, match)."""
+
+    name = "random"
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def rank_players(self, match_id, templates, snapshot, player_ids):
+        ids = [t.template_id for t in templates]
+        slates = []
+        for pid in player_ids:
+            digest = hashlib.blake2b(f"{self.seed}|{pid}|{match_id}".encode(), digest_size=8).digest()
+            rng = np.random.default_rng(int.from_bytes(digest, "little"))
+            slates.append(_make_slate(pid, match_id, ids, rng.random(len(ids)).tolist()))
+        return slates
 
 
 class _BlankSnapshots:
@@ -140,6 +160,46 @@ class TestModelRank:
         assert scores[0].tobytes() != scores[2].tobytes()
 
 
+class TestRankPlayers:
+    """`ModelScorer.rank_players` against one `model_rank` call per player."""
+
+    dims = WidirDims()
+    known = [f"p{i:04d}" for i in range(600)]
+    pool = known + [f"cold{i}" for i in range(20)]
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        rng = np.random.default_rng(9)
+        types = [ContestType.PUBLIC, ContestType.SPECIAL, ContestType.MEGA]
+        contests = [
+            mk_contest(contest_id=f"c{i}", template_id=f"t{i}", entry_fee=(i + 1) * CENTS,
+                       contest_size=10 + i, contest_type=types[i % 3], tiers=((1, 1, (40 + i) * CENTS),))
+            for i in range(6)
+        ]
+        players = {pid: rng.standard_normal(self.dims.d_p).astype(np.float32) for pid in self.known}
+        recents = {
+            pid: [RecentJoin(DAY0 - dt.timedelta(days=1 + k % 5), f"t{k % 8}", types[k % 3],
+                             k % 8, (k // 3) % 8, (k // 7) % 8, 1 + k % 3)]
+            for k, pid in enumerate(self.known) if k % 4
+        }
+        return init_params(self.dims, 4), snapshot_from(DAY0, _identity_stats(), players, recents), contests
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 40))
+    @example(seed=0, size=600)  # more than one 512-player chunk
+    def test_equals_per_player_model_rank(self, setting, seed, size):
+        params, snap, contests = setting
+        rng = np.random.default_rng(seed)
+        ids = [str(pid) for pid in rng.permutation(self.pool)[:size]]
+        ids.insert(int(rng.integers(0, len(ids) + 1)), "never-seen")
+        slates = ModelScorer(params).rank_players("m1", contests, snap, ids)
+        assert [s.player_id for s in slates] == ids
+        for pid, slate in zip(ids, slates):
+            alone = model_rank(params, snap, pid, contests)
+            assert [(t, v.hex()) for t, v in slate.ranked] == [(t, v.hex()) for t, v in alone.ranked]
+            assert slate == alone
+
+
 class TestMetricFormulas:
     def _slate(self, ids):
         return RankedSlate("p", "m", tuple((t, float(-i)) for i, t in enumerate(ids)))
@@ -227,7 +287,7 @@ class TestEvaluate:
         assert truth.recall[10] > pop.recall[10]
         assert truth.n_pairs == pop.n_pairs
 
-    def test_cached_model_scorer_report_equals_uncached(self, tiny_world):
+    def test_model_scorer_report_equals_per_player_model_rank(self, tiny_world, monkeypatch):
         by_id = index_contests(tiny_world.contests)
         by_match = match_templates(tiny_world.contests)
         match_days = {m.match_id: day_of(m.start_time) for m in tiny_world.matches}
@@ -240,18 +300,22 @@ class TestEvaluate:
         snapshots = dict(iter_snapshots(events, days, stats))
         params = init_params(WidirDims(), 3)
 
-        class UncachedScorer:
+        class PerPlayerScorer:
             name = "widir"
 
-            def rank(self, player_id, match_id, templates, snapshot):
-                return model_rank(params, snapshot, player_id, templates)
+            def rank_players(self, match_id, templates, snapshot, player_ids):
+                return [model_rank(params, snapshot, pid, templates) for pid in player_ids]
 
-        cached = evaluate(ModelScorer(params), test_events, by_match, match_days, snapshots)
-        uncached = evaluate(UncachedScorer(), test_events, by_match, match_days, snapshots)
-        # several players per match, so the cached blocks are reused
-        assert cached.n_pairs > len({e.match_id for e in test_events})
-        assert cached == uncached
-        assert cached.to_text() == uncached.to_text()
+        calls = []
+        score_players = evaluation.score_players
+        monkeypatch.setattr(evaluation, "score_players", lambda *a: calls.append(a) or score_players(*a))
+        batched = evaluate(ModelScorer(params), test_events, by_match, match_days, snapshots)
+        test_matches = {e.match_id for e in test_events}
+        # one scoring call per test match (each has fewer than 512 test players)
+        assert len(calls) == len(test_matches) < batched.n_pairs
+        per_player = evaluate(PerPlayerScorer(), test_events, by_match, match_days, snapshots)
+        assert batched == per_player
+        assert batched.to_text() == per_player.to_text()
 
     def test_report_text_round_trip(self):
         report = EvalReport(model="x", n_pairs=7,

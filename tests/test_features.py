@@ -1,5 +1,7 @@
 import datetime as dt
+import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -26,13 +28,10 @@ from widir.features import (
     build_template_block,
     cold_start_player_raw,
     cold_start_player_row,
-    contest_features,
     contest_features_raw,
     enrich_joins,
     fit_normalization,
     iter_snapshots,
-    player_features,
-    player_features_raw,
     quantile_edges,
 )
 
@@ -41,6 +40,17 @@ import feature_oracle
 from feature_oracle import build_recent_hists, build_snapshot, expand, recent_joins, snapshot_from
 
 UTC_TYPES = [ContestType.PUBLIC, ContestType.SPECIAL, ContestType.MEGA]
+
+
+def player_features_raw(history, as_of_day, stats):
+    """One player's raw row through the day-sweep kernel, whatever player ids `history` carries."""
+    columns = _JoinColumns([e._replace(player_id="") for e in history], stats)
+    return columns.player_rows(columns.codes([""]), as_of_day)[0]
+
+
+def contest_row(spec, stats):
+    """One template's normalized contest row, as its match's TemplateBlock holds it."""
+    return build_template_block([spec], stats).contest_matrix[0]
 
 
 def ev(
@@ -222,7 +232,10 @@ class TestPlayerFeatures:
 
     def test_normalized_is_clipped_and_finite(self, identity_stats):
         events = [ev(DAY0 - dt.timedelta(days=1), fee=10**6 * CENTS, prize=10**7 * CENTS)]
-        out = player_features(events, DAY0, identity_stats)
+        (_, snap), = iter_snapshots(events, [DAY0], identity_stats)
+        out = snap.player_rows(["p1"])[0]
+        expect = feature_oracle.player_features(events, DAY0, identity_stats).astype(np.float32)
+        assert out.tobytes() == expect.tobytes()
         assert np.all(np.isfinite(out))
         assert out.min() >= -10.0 and out.max() <= 10.0
 
@@ -388,12 +401,12 @@ class TestContestFeatures:
         a = mk_contest(contest_id="cA")
         b = mk_contest(contest_id="cB")
         np.testing.assert_array_equal(
-            contest_features(a, identity_stats), contest_features(b, identity_stats)
+            contest_row(a, identity_stats), contest_row(b, identity_stats)
         )
 
     def test_free_entry_uses_floor(self, identity_stats):
         spec = mk_contest(entry_fee=0, tiers=((1, 1, 100 * CENTS),))
-        vec = contest_features(spec, identity_stats)
+        vec = contest_row(spec, identity_stats)
         assert np.all(np.isfinite(vec))
         raw = contest_features_raw(spec)
         assert raw[10] == pytest.approx(100 / 0.01)
@@ -416,12 +429,12 @@ class TestContestFeatures:
         assert raw[8] == pytest.approx(0.4)  # 400k / 1M
         assert raw[9] == pytest.approx(0.10001)  # 10_001 winners / 100k spots
         assert raw[10] == pytest.approx(1_000_000 / 49)
-        assert contest_features(spec, identity_stats).shape == (D_C,)
+        assert contest_row(spec, identity_stats).shape == (D_C,)
 
     def test_invalid_spec_rejected(self, identity_stats):
         bad = mk_contest(contest_size=4, tiers=((1, 5, 10 * CENTS),))
         with pytest.raises(ValueError):
-            contest_features(bad, identity_stats)
+            contest_row(bad, identity_stats)
 
 
 def interaction_raw(events, target, day, stats):
@@ -532,7 +545,7 @@ class TestTemplateBlock:
         stats = fit_normalization([e for e in events if e.day < dt.date(2025, 2, 10)], by_match, days)
         for tpls in by_match.values():
             block = build_template_block(tpls, stats)
-            expect = np.stack([contest_features(t, stats) for t in tpls]).astype(np.float32)
+            expect = np.stack([feature_oracle.contest_features(t, stats) for t in tpls]).astype(np.float32)
             assert block.contest_matrix.dtype == np.float32
             assert block.contest_matrix.tobytes() == expect.tobytes()
 
@@ -666,6 +679,23 @@ class TestSnapshots:
         assert (tmp_path / "store" / "manifest.json").read_bytes() == before
         assert sorted(p.name for p in (tmp_path / "store").iterdir()) == ["manifest.json"]
         assert store.read_manifest().to_json_dict() == identity_stats.to_json_dict()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc, text: text[:-5],
+        lambda doc, text: "[]",
+        lambda doc, text: json.dumps({k: v for k, v in doc.items() if k != "stats"}),
+        lambda doc, text: json.dumps({**doc, "stats": 3}),
+        lambda doc, text: json.dumps({**doc, "stats": {k: v for k, v in doc["stats"].items() if k != "inter_std"}}),
+        lambda doc, text: json.dumps({**doc, "stats": {**doc["stats"], "fee_edges": ["x"]}}),
+    ], ids=["truncated", "not-an-object", "no-stats", "stats-not-an-object", "no-stats-key", "bad-stats-value"])
+    def test_corrupt_manifest_is_store_error(self, tmp_path, identity_stats, corrupt):
+        store = SnapshotStore(tmp_path / "store")
+        store.write_manifest(identity_stats)
+        path = tmp_path / "store" / "manifest.json"
+        text = path.read_text()
+        path.write_text(corrupt(json.loads(text), text))
+        with pytest.raises(StoreError, match=re.escape(str(path))):
+            store.read_manifest()
 
     def test_cold_start_row_for_unknown_player(self, identity_stats):
         known = np.arange(D_P, dtype=np.float32)

@@ -42,6 +42,10 @@ def small_config(**overrides):
     return GeneratorConfig(**base)
 
 
+def expected_joins(config):
+    return config.players * config.matches * config.participation_rate * config.mixture_mean_rate()
+
+
 class TestConfig:
     def test_short_date_range_rejected(self):
         with pytest.raises(ConfigError, match="40 days"):
@@ -172,7 +176,7 @@ class TestGenerateSynthetic:
         assert opportunities >= 100_000
         per_opportunity = len(world.joins) / opportunities
         assert per_opportunity == pytest.approx(config.mixture_mean_rate(), rel=0.10)
-        assert len(world.joins) == pytest.approx(config.expected_joins(), rel=0.05)
+        assert len(world.joins) == pytest.approx(expected_joins(config), rel=0.05)
 
     def test_instances_regenerate_on_fill(self, tiny_world):
         by_id = index_contests(tiny_world.contests)

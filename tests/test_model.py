@@ -14,7 +14,6 @@ from widir.model import (
     backward_batch,
     deserialize,
     forward_batch,
-    hinge_loss,
     hinge_losses,
     init_params,
     param_count,
@@ -269,14 +268,14 @@ class TestExactKernel:
 
 class TestHingeLoss:
     def test_margin_satisfied(self):
-        assert hinge_loss(2.0, 0.5) == 0.0
+        assert hinge_losses(2.0, 0.5) == 0.0
 
     def test_equal_scores(self):
         for s in (-1e9, -3.25, 0.0, 1e-8, 7.5, 1e12):
-            assert hinge_loss(s, s) == 1.0
+            assert hinge_losses(s, s) == 1.0
 
     def test_direct_arithmetic(self):
-        assert hinge_loss(0.2, 0.5) == 1.3
+        assert hinge_losses(0.2, 0.5) == 1.3
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -292,7 +291,7 @@ class TestHingeLoss:
         # scores and shifts that are multiples of 2^-10 make every float op
         # exact, so the identity holds with == rather than a tolerance
         s, t, shift = a / 1024.0, b / 1024.0, k / 1024.0
-        assert hinge_loss(s + shift, t + shift) == hinge_loss(s, t)
+        assert hinge_losses(s + shift, t + shift) == hinge_losses(s, t)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -300,7 +299,7 @@ class TestHingeLoss:
         st.floats(-100, 100, allow_nan=False),
     )
     def test_shift_invariance_approximate_for_arbitrary_floats(self, s, t, k):
-        assert hinge_loss(s + k, t + k) == pytest.approx(hinge_loss(s, t), abs=1e-9)
+        assert hinge_losses(s + k, t + k) == pytest.approx(hinge_losses(s, t), abs=1e-9)
 
 
 def rel_error(fd: float, an: float, floor: float = 1e-6) -> float:
@@ -315,7 +314,7 @@ def fd_gradient(params, pos, neg, array_idx, flat_idx, step=1e-5):
     def loss():
         sp = forward_batch(params, *pos)[0]
         sn = forward_batch(params, *neg)[0]
-        return hinge_loss(sp, sn)
+        return hinge_losses(sp, sn)
 
     a.flat[flat_idx] = orig + step
     lp = loss()
