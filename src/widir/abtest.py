@@ -14,6 +14,7 @@ policy ranks a match's active group members in one `rank_players` call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -284,19 +285,19 @@ class ABConfig:
         for g in self.group_sizes:
             if g != "CG" and g not in self.policies:
                 raise ConfigError(f"no policy configured for treated group {g}")
-        if self.boost <= 0:
-            raise ConfigError("boost must be positive")
+        if not (math.isfinite(self.boost) and self.boost > 0):
+            raise ConfigError(f"boost must be positive and finite, got {self.boost}")
         if self.h_exposed < 1 or self.pre_days < 1 or self.post_days < 1:
             raise ConfigError("h_exposed, pre_days and post_days must be >= 1")
 
     @classmethod
     def from_kv_dict(cls, kv: Mapping[str, str], context: str = "ab config") -> "ABConfig":
-        group_sizes: dict[str, int] = {}
+        group_sizes: dict[str, str] = {}
         policies: dict[str, str] = {}
         scalars: dict[str, str] = {}
         for key, value in kv.items():
             if key.startswith("group."):
-                group_sizes[key.split(".", 1)[1]] = int(value)
+                group_sizes[key.split(".", 1)[1]] = value
             elif key.startswith("policy."):
                 policies[key.split(".", 1)[1]] = value
             elif key in ("boost", "h_exposed", "pre_days", "post_days", "seed"):
@@ -305,7 +306,7 @@ class ABConfig:
                 raise ConfigError(f"{context}: unknown config key {key!r}")
         try:
             config = cls(
-                group_sizes=group_sizes,
+                group_sizes={g: int(size) for g, size in group_sizes.items()},
                 policies=policies,
                 boost=float(scalars.get("boost", "2.0")),
                 h_exposed=int(scalars.get("h_exposed", "5")),

@@ -27,7 +27,7 @@ from .features import (
     build_template_block,
 )
 from .generator import PlayerArchetype, archetype_utilities, template_stats
-from .model import WidirParams, forward_batch
+from .model import Rows, WidirParams, score_rows
 from .textio import format_kv
 
 EVAL_H_VALUES = (1, 3, 5, 10)
@@ -133,16 +133,20 @@ def score_players(
 ) -> np.ndarray:
     """(players, templates) scores of each player against every template of `block`.
 
-    One forward batch: each player's row repeated once per template, the
-    block's contest rows tiled once per player, and each player's interaction
-    rows stacked. The scoring kernel is batch-invariant, so a player's scores
-    do not depend on the other players in the call.
+    One factored forward: the player branch runs once per player, the
+    contest branch once per template, and each (player, template) pair row
+    carries its interaction row. The exact scoring path is batch-invariant,
+    so a player's scores do not depend on the other players in the call.
     """
-    n = len(block.template_ids)
-    rows = np.repeat(snapshot.player_rows(player_ids), n, axis=0)
-    inter = block.interaction_matrix(snapshot, player_ids).reshape(-1, D_I)
-    contest = np.tile(block.contest_matrix, (len(player_ids), 1))
-    return forward_batch(params, rows, contest, inter).reshape(len(player_ids), n)
+    n, m = len(block.template_ids), len(player_ids)
+    rows = Rows(
+        player=snapshot.player_rows(player_ids),
+        contest=block.contest_matrix,
+        interaction=block.interaction_matrix(snapshot, player_ids).reshape(-1, D_I),
+        player_of=np.repeat(np.arange(m), n),
+        contest_of=np.tile(np.arange(n), m),
+    )
+    return score_rows(params, rows).reshape(m, n)
 
 
 def precision_at(slate: RankedSlate, actual_joined: set[str], h: int) -> float:

@@ -151,10 +151,6 @@ class GeneratorConfig:
                 raise ConfigError(f"archetype {spec.name}: jitter must be >= 0")
             spec.base.validate()
 
-    def mixture_mean_rate(self) -> float:
-        total = sum(a.weight for a in self.archetypes)
-        return sum(a.weight * a.base.activity_rate for a in self.archetypes) / total
-
     # -- flat key-value form --------------------------------------------------
 
     _SCALAR_KEYS = (

@@ -14,6 +14,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -23,12 +24,13 @@ import numpy as np
 from .domain import ContestSpec
 from .errors import ConfigError, DataError
 from .features import (
+    D_I,
     D_P,
     JoinEvent,
     NormalizationStats,
     build_template_block,
 )
-from .model import WidirDims, WidirParams, backward_batch, forward_batch, hinge_losses, init_params
+from .model import Rows, WidirDims, WidirParams, hinge_losses, init_params, pair_gradients, score_rows
 from .textio import read_kv, require_keys, write_replace
 
 logger = logging.getLogger(__name__)
@@ -74,6 +76,8 @@ class TrainConfig:
                      "early_stopping_rounds", "list_length", "max_pairs_per_list"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.list_length not in (50, 100, 200):
             raise ConfigError(f"list_length must be one of (50, 100, 200), got {self.list_length}")
         if self.optimizer not in ("adam", "sgd"):
@@ -206,25 +210,57 @@ def build_pairs(
 
 @dataclass
 class PairDataset:
-    """Pair features as flat arrays; player rows are shared per list."""
+    """Training pairs over the model's three row spaces.
 
-    player_rows: np.ndarray  # (n_lists, D_P) float32
-    list_idx: np.ndarray     # (n_pairs,) int32
-    pos_contest: np.ndarray  # (n_pairs, D_C) float32
-    neg_contest: np.ndarray
-    pos_inter: np.ndarray    # (n_pairs, D_I) float32
-    neg_inter: np.ndarray
+    One player row per list, one contest row per distinct template row, and
+    one interaction row per (list, template) that some pair uses: a pair row.
+    Pair j prefers pair row pos[j] to pair row neg[j], both of one list.
+    """
+
+    player_rows: np.ndarray   # (n_lists, D_P) float32
+    contest_rows: np.ndarray  # (n_contests, D_C) float32
+    inter_rows: np.ndarray    # (n_rows, D_I) float32
+    row_list: np.ndarray      # (n_rows,) int32: the list of each pair row
+    row_contest: np.ndarray   # (n_rows,) int32: the contest row of each pair row
+    pos: np.ndarray           # (n_pairs,) int32: the preferred side's pair row
+    neg: np.ndarray           # (n_pairs,) int32
 
     @property
     def n_pairs(self) -> int:
-        return int(self.list_idx.shape[0])
+        return int(self.pos.shape[0])
 
-    def batch(self, idx: np.ndarray):
-        p = self.player_rows[self.list_idx[idx]]
-        return (
-            (p, self.pos_contest[idx], self.pos_inter[idx]),
-            (p, self.neg_contest[idx], self.neg_inter[idx]),
-        )
+    # per-pair views: each pair side's list and rows
+    @property
+    def list_idx(self) -> np.ndarray:
+        return self.row_list[self.pos]
+
+    @property
+    def pos_contest(self) -> np.ndarray:
+        return self.contest_rows[self.row_contest[self.pos]]
+
+    @property
+    def neg_contest(self) -> np.ndarray:
+        return self.contest_rows[self.row_contest[self.neg]]
+
+    @property
+    def pos_inter(self) -> np.ndarray:
+        return self.inter_rows[self.pos]
+
+    @property
+    def neg_inter(self) -> np.ndarray:
+        return self.inter_rows[self.neg]
+
+    def rows(self, pair_rows: np.ndarray) -> Rows:
+        """Model inputs of the given pair rows, each of their lists and contest rows once."""
+        lists, player_of = np.unique(self.row_list[pair_rows], return_inverse=True)
+        contests, contest_of = np.unique(self.row_contest[pair_rows], return_inverse=True)
+        return Rows(self.player_rows[lists], self.contest_rows[contests], self.inter_rows[pair_rows],
+                    player_of, contest_of)
+
+    def batch(self, idx: np.ndarray) -> tuple[Rows, np.ndarray, np.ndarray]:
+        """The rows of pairs `idx`, each distinct pair row once, and each pair's two row indices."""
+        sides, inverse = np.unique(np.concatenate([self.pos[idx], self.neg[idx]]), return_inverse=True)
+        return self.rows(sides), inverse[: idx.size], inverse[idx.size :]
 
 
 def assemble_pair_dataset(
@@ -239,14 +275,17 @@ def assemble_pair_dataset(
     """Materialize pair features from snapshots (`snapshots.get(day)` lookup).
 
     The player and interaction rows of each match's lists come from one
-    snapshot call and one template-block call; the pairs then gather their
-    rows in list order.
+    snapshot call and one template-block call. Each match keeps the
+    interaction rows its pairs use; contest rows equal in every feature are
+    stored once. The pairs stay in list order.
     """
     by_match: dict[str, list[int]] = {}
     for li, lst in enumerate(lists):
         by_match.setdefault(lst.match_id, []).append(li)
     player_rows = np.empty((len(lists), D_P), dtype=np.float32)
-    rows_of: list = [None] * len(lists)  # per list: (contest rows, interaction rows, template -> row)
+    contests, inters, row_lists, row_contests = [], [], [], []
+    sides: list = [None] * len(lists)  # per list: its pairs' (pos, neg) pair rows
+    n_rows = n_contests = 0
     for mid, lis in by_match.items():
         day = match_days.get(mid)
         if day is None:
@@ -259,34 +298,42 @@ def assemble_pair_dataset(
         tid_to_row = {tid: r for r, tid in enumerate(block.template_ids)}
         ids = [lists[li].player_id for li in lis]
         player_rows[lis] = snap.player_rows(ids)
-        for li, inter in zip(lis, block.interaction_matrix(snap, ids)):
-            rows_of[li] = (block.contest_matrix, inter, tid_to_row)
+        n = len(block.template_ids)
+        # keys j * n + template row of the match's j-th list
+        keys = []
+        for j, li in enumerate(lis):
+            try:
+                keys.append(j * n + np.asarray([
+                    (tid_to_row[p.pos_template_id], tid_to_row[p.neg_template_id])
+                    for p in build_pairs(lists[li], max_pairs, seed)
+                ], dtype=np.int64).reshape(-1, 2))
+            except KeyError:
+                raise DataError(f"pair references template missing from match {mid} catalog") from None
+        used, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        inverse = n_rows + inverse.reshape(-1, 2)
+        start = 0
+        for li, k in zip(lis, keys):
+            sides[li] = inverse[start : start + len(k)]
+            start += len(k)
+        inters.append(block.interaction_matrix(snap, ids).reshape(-1, D_I)[used])
+        row_lists.append(np.asarray(lis, dtype=np.int32)[used // n])
+        row_contests.append(n_contests + used % n)
+        contests.append(block.contest_matrix)
+        n_rows += used.size
+        n_contests += n
 
-    list_idx, pos_c, neg_c, pos_i, neg_i = [], [], [], [], []
-    for li, lst in enumerate(lists):
-        contest, inter, tid_to_row = rows_of[li]
-        try:
-            pr, nr = np.asarray([
-                (tid_to_row[p.pos_template_id], tid_to_row[p.neg_template_id])
-                for p in build_pairs(lst, max_pairs, seed)
-            ], dtype=np.int64).reshape(-1, 2).T
-        except KeyError:
-            raise DataError(f"pair references template missing from match {lst.match_id} catalog") from None
-        list_idx.append(np.full(pr.size, li, dtype=np.int32))
-        pos_c.append(contest[pr])
-        neg_c.append(contest[nr])
-        pos_i.append(inter[pr])
-        neg_i.append(inter[nr])
-
-    if not sum(a.size for a in list_idx):
+    pairs = np.concatenate(sides) if sides else np.zeros((0, 2), dtype=np.int64)
+    if not pairs.size:
         raise DataError("no training pairs could be built (empty pair stream)")
+    contest_rows, contest_of = np.unique(np.concatenate(contests), axis=0, return_inverse=True)
     return PairDataset(
         player_rows=player_rows,
-        list_idx=np.concatenate(list_idx),
-        pos_contest=np.concatenate(pos_c),
-        neg_contest=np.concatenate(neg_c),
-        pos_inter=np.concatenate(pos_i),
-        neg_inter=np.concatenate(neg_i),
+        contest_rows=contest_rows,
+        inter_rows=np.concatenate(inters),
+        row_list=np.concatenate(row_lists),
+        row_contest=contest_of.reshape(-1)[np.concatenate(row_contests)].astype(np.int32),
+        pos=pairs[:, 0].astype(np.int32),
+        neg=pairs[:, 1].astype(np.int32),
     )
 
 
@@ -388,15 +435,13 @@ def read_report(path) -> list[EpochRow]:
 
 
 def _mean_valid_loss(params: WidirParams, data: PairDataset, batch: int) -> float:
-    total = 0.0
-    n = data.n_pairs
-    for a in range(0, n, batch):
-        idx = np.arange(a, min(a + batch, n))
-        (pp, pc, pi), (np_, nc, ni) = data.batch(idx)
-        s_pos = forward_batch(params, pp, pc, pi, fast=True)
-        s_neg = forward_batch(params, np_, nc, ni, fast=True)
-        total += float(hinge_losses(s_pos, s_neg).sum())
-    return total / n
+    """Mean hinge over the pairs; each pair row is scored once, `batch` pair rows at a time."""
+    n_rows = data.row_list.shape[0]
+    scores = np.concatenate([
+        score_rows(params, data.rows(np.arange(a, min(a + batch, n_rows))), fast=True)
+        for a in range(0, n_rows, batch)
+    ])
+    return float(hinge_losses(scores[data.pos], scores[data.neg]).sum(dtype=np.float64)) / data.n_pairs
 
 
 def train(
@@ -431,16 +476,25 @@ def train(
         )
     )
 
+    dead_head_seen = False
     for epoch in range(1, config.epochs + 1):
         e0 = time.perf_counter()
         perm = rng.permutation(train_data.n_pairs)
         loss_sum = 0.0
         for a in range(0, train_data.n_pairs, config.batch_size):
             idx = perm[a : a + config.batch_size]
-            pos, neg = train_data.batch(idx)
-            grads, losses = backward_batch(params, pos, neg, fast=True)
-            loss_sum += float(losses.sum())
-            opt.step(arrays, grads.arrays(), 1.0 / idx.size)
+            rows, pos, neg = train_data.batch(idx)
+            grads, losses = pair_gradients(params, rows, pos, neg, fast=True)
+            batch_loss = float(losses.sum())
+            loss_sum += batch_loss
+            grad_arrays = grads.arrays()
+            if batch_loss > 0 and not dead_head_seen and not any(g.any() for g in grad_arrays):
+                dead_head_seen = True
+                logger.warning(
+                    "epoch %d: a batch with positive hinge losses has an all-zero gradient; "
+                    "every ReLU unit of the ranking head is dead, so the scores are constant", epoch,
+                )
+            opt.step(arrays, grad_arrays, 1.0 / idx.size)
         train_loss = loss_sum / train_data.n_pairs
         valid_loss = _mean_valid_loss(params, valid_data, config.validation_batch_size)
         report.rows.append(EpochRow(epoch, train_loss, valid_loss, time.perf_counter() - e0))

@@ -217,6 +217,16 @@ class TestABConfig:
         with pytest.raises(ConfigError, match="TG1"):
             ABConfig.from_kv_dict({"group.CG": "10", "group.TG1": "10"})
 
+    @pytest.mark.parametrize("size", ["abc", "1.5", ""])
+    def test_non_integer_group_size_is_config_error(self, size):
+        with pytest.raises(ConfigError):
+            ABConfig.from_kv_dict({"group.CG": size})
+
+    @pytest.mark.parametrize("boost", ["nan", "inf", "-inf", "0", "-1", "x"])
+    def test_bad_boost_is_config_error(self, boost):
+        with pytest.raises(ConfigError):
+            ABConfig.from_kv_dict({"group.CG": "10", "boost": boost})
+
     def test_report_contains_deltas(self):
         matches, archetypes, assignment = _sim_world(n_players=200, n_matches=6)
         common = dict(

@@ -33,6 +33,7 @@ from widir.training import EarlyStopper, TrainConfig, build_pairs, train
 from widir import pipeline
 
 from conftest import DAY0
+from model_oracle import min_abs_preactivation
 from test_training import lst_of, brute_force_pairs, separable_dataset
 
 
@@ -70,21 +71,10 @@ def test_criterion_1_parameter_counts():
 
 def _kink_free_active_pair(params, dims, rng):
     """Seeded pair with an active hinge, margins and preactivations off kinks."""
-    from widir.model import _graph_forward, _layer_plan, _mm_exact
-
-    plan = _layer_plan(dims)
     for _ in range(500):
         pos = tuple(rng.standard_normal((1, d)) for d in (dims.d_p, dims.d_c, dims.d_i))
         neg = tuple(rng.standard_normal((1, d)) for d in (dims.d_p, dims.d_c, dims.d_i))
-        min_pre = np.inf
-        for (p, c, i) in (pos, neg):
-            caches = {}
-            _graph_forward(params, p, c, i, _mm_exact, caches)
-            for name, cache in caches.items():
-                flags = [f for _, _, f in plan[name]]
-                for (_, z), relu in zip(cache, flags):
-                    if relu:
-                        min_pre = min(min_pre, float(np.abs(z).min()))
+        min_pre = min(min_abs_preactivation(params, *side) for side in (pos, neg))
         s_pos = forward_batch(params, *pos)[0]
         s_neg = forward_batch(params, *neg)[0]
         if 1.0 - (s_pos - s_neg) > 1e-2 and min_pre > 1e-3:

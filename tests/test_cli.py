@@ -104,6 +104,24 @@ class TestErrorPaths:
         assert code == 1
         assert "flux_capacitor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, named", [("group.CG", "abc", "abc"), ("boost", "nan", "boost"),
+                                                    ("boost", "inf", "boost")])
+    def test_bad_ab_value_exit_1(self, pipeline_root, tmp_path, capsys, key, value, named):
+        bad = tmp_path / "ab.kv"
+        kept = [l for l in AB_KV.splitlines() if not l.startswith(f"{key} ")]
+        bad.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+        code = main(["abtest", "--out", str(pipeline_root), "--config", str(bad), "--run-id", "ab-bad"])
+        assert code == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_exit_1(self, pipeline_root, tmp_path, capsys, rate):
+        bad = tmp_path / "train.kv"
+        bad.write_text(TRAIN_KV.replace("learning_rate = 0.005", f"learning_rate = {rate}"))
+        code = main(["train", "--out", str(pipeline_root), "--config", str(bad), "--run-id", "train-bad"])
+        assert code == 1
+        assert "learning_rate" in capsys.readouterr().err
+
     def test_missing_model_exit_2(self, pipeline_root, tmp_path, capsys):
         code = main(
             ["eval", "--out", str(pipeline_root), "--model", str(tmp_path / "nope.bin"),

@@ -42,8 +42,14 @@ def small_config(**overrides):
     return GeneratorConfig(**base)
 
 
+def mixture_mean_rate(config):
+    """The archetype mixture's weighted mean activity rate."""
+    total = sum(a.weight for a in config.archetypes)
+    return sum(a.weight * a.base.activity_rate for a in config.archetypes) / total
+
+
 def expected_joins(config):
-    return config.players * config.matches * config.participation_rate * config.mixture_mean_rate()
+    return config.players * config.matches * config.participation_rate * mixture_mean_rate(config)
 
 
 class TestConfig:
@@ -175,7 +181,7 @@ class TestGenerateSynthetic:
         opportunities = config.players * config.matches  # >= 1e5
         assert opportunities >= 100_000
         per_opportunity = len(world.joins) / opportunities
-        assert per_opportunity == pytest.approx(config.mixture_mean_rate(), rel=0.10)
+        assert per_opportunity == pytest.approx(mixture_mean_rate(config), rel=0.10)
         assert len(world.joins) == pytest.approx(expected_joins(config), rel=0.05)
 
     def test_instances_regenerate_on_fill(self, tiny_world):

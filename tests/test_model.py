@@ -8,15 +8,20 @@ from widir.errors import (
     ModelVersionError,
     ParamCountError,
 )
+import model_oracle
+from model_oracle import einsum_scores, min_abs_preactivation
 from widir.model import (
     MODEL_MAGIC,
+    Rows,
     WidirDims,
     backward_batch,
     deserialize,
     forward_batch,
     hinge_losses,
     init_params,
+    pair_gradients,
     param_count,
+    score_rows,
     serialize,
 )
 
@@ -186,15 +191,6 @@ class TestForward:
         np.testing.assert_array_equal(np.argsort(-base), np.argsort(-out))
 
 
-def _einsum_scores(params, player, contest, interaction):
-    """Oracle: the same graph with every matmul as a plain einsum."""
-    from widir.model import _graph_forward
-
-    return _graph_forward(
-        params, player, contest, interaction, lambda x, w: np.einsum("nk,km->nm", x, w)
-    )
-
-
 INVARIANCE_SIZES = (1, 7, 8, 9, 255, 256, 257, 1000, 4099)
 INVARIANCE_OFFSETS = (0, 5, 131)
 
@@ -242,7 +238,7 @@ class TestExactKernel:
     def test_agrees_with_einsum_oracle(self, scored, size):
         params, x, _ = scored
         batch = forward_batch(params, *(a[:size] for a in x))
-        oracle = _einsum_scores(params, *(a[:size] for a in x))
+        oracle = einsum_scores(params, *(a[:size] for a in x))
         # the summation order differs from einsum's; scale the floor by the
         # largest score so near-zero scores are not held to a relative bound
         np.testing.assert_allclose(batch, oracle, rtol=1e-5, atol=1e-5 * np.abs(oracle).max())
@@ -265,6 +261,109 @@ class TestExactKernel:
             digests.append(proc.stdout.strip())
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
+
+def _factored_rows(rng, dims, n_players, n_templates, n_rows, dtype):
+    """Random rows in three spaces; every player and template row backs some pair rows."""
+    return Rows(
+        player=rng.standard_normal((n_players, dims.d_p)).astype(dtype),
+        contest=rng.standard_normal((n_templates, dims.d_c)).astype(dtype),
+        interaction=rng.standard_normal((n_rows, dims.d_i)).astype(dtype),
+        player_of=rng.permutation(np.arange(n_rows) % n_players),
+        contest_of=rng.permutation(np.arange(n_rows) % n_templates),
+    )
+
+
+def _flat(rows, r):
+    """The flat (player, contest, interaction) triples of pair rows r."""
+    return rows.player[rows.player_of[r]], rows.contest[rows.contest_of[r]], rows.interaction[r]
+
+
+def _sub_rows(rows, r):
+    """Pair rows r alone, with only the player and template rows they use."""
+    players, player_of = np.unique(rows.player_of[r], return_inverse=True)
+    contests, contest_of = np.unique(rows.contest_of[r], return_inverse=True)
+    return Rows(rows.player[players], rows.contest[contests], rows.interaction[r], player_of, contest_of)
+
+
+class TestFactoredGraph:
+    """The factored graph against the flat oracle: scores bit for bit, gradients per pair."""
+
+    dims = WidirDims()
+
+    @pytest.fixture(scope="class", params=[np.float32, np.float64], ids=["f32", "f64"])
+    def scored(self, request):
+        dtype = request.param
+        params = init_params(self.dims, 12, dtype=dtype)
+        rng = np.random.default_rng(13)
+        n = max(INVARIANCE_OFFSETS) + max(INVARIANCE_SIZES)
+        rows = _factored_rows(rng, self.dims, 300, 48, n, dtype)
+        singles = np.array([score_rows(params, _sub_rows(rows, [r]))[0] for r in range(n)])
+        return params, rows, singles
+
+    @pytest.mark.parametrize("offset", INVARIANCE_OFFSETS)
+    @pytest.mark.parametrize("size", INVARIANCE_SIZES)
+    def test_scores_equal_single_rows_bitwise(self, scored, size, offset):
+        params, rows, singles = scored
+        batch = score_rows(params, _sub_rows(rows, np.arange(offset, offset + size)))
+        assert batch.dtype == singles.dtype
+        assert batch.tobytes() == singles[offset : offset + size].tobytes()
+
+    @pytest.mark.parametrize("size", INVARIANCE_SIZES)
+    def test_scores_agree_with_einsum_oracle(self, scored, size):
+        params, rows, _ = scored
+        batch = score_rows(params, _sub_rows(rows, np.arange(size)))
+        oracle = einsum_scores(params, *_flat(rows, np.arange(size)))
+        np.testing.assert_allclose(batch, oracle, rtol=1e-5, atol=1e-5 * np.abs(oracle).max())
+
+    def test_scores_equal_flat_forward_batch_bitwise(self, scored):
+        params, rows, _ = scored
+        r = np.arange(rows.interaction.shape[0])
+        assert score_rows(params, rows).tobytes() == forward_batch(params, *_flat(rows, r)).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-10)], ids=["f32", "f64"])
+    @pytest.mark.parametrize("players, templates, n_rows, n_pairs", [(6, 5, 40, 300), (200, 150, 400, 1000)],
+                             ids=["one-hot-sums", "bincount-sums"])
+    def test_gradients_equal_oracle_per_pair_sum(self, dtype, rtol, seed, players, templates, n_rows, n_pairs):
+        # every pair row is shared by several pairs, on both sides, and every
+        # player and template row by several pair rows; the second shape has more
+        # player and template rows than _segment_sum's one-hot limit. The oracle
+        # sums the same values in float64, so the tolerance bounds the factored
+        # graph's own rounding.
+        params = init_params(self.dims, 40 + seed, dtype=dtype)
+        rng = np.random.default_rng(seed)
+        rows = _factored_rows(rng, self.dims, players, templates, n_rows, dtype)
+        pos = rng.integers(0, n_rows, n_pairs)
+        neg = (pos + rng.integers(1, n_rows, n_pairs)) % n_rows
+        grads, losses = pair_gradients(params, rows, pos, neg)
+        want, want_losses = model_oracle.backward_batch(
+            params.astype(np.float64),
+            *([a.astype(np.float64) for a in _flat(rows, side)] for side in (pos, neg)),
+        )
+        assert 0 < (losses > 0).sum() < losses.size
+        np.testing.assert_allclose(losses, want_losses, rtol=rtol, atol=rtol)
+        for got, oracle in zip(grads.arrays(), want.arrays()):
+            np.testing.assert_allclose(got, oracle, rtol=rtol, atol=rtol * np.abs(oracle).max())
+
+    def test_backward_batch_equals_oracle(self):
+        params = init_params(self.dims, 50, dtype=np.float64)
+        rng = np.random.default_rng(51)
+        pos, neg = _rand_inputs(rng, self.dims, 64), _rand_inputs(rng, self.dims, 64)
+        grads, losses = backward_batch(params, pos, neg)
+        want, want_losses = model_oracle.backward_batch(params, pos, neg)
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-12)
+        for got, oracle in zip(grads.arrays(), want.arrays()):
+            np.testing.assert_allclose(got, oracle, rtol=1e-10, atol=1e-10 * np.abs(oracle).max())
+
+    def test_unmapped_rows_rejected(self):
+        params = init_params(self.dims, 0)
+        rows = _factored_rows(np.random.default_rng(0), self.dims, 3, 2, 5, np.float32)
+        with pytest.raises(DimensionError, match="player"):
+            score_rows(params, Rows(rows.player, rows.contest, rows.interaction, rows.player_of[:4],
+                                    rows.contest_of))
+        with pytest.raises(DimensionError, match="contest"):
+            score_rows(params, Rows(rows.player, rows.contest, rows.interaction, rows.player_of))
+
 
 class TestHingeLoss:
     def test_margin_satisfied(self):
@@ -329,22 +428,10 @@ class TestBackward:
 
     def _active_pair(self, params, rng):
         """A pair with a comfortably active hinge, away from ReLU kinks."""
-        from widir.model import _graph_forward, _layer_plan, _mm_exact
-
-        plan = _layer_plan(self.dims)
         for _ in range(200):
             pos = tuple(a for a in _rand_inputs(rng, self.dims, 1))
             neg = tuple(a for a in _rand_inputs(rng, self.dims, 1))
-            ok = True
-            min_pre = np.inf
-            for (p, c, i) in (pos, neg):
-                caches = {}
-                _graph_forward(params, p, c, i, _mm_exact, caches)
-                for name, cache in caches.items():
-                    flags = [f for _, _, f in plan[name]]
-                    for (_, z), relu in zip(cache, flags):
-                        if relu:
-                            min_pre = min(min_pre, float(np.abs(z).min()))
+            min_pre = min(min_abs_preactivation(params, *side) for side in (pos, neg))
             sp = forward_batch(params, *pos)[0]
             sn = forward_batch(params, *neg)[0]
             slack = 1.0 - (sp - sn)

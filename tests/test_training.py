@@ -1,5 +1,7 @@
+import dataclasses
 import datetime as dt
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from widir.domain import CENTS, ContestType, day_start
 from widir.errors import ConfigError, DataError
 from widir.features import JoinEvent, _identity_stats, build_template_block
-from widir.model import WidirDims, forward_batch
+import widir.training as training
+from widir.model import WidirDims, forward_batch, init_params, pair_gradients
 from widir.training import (
     EarlyStopper,
     OrderedContestList,
@@ -24,6 +27,7 @@ from widir.training import (
 
 from conftest import DAY0, mk_contest
 from feature_oracle import RecentJoin, snapshot_from
+import model_oracle
 
 
 def ev(day, player, match, template, fee=10 * CENTS):
@@ -206,24 +210,28 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="momentum"):
             TrainConfig.from_kv_dict({"momentum": "0.9"})
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "0", "-0.1"])
+    def test_bad_learning_rate_is_config_error(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig.from_kv_dict({"learning_rate": rate})
+
     def test_list_length_restricted(self):
         with pytest.raises(ConfigError):
             TrainConfig(list_length=64).validate()
 
 
 def separable_dataset(rng, dims, n_players):
-    """Every player prefers contest A over contest B."""
-    player_rows = rng.standard_normal((n_players, dims.d_p)).astype(np.float32)
+    """Every player prefers contest A over contest B: pair rows 2i (A) and 2i + 1 (B) of list i."""
     vec_a = np.full(dims.d_c, 0.8, dtype=np.float32)
     vec_b = np.full(dims.d_c, -0.8, dtype=np.float32)
-    zeros_i = np.zeros((n_players, dims.d_i), dtype=np.float32)
     return PairDataset(
-        player_rows=player_rows,
-        list_idx=np.arange(n_players, dtype=np.int32),
-        pos_contest=np.tile(vec_a, (n_players, 1)),
-        neg_contest=np.tile(vec_b, (n_players, 1)),
-        pos_inter=zeros_i,
-        neg_inter=zeros_i,
+        player_rows=rng.standard_normal((n_players, dims.d_p)).astype(np.float32),
+        contest_rows=np.stack([vec_a, vec_b]),
+        inter_rows=np.zeros((2 * n_players, dims.d_i), dtype=np.float32),
+        row_list=np.repeat(np.arange(n_players, dtype=np.int32), 2),
+        row_contest=np.tile(np.arange(2, dtype=np.int32), n_players),
+        pos=np.arange(0, 2 * n_players, 2, dtype=np.int32),
+        neg=np.arange(1, 2 * n_players, 2, dtype=np.int32),
     ), vec_a, vec_b
 
 
@@ -267,14 +275,7 @@ class TestTrain:
     def test_empty_pair_stream_rejected(self):
         rng = np.random.default_rng(0)
         ds, _, _ = separable_dataset(rng, self.dims, 4)
-        empty = PairDataset(
-            player_rows=ds.player_rows,
-            list_idx=np.zeros(0, dtype=np.int32),
-            pos_contest=np.zeros((0, self.dims.d_c), dtype=np.float32),
-            neg_contest=np.zeros((0, self.dims.d_c), dtype=np.float32),
-            pos_inter=np.zeros((0, self.dims.d_i), dtype=np.float32),
-            neg_inter=np.zeros((0, self.dims.d_i), dtype=np.float32),
-        )
+        empty = dataclasses.replace(ds, pos=ds.pos[:0], neg=ds.neg[:0])
         with pytest.raises(DataError):
             train(TrainConfig(), self.dims, empty, ds)
 
@@ -294,6 +295,30 @@ class TestTrain:
         losses = {r.epoch: r.valid_loss for r in trained_rows}
         assert result.report.best_valid_loss == min(losses.values())
         assert losses[result.report.best_epoch] == result.report.best_valid_loss
+
+    def test_dead_ranking_head_warns_once_naming_the_epoch(self, monkeypatch, caplog):
+        # final[0]'s ReLU units never fire: every score equals final[1]'s bias,
+        # every hinge is exactly 1, and every gradient is zero
+        rng = np.random.default_rng(0)
+        train_ds, _, _ = separable_dataset(rng, self.dims, 64)
+        params = init_params(self.dims, 0)
+        params.components["final"][0].w[:] = 0.0
+        params.components["final"][0].b[:] = -1.0
+        monkeypatch.setattr(training, "init_params", lambda *a, **k: params)
+        config = TrainConfig(learning_rate=0.01, epochs=2, batch_size=16, validation_batch_size=32, seed=0)
+        with caplog.at_level(logging.WARNING, logger="widir.training"):
+            result = train(config, self.dims, train_ds, train_ds)
+        assert [r.valid_loss for r in result.report.rows] == [1.0, 1.0, 1.0]
+        dead = [r.getMessage() for r in caplog.records if "all-zero gradient" in r.getMessage()]
+        assert len(dead) == 1 and dead[0].startswith("epoch 1:")
+
+    def test_live_ranking_head_does_not_warn(self, caplog):
+        rng = np.random.default_rng(0)
+        train_ds, _, _ = separable_dataset(rng, self.dims, 64)
+        config = TrainConfig(learning_rate=0.01, epochs=2, batch_size=16, validation_batch_size=32, seed=0)
+        with caplog.at_level(logging.WARNING, logger="widir.training"):
+            train(config, self.dims, train_ds, train_ds)
+        assert not [r for r in caplog.records if "all-zero gradient" in r.getMessage()]
 
     def test_report_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -337,12 +362,16 @@ class TestAssemblePairDataset:
         assert ds.pos_contest.shape == (9, 11)
         assert ds.pos_inter.shape == (9, 9)
 
-    def test_rows_equal_per_list_lookups(self):
-        """Lists of several players, matches and days: every pair side holds its own
-        list's player row and its template's contest and interaction rows."""
+    def _multi_list_dataset(self):
+        """Lists of three players in two matches on two days; a template's contest row
+        differs from the other templates' and is the same in both matches."""
         stats = _identity_stats()
         day1 = DAY0 + dt.timedelta(days=1)
-        templates = {"m1": match_of(6), "m2": match_of(5, "m2")}
+        templates = {
+            mid: [mk_contest(contest_id=f"{mid}c{i}", template_id=f"t{i:03d}", match_id=mid,
+                             entry_fee=(i + 1) * CENTS, contest_size=10 + i) for i in range(n)]
+            for mid, n in (("m1", 6), ("m2", 5))
+        }
         days = {"m1": DAY0, "m2": day1}
         events = []
         for k, pid in enumerate(("p3", "p1", "p2")):
@@ -363,6 +392,12 @@ class TestAssemblePairDataset:
                 return snaps[day]
 
         ds = assemble_pair_dataset(lists, Lookup(), templates, days, stats, None, seed=0)
+        return ds, lists, snaps, templates, days, stats
+
+    def test_rows_equal_per_list_lookups(self):
+        """Every pair side holds its own list's player row and its template's contest and
+        interaction rows."""
+        ds, lists, snaps, templates, days, stats = self._multi_list_dataset()
         k = 0
         for li, lst in enumerate(lists):
             snap = snaps[days[lst.match_id]]
@@ -380,6 +415,35 @@ class TestAssemblePairDataset:
                 k += 1
         assert k == ds.n_pairs
         assert len({ds.pos_inter[i].tobytes() for i in range(k)}) > 1
+        assert len(ds.contest_rows) == 6  # t000-t004 stored once for both matches
+
+    def test_batch_rows_expand_to_per_pair_views(self):
+        ds, *_ = self._multi_list_dataset()
+        idx = np.random.default_rng(3).permutation(ds.n_pairs)[: ds.n_pairs // 2 + 1]
+        rows, pos, neg = ds.batch(idx)
+        # each distinct pair row, list and contest row of the batch once
+        assert len(rows.interaction) == len(np.unique(np.concatenate([ds.pos[idx], ds.neg[idx]]))) < 2 * idx.size
+        assert len(rows.player) == len(np.unique(ds.list_idx[idx]))
+        for side, want in ((pos, (ds.pos_contest, ds.pos_inter)), (neg, (ds.neg_contest, ds.neg_inter))):
+            assert rows.player[rows.player_of[side]].tobytes() == ds.player_rows[ds.list_idx[idx]].tobytes()
+            assert rows.contest[rows.contest_of[side]].tobytes() == want[0][idx].tobytes()
+            assert rows.interaction[side].tobytes() == want[1][idx].tobytes()
+
+    def test_batch_gradient_equals_oracle_per_pair_sum(self):
+        ds, *_ = self._multi_list_dataset()
+        params = init_params(WidirDims(), 4)
+        idx = np.random.default_rng(4).permutation(ds.n_pairs)
+        grads, losses = pair_gradients(params, *ds.batch(idx), fast=True)
+        p = ds.player_rows[ds.list_idx[idx]]
+        want, want_losses = model_oracle.backward_batch(
+            params.astype(np.float64),
+            *([a.astype(np.float64) for a in side] for side in ((p, ds.pos_contest[idx], ds.pos_inter[idx]),
+                                                                 (p, ds.neg_contest[idx], ds.neg_inter[idx]))),
+        )
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-5, atol=1e-5)
+        for got, oracle in zip(grads.arrays(), want.arrays()):
+            # entries that cancel to zero keep float32 rounding: an absolute floor
+            np.testing.assert_allclose(got, oracle, rtol=1e-5, atol=1e-5 * max(np.abs(oracle).max(), 1.0))
 
     def test_missing_snapshot_day_is_error(self):
         stats = _identity_stats()
