@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .generator import (
     sample_join_templates,
     template_stats,
 )
+from .inference import RankingPayload
 from .textio import format_kv, read_kv
 
 _AB_STREAM = 21
@@ -156,15 +157,17 @@ class PayloadScorer:
 
     name = "payloads"
 
-    def __init__(self, rankings: Mapping[tuple[str, str], tuple[tuple[str, float], ...]]):
-        self.rankings = rankings
+    def __init__(self, payloads: Iterable[RankingPayload]):
+        self.payloads = {(p.player_id, p.match_id): p for p in payloads}
 
     def rank_players(self, match_id, templates, snapshot, player_ids) -> list[RankedSlate]:
         popular = popularity_rank(templates).ranked
-        return [
-            RankedSlate(player_id=pid, match_id=match_id, ranked=self.rankings.get((pid, match_id), popular))
-            for pid in player_ids
-        ]
+        slates = []
+        for pid in player_ids:
+            payload = self.payloads.get((pid, match_id))
+            ranked = popular if payload is None else payload.ranking
+            slates.append(RankedSlate(player_id=pid, match_id=match_id, ranked=ranked))
+        return slates
 
 
 # --- simulation -----------------------------------------------------------------

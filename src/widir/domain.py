@@ -10,9 +10,9 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import datetime as dt
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -26,21 +26,24 @@ from .textio import write_replace
 CENTS = 100
 
 
+_MONEY = re.compile(r"(-?)([0-9]*)(?:\.([0-9]{1,2}))?")
+
+
+@functools.lru_cache(maxsize=4096)
 def parse_money(text: str) -> int:
-    """Parse a decimal currency string ("12.50", "12", "12.5") into cents."""
-    text = text.strip()
-    negative = text.startswith("-")
-    if negative:
-        text = text[1:]
-    if "." in text:
-        whole, frac = text.split(".", 1)
-    else:
-        whole, frac = text, ""
-    frac = (frac + "00")[:2]
-    if len(frac) != 2 or not (whole or frac).isdigit() or not (whole == "" or whole.isdigit()):
+    """Parse a decimal currency string ("12.50", "12", "12.5", ".5") into cents.
+
+    An optional "-", digits, and an optional "." with one or two digits;
+    anything else (no digits at all, a third decimal, a sign after the
+    point) raises ValueError. Logs repeat a few amounts (fees, zero
+    prizes) many times, so results are cached; a rejected text is not.
+    """
+    m = _MONEY.fullmatch(text.strip())
+    if m is None or not (m[2] or m[3]):
         raise ValueError(f"not a currency amount: {text!r}")
-    cents = int(whole or "0") * CENTS + int(frac)
-    return -cents if negative else cents
+    sign, whole, frac = m.groups()
+    cents = int(whole or "0") * CENTS + int((frac or "0").ljust(2, "0"))
+    return -cents if sign else cents
 
 
 def format_money(cents: int) -> str:
@@ -81,19 +84,32 @@ def format_ts(ts: int) -> str:
     return dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-_TS = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+_TS = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
+
+
+@functools.lru_cache(maxsize=4096)
+def _date_seconds(date: str) -> int | None:
+    """Epoch seconds of 00:00 UTC on a YYYY-MM-DD date; None if there is no such date."""
+    try:
+        return day_start(dt.date(int(date[:4]), int(date[5:7]), int(date[8:])))
+    except ValueError:
+        return None
 
 
 def parse_ts(text: str) -> int:
     """Epoch seconds of a `format_ts` stamp; any other form raises ValueError.
 
-    The stamp must match YYYY-MM-DDTHH:MM:SSZ exactly, zero-padded; the
-    `datetime` constructor rejects out-of-range fields such as month 13.
+    The stamp must match YYYY-MM-DDTHH:MM:SSZ exactly, zero-padded. The
+    date is checked by the `datetime.date` constructor (no month 13, no
+    February 29 outside leap years) once per distinct date, whose seconds
+    are cached; the time must be below 24:00:00, with no leap second.
     """
     m = _TS.fullmatch(text)
     if m is not None:
-        with contextlib.suppress(ValueError):
-            return int(dt.datetime(*map(int, m.groups()), tzinfo=dt.timezone.utc).timestamp())
+        date, hh, mm, ss = m.groups()
+        base, h, mi, sec = _date_seconds(date), int(hh), int(mm), int(ss)
+        if base is not None and h < 24 and mi < 60 and sec < 60:
+            return base + h * 3600 + mi * 60 + sec
     raise ValueError(f"not a YYYY-MM-DDTHH:MM:SSZ timestamp: {text!r}")
 
 

@@ -5,8 +5,9 @@ Metrics are computed at template level and macro-averaged over the
 
 Every scorer ranks one match's templates for a list of players in one call,
 `rank_players(match_id, templates, snapshot, player_ids)`, which returns the
-slates in `player_ids` order. Evaluation, batch inference and the A/B
-simulation all rank through it.
+slates in `player_ids` order. Evaluation and the A/B simulation rank
+through it. Batch inference takes `ModelScorer.score_matrix`, the scores
+`ModelScorer.rank_players` orders, and builds no slates.
 """
 
 from __future__ import annotations
@@ -188,16 +189,20 @@ class ModelScorer:
     def __init__(self, params: WidirParams):
         self.params = params
 
-    def rank_players(self, match_id, templates, snapshot, player_ids) -> list[RankedSlate]:
+    def score_matrix(self, templates, snapshot, player_ids) -> tuple[list[str], np.ndarray]:
+        """The match's template ids and the (players, templates) scores, rows in `player_ids` order."""
         block = build_template_block(templates, snapshot.stats)
-        slates: list[RankedSlate] = []
-        for base in range(0, len(player_ids), _SCORE_CHUNK):
-            chunk = player_ids[base : base + _SCORE_CHUNK]
-            scores = score_players(self.params, snapshot, block, chunk)
-            slates.extend(
-                _make_slate(pid, match_id, block.template_ids, row.tolist()) for pid, row in zip(chunk, scores)
-            )
-        return slates
+        chunks = [
+            score_players(self.params, snapshot, block, player_ids[base : base + _SCORE_CHUNK])
+            for base in range(0, len(player_ids), _SCORE_CHUNK)
+        ]
+        if not chunks:
+            return block.template_ids, np.zeros((0, len(block.template_ids)), dtype=np.float32)
+        return block.template_ids, np.concatenate(chunks)
+
+    def rank_players(self, match_id, templates, snapshot, player_ids) -> list[RankedSlate]:
+        template_ids, scores = self.score_matrix(templates, snapshot, player_ids)
+        return [_make_slate(pid, match_id, template_ids, row.tolist()) for pid, row in zip(player_ids, scores)]
 
 
 class GroundTruthScorer:

@@ -1,35 +1,92 @@
 """Daily batch inference: score active players against upcoming matches.
 
-Payloads carry a full template ordering per (player, match) so the serving
-layer never runs the model; `generated_at` is an input, making re-runs
-bytewise idempotent. Each upcoming match's active players are ranked in one
-`ModelScorer.rank_players` call, the call evaluation makes per test match.
+The batch job produces one `MatchScores` block per upcoming match: the
+match's template ids, its sorted active player ids and a float32
+(players x templates) score matrix, so the serving layer never runs the
+model. Each block comes from one `ModelScorer.score_matrix` call, the
+chunked `score_players` calls evaluation ranks through, so every score is
+bit-identical to that player's `model_rank`. No slate is built here: an
+ordering is made only where a (player, match) row's `ranking` is read.
+`generated_at` is an input, making re-runs bytewise idempotent.
+
+The payload file holds one JSON line per match (see `write_payloads`), and
+`read_payloads` gives back one `RankingPayload` view per (player, match).
 """
 
 from __future__ import annotations
 
+import base64
 import datetime as dt
 import json
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .domain import ContestSpec, JoinRecord, MatchRecord, day_of
 from .errors import DataError
-from .evaluation import ModelScorer
+from .evaluation import ModelScorer, _make_slate
 from .features import FeatureSnapshot
 from .model import WidirParams
 from .textio import write_replace
 
+_SCORE_DTYPE = np.dtype("<f4")  # payload scores: little-endian float32, row-major
+
 
 @dataclass(frozen=True, slots=True)
-class RankingPayload:
-    """Full precomputed template ordering for one (player, match)."""
+class MatchScores:
+    """Scores of one match's templates for its active players.
 
-    player_id: str
+    Row i of `scores` holds `player_ids[i]`'s score for each template, in
+    `template_ids` order.
+    """
+
     match_id: str
-    ranking: tuple[tuple[str, float], ...]  # (template_id, score), best first
+    template_ids: tuple[str, ...]
+    player_ids: tuple[str, ...]  # sorted
+    scores: np.ndarray  # float32, (len(player_ids), len(template_ids))
     generated_at: int
     model_version: str
+
+
+class RankingPayload:
+    """One (player, match) row of a `MatchScores` block.
+
+    `ranking` is the row's full template ordering (score descending, ties by
+    template id), made on each access by the one ordering function,
+    `evaluation._make_slate`.
+    """
+
+    __slots__ = ("block", "row")
+
+    def __init__(self, block: MatchScores, row: int):
+        self.block = block
+        self.row = row
+
+    @property
+    def player_id(self) -> str:
+        return self.block.player_ids[self.row]
+
+    @property
+    def match_id(self) -> str:
+        return self.block.match_id
+
+    @property
+    def generated_at(self) -> int:
+        return self.block.generated_at
+
+    @property
+    def model_version(self) -> str:
+        return self.block.model_version
+
+    @property
+    def ranking(self) -> tuple[tuple[str, float], ...]:
+        """(template_id, score) pairs, best first."""
+        b = self.block
+        return _make_slate(self.player_id, b.match_id, b.template_ids, b.scores[self.row].tolist()).ranked
+
+    def __repr__(self) -> str:
+        return f"RankingPayload(player_id={self.player_id!r}, match_id={self.match_id!r})"
 
 
 def active_players(joins: Sequence[JoinRecord], as_of_day: dt.date) -> set[str]:
@@ -49,64 +106,114 @@ def run_batch(
     active: set[str],
     model_version: str,
     generated_at: int,
-) -> list[RankingPayload]:
-    """One payload per (active player, upcoming match), ordered as model_rank orders.
+) -> list[MatchScores]:
+    """One score block per upcoming match, its rows the sorted active players.
 
-    Each match's active players are ranked in one `ModelScorer.rank_players`
-    call, the path `model_rank` takes for one player; the scoring kernel is
-    batch-invariant, so each ordering is bit-identical to that player's
-    `model_rank`.
+    Each block is one `ModelScorer.score_matrix` call, the scores
+    `ModelScorer.rank_players` orders; the scoring kernel is
+    batch-invariant, so each row's ordering is bit-identical to that
+    player's `model_rank`.
     """
-    players = sorted(active)
+    player_ids = tuple(sorted(active))
     scorer = ModelScorer(params)
-    return [
-        RankingPayload(
-            player_id=slate.player_id,
-            match_id=slate.match_id,
-            ranking=slate.ranked,
+    blocks = []
+    for match, templates in matches:
+        template_ids, scores = scorer.score_matrix(templates, snapshot, player_ids)
+        if scores.dtype != _SCORE_DTYPE:
+            raise ValueError(f"payload scores are float32; the model scored in {scores.dtype}")
+        blocks.append(MatchScores(
+            match_id=match.match_id,
+            template_ids=tuple(template_ids),
+            player_ids=player_ids,
+            scores=scores,
             generated_at=generated_at,
             model_version=model_version,
-        )
-        for match, templates in matches
-        for slate in scorer.rank_players(match.match_id, templates, snapshot, players)
-    ]
+        ))
+    return blocks
 
 
-def write_payloads(path, payloads: Sequence[RankingPayload]) -> None:
-    """Newline-delimited JSON payload file; written atomically."""
+def write_payloads(path, blocks: Sequence[MatchScores]) -> None:
+    """One JSON line per match, keys sorted; written atomically.
+
+    `scores` is the base64 of the block's little-endian float32 matrix,
+    row-major (a player's row of template scores after another's).
+    """
     with write_replace(path) as fh:
         fh.writelines(
             json.dumps(
                 {
-                    "player_id": p.player_id,
-                    "match_id": p.match_id,
-                    "ranking": [[tid, float(score)] for tid, score in p.ranking],
-                    "generated_at": p.generated_at,
-                    "model_version": p.model_version,
+                    "generated_at": b.generated_at,
+                    "match_id": b.match_id,
+                    "model_version": b.model_version,
+                    "player_ids": list(b.player_ids),
+                    "scores": base64.b64encode(
+                        np.ascontiguousarray(b.scores, dtype=_SCORE_DTYPE).tobytes()
+                    ).decode("ascii"),
+                    "template_ids": list(b.template_ids),
                 },
                 sort_keys=True,
             )
             + "\n"
-            for p in payloads
+            for b in blocks
         )
 
 
 def read_payloads(path) -> list[RankingPayload]:
-    """Parse a payload file; a line that is not a payload is a DataError naming `path:line`."""
+    """One `RankingPayload` per (player, match) row of a payload file, in file order.
+
+    A line that is not a score block is a DataError naming `path:line`: not
+    JSON, a missing or mistyped field, scores that are not base64, a score
+    byte count that does not match the id counts, a NaN or infinite score,
+    a duplicate player or template id, or a match seen on an earlier line.
+    """
     out: list[RankingPayload] = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
-                doc = json.loads(line)
-                out.append(
-                    RankingPayload(
-                        player_id=doc["player_id"],
-                        match_id=doc["match_id"],
-                        ranking=tuple((tid, float(s)) for tid, s in doc["ranking"]),
-                        generated_at=int(doc["generated_at"]),
-                        model_version=doc["model_version"],
-                    )
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: not a ranking payload: {exc!r}") from exc
+                block = _parse_block(line)
+                if block.match_id in seen:
+                    raise ValueError(f"match {block.match_id!r} has an earlier line")
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"{path}:{lineno}: not a payload line: {exc!r}") from exc
+            seen.add(block.match_id)
+            out.extend(RankingPayload(block, i) for i in range(len(block.player_ids)))
     return out
+
+
+def _parse_block(line: str) -> MatchScores:
+    doc = json.loads(line)
+    if not isinstance(doc, dict):
+        raise TypeError(f"a payload line is a JSON object, not {type(doc).__name__}")
+    match_id = _typed(doc, "match_id", str)
+    model_version = _typed(doc, "model_version", str)
+    generated_at = _typed(doc, "generated_at", int)
+    template_ids = _ids(doc, "template_ids")
+    player_ids = _ids(doc, "player_ids")
+    raw = base64.b64decode(_typed(doc, "scores", str), validate=True)  # binascii.Error is a ValueError
+    shape = (len(player_ids), len(template_ids))
+    if len(raw) != _SCORE_DTYPE.itemsize * shape[0] * shape[1]:
+        raise ValueError(f"{len(raw)} score bytes for {shape[0]} players x {shape[1]} templates")
+    scores = np.frombuffer(raw, dtype=_SCORE_DTYPE).reshape(shape)
+    if not np.isfinite(scores).all():
+        raise ValueError("a score is NaN or infinite")
+    return MatchScores(match_id, template_ids, player_ids, scores, generated_at, model_version)
+
+
+def _typed(doc: dict, key: str, kind: type):
+    if key not in doc:
+        raise ValueError(f"missing field {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{key!r} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _ids(doc: dict, key: str) -> tuple[str, ...]:
+    ids = tuple(_typed(doc, key, list))
+    if not all(isinstance(i, str) for i in ids):
+        raise TypeError(f"{key!r} must hold strings")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate id in {key!r}")
+    return ids
+

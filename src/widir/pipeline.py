@@ -321,8 +321,7 @@ def _abtest_impl(data_dir, report_path, config: ab.ABConfig, payloads_path=None)
         elif name == "payloads":
             if payloads_path is None:
                 raise ConfigError(f"policy.{group} = payloads requires --payloads")
-            ranked = {(p.player_id, p.match_id): p.ranking for p in read_payloads(payloads_path)}
-            policies[group] = ab.PayloadScorer(ranked)
+            policies[group] = ab.PayloadScorer(read_payloads(payloads_path))
         else:
             raise ConfigError(f"unknown policy {name!r} for group {group}")
 

@@ -1,7 +1,7 @@
 """Low-latency ranking service over precomputed payloads.
 
-The online store maps (player_id, match_id) to a full template ordering
-published by the batch job, plus a per-match popularity fallback. Request
+The online store maps (player_id, match_id) to the template scores the
+batch job published for that row, plus a per-match popularity fallback. Request
 handling only reorders live contest instances by stored template scores;
 no model forward pass ever runs here. The 10 ms budget is measured
 in-process (request parse through response serialize).
@@ -50,7 +50,7 @@ class RankResponse:
 
 class OnlineStore:
     """In-memory payload store: one template -> score map per (player, match),
-    replaced atomically; many readers."""
+    built from the payload's score row and replaced atomically; many readers."""
 
     _EMPTY_FALLBACK = ({}, {})
 
@@ -62,10 +62,11 @@ class OnlineStore:
         self.model_version: str = ""
 
     def put(self, payload: RankingPayload) -> None:
-        score_map = {tid: score for tid, score in payload.ranking}
+        block = payload.block
+        score_map = dict(zip(block.template_ids, block.scores[payload.row].tolist()))
         with self._lock:
-            self._score_maps[(payload.player_id, payload.match_id)] = score_map
-            self.model_version = payload.model_version
+            self._score_maps[(block.player_ids[payload.row], block.match_id)] = score_map
+            self.model_version = block.model_version
 
     def score_map(self, player_id: str, match_id: str) -> dict[str, float] | None:
         return self._score_maps.get((player_id, match_id))

@@ -6,6 +6,7 @@ import pytest
 from widir.domain import CENTS, ContestSpec, ContestType, JoinRecord, PrizeDistribution, day_start
 from widir.features import _identity_stats
 from widir.generator import DEFAULT_ARCHETYPES, GeneratorConfig, generate_synthetic
+from widir.inference import MatchScores, RankingPayload
 
 DAY0 = dt.date(2025, 1, 1)
 
@@ -51,6 +52,25 @@ def mk_join(player="p1", contest="c1", match="m1", day=DAY0, hour=12, fee=10 * C
         entry_fee_paid=fee,
         prize_won=prize,
     )
+
+
+def mk_payload(player="p1", match="m1", ranking=(("t2", 2.0), ("t1", 1.0)), generated_at=day_start(DAY0), version="v1"):
+    """The payload of a one-player score block whose `ranking` is `ranking`.
+
+    `ranking` lists (template_id, score) best first, with float32 scores;
+    an ordering the scores do not give is rejected.
+    """
+    block = MatchScores(
+        match_id=match,
+        template_ids=tuple(tid for tid, _ in ranking),
+        player_ids=(player,),
+        scores=np.array([[score for _, score in ranking]], dtype=np.float32),
+        generated_at=generated_at,
+        model_version=version,
+    )
+    payload = RankingPayload(block, 0)
+    assert payload.ranking == tuple(ranking), f"{ranking} is not in score order"
+    return payload
 
 
 @pytest.fixture(scope="session")

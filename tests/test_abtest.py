@@ -17,7 +17,7 @@ from widir.errors import ConfigError
 from widir.evaluation import GroundTruthScorer, PopularityScorer
 from widir.generator import GeneratorConfig, PlayerArchetype, build_template_pool
 
-from conftest import DAY0
+from conftest import DAY0, mk_payload
 
 
 def _players(n):
@@ -188,8 +188,8 @@ class TestPayloadScorer:
         matches, _, _ = _sim_world()
         match, templates = matches[0]
         ids = sorted(t.template_id for t in templates)
-        ranking = tuple((tid, float(i)) for i, tid in enumerate(reversed(ids)))
-        scorer = PayloadScorer({("p1", match.match_id): ranking})
+        ranking = tuple((tid, float(len(ids) - i)) for i, tid in enumerate(reversed(ids)))
+        scorer = PayloadScorer([mk_payload("p1", match.match_id, ranking)])
         cold, slate = scorer.rank_players(match.match_id, templates, None, ["p2", "p1"])
         assert slate.player_id == "p1"
         assert slate.ranked == ranking

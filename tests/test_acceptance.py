@@ -19,7 +19,6 @@ from widir.abtest import assign_cohorts, delta, simulate_period
 from widir.domain import MatchRecord, day_start
 from widir.evaluation import EvalReport, PopularityScorer, RankedSlate, precision_at, recall_at
 from widir.generator import GeneratorConfig, PlayerArchetype, build_template_pool
-from widir.inference import RankingPayload
 from widir.model import (
     WidirDims,
     backward_batch,
@@ -32,7 +31,7 @@ from widir.serving import OnlineStore, rank_live, run_latency_harness, RankReque
 from widir.training import EarlyStopper, TrainConfig, build_pairs, train
 from widir import pipeline
 
-from conftest import DAY0
+from conftest import DAY0, mk_payload
 from model_oracle import min_abs_preactivation
 from test_training import lst_of, brute_force_pairs, separable_dataset
 
@@ -383,7 +382,7 @@ def test_criterion_9_serving_latency():
     n_contests = 500
     ranking = tuple((f"t{i:04d}", float(10_000 - i)) for i in range(n_contests))
     store = OnlineStore()
-    store.put(RankingPayload("p1", "m1", ranking, day_start(DAY0), "v1"))
+    store.put(mk_payload("p1", "m1", ranking))
     contests = [(f"c{i:04d}", f"t{i:04d}") for i in range(n_contests)]
     stats = run_latency_harness(store, "p1", "m1", contests, n_requests=10_000, seed=1)
 

@@ -10,6 +10,8 @@ from widir.evaluation import EvalReport
 from widir.manifest import RunManifest
 from widir.pipeline import _read_splits
 
+from test_inference import CORRUPTIONS, _corrupt
+
 GEN_KV = """\
 players = 120
 matches = 48
@@ -93,7 +95,7 @@ class TestPipeline:
         lines = (pipeline_root / "payloads" / "payloads.jsonl").read_text().splitlines()
         assert lines
         doc = json.loads(lines[0])
-        assert {"player_id", "match_id", "ranking", "generated_at", "model_version"} <= set(doc)
+        assert {"match_id", "template_ids", "player_ids", "scores", "generated_at", "model_version"} <= set(doc)
 
 
 class TestErrorPaths:
@@ -155,6 +157,24 @@ class TestErrorPaths:
         assert f"{joins}:3:" in err and "timestamp" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, field, amount", [("joins.csv", 4, "1.-1"), ("contests.csv", 3, "1.234")])
+    def test_bad_amount_exit_2(self, tmp_path, capsys, name, field, amount):
+        cfg = tmp_path / "gen.kv"
+        cfg.write_text(GEN_KV)
+        out = tmp_path / "o"
+        assert main(["generate", "--out", str(out), "--config", str(cfg), "--seed", "5"]) == 0
+        path = out / "data" / name
+        rows = [line.split(",") for line in path.read_text().splitlines(keepends=True)]
+        rows[2][field] = amount
+        path.write_text("".join(",".join(row) for row in rows))
+        capsys.readouterr()
+        code = main(["features", "--out", str(out), "--train-end", "2025-01-30",
+                     "--valid-end", "2025-02-07"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3:" in err and "currency" in err
+        assert "Traceback" not in err
+
     def test_match_with_two_mega_templates_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "gen.kv"
         cfg.write_text(GEN_KV)
@@ -212,12 +232,24 @@ class TestCorruptInputs:
 
     @pytest.mark.parametrize("cut", [
         lambda line: line[: len(line) // 2],
-        lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "ranking"}),
+        lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "scores"}),
     ], ids=["truncated-line", "no-ranking"])
     def test_serve_on_bad_payload_line_exit_2(self, pipeline_root, tmp_path, capsys, cut):
+        self._serve_exits_2_naming_line_2(pipeline_root, tmp_path, capsys, cut)
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_serve_on_corrupt_payload_block_exit_2(self, pipeline_root, tmp_path, capsys, case):
+        self._serve_exits_2_naming_line_2(
+            pipeline_root, tmp_path, capsys, lambda line: json.dumps(_corrupt(json.loads(line), case))
+        )
+
+    @staticmethod
+    def _serve_exits_2_naming_line_2(pipeline_root, tmp_path, capsys, cut):
         lines = (pipeline_root / "payloads" / "payloads.jsonl").read_text().splitlines()
+        # a second match's line, made from the first, is the one cut
+        second = json.dumps(dict(json.loads(lines[0]), match_id="second-match"), sort_keys=True)
         bad = tmp_path / "payloads.jsonl"
-        bad.write_text("\n".join([lines[0], cut(lines[1]), *lines[2:]]) + "\n")
+        bad.write_text("\n".join([lines[0], cut(second), *lines[1:]]) + "\n")
         capsys.readouterr()
         assert main(["serve", "--payloads", str(bad)]) == 2
         err = capsys.readouterr().err

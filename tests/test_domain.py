@@ -32,6 +32,10 @@ from conftest import DAY0, mk_contest, mk_join
 LAST_FOUR_DIGIT_SECOND = 253_402_300_799  # 9999-12-31T23:59:59Z
 
 
+# a sign after the point, a space, a third decimal, no digits, a point with no decimals
+BAD_AMOUNTS = ["1.-1", "1.+5", "1. 5", "1.234", "", ".", "-", "12.", "+5", "--1", "1e3", "1_5"]
+
+
 class TestMoney:
     def test_round_trip(self):
         for cents in (0, 1, 99, 100, 12_50, 10_000_00):
@@ -46,6 +50,20 @@ class TestMoney:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_money("12.5x")
+
+    def test_parse_more_forms(self):
+        assert parse_money(".5") == 50
+        assert parse_money("-12.05") == -1205
+        assert parse_money("-0.5") == -50
+
+    @pytest.mark.parametrize("text", BAD_AMOUNTS)
+    def test_rejects_malformed_amount(self, text):
+        with pytest.raises(ValueError, match="currency"):
+            parse_money(text)
+
+    @given(st.integers(min_value=-10**12, max_value=10**12))
+    def test_format_round_trip(self, cents):
+        assert parse_money(format_money(cents)) == cents
 
 
 class TestTime:
@@ -65,6 +83,10 @@ class TestTime:
         "2025-13-03T07:30:00Z",    # month 13
         "2025-02-30T07:30:00Z",    # no such day
         "2025-01-03T24:00:00Z",    # hour 24
+        "2025-01-03T07:60:00Z",    # minute 60
+        "2025-01-03T07:30:60Z",    # second 60 (no leap seconds)
+        "2025-02-29T07:30:00Z",    # not a leap year
+        "0000-01-01T00:00:00Z",    # year 0
         "2025-01-03T07:30:00Z ",   # trailing space
         "2025-01-03T07:30:00+00:00",
         "",
@@ -72,6 +94,14 @@ class TestTime:
     def test_malformed_stamp_rejected(self, text):
         with pytest.raises(ValueError):
             parse_ts(text)
+
+    def test_cached_date_keeps_its_checks(self):
+        assert parse_ts("2024-02-29T23:59:59Z") == day_start(dt.date(2024, 3, 1)) - 1
+        for _ in range(2):  # the second call reads the cached date
+            with pytest.raises(ValueError):
+                parse_ts("2025-02-29T00:00:00Z")
+            with pytest.raises(ValueError):
+                parse_ts("2024-02-29T24:00:00Z")
 
     def test_day_of_boundary(self):
         assert day_of(day_start(DAY0)) == DAY0
@@ -216,6 +246,31 @@ class TestSerialization:
         path.write_text("m1,2025-01-03T15:00:00Z,c1;c2\n" + bad)
         with pytest.raises(DataError, match=message) as info:
             read_schedule(path)
+        assert f"{path}:2:" in str(info.value)
+
+    @pytest.mark.parametrize("amount", BAD_AMOUNTS)
+    @pytest.mark.parametrize("field", [4, 5])
+    def test_bad_join_amount_is_data_error_naming_the_line(self, tmp_path, field, amount):
+        path = tmp_path / "joins.csv"
+        row = self.GOOD_JOIN.rstrip("\n").split(",")
+        row[field] = amount
+        path.write_text(self.GOOD_JOIN + ",".join(row) + "\n")
+        with pytest.raises(DataError, match="currency") as info:
+            read_join_log(path)
+        assert f"{path}:2:" in str(info.value)
+
+    @pytest.mark.parametrize("amount", BAD_AMOUNTS)
+    @pytest.mark.parametrize("field", [3, 4, 7])
+    def test_bad_catalog_amount_is_data_error_naming_the_line(self, tmp_path, field, amount):
+        path = tmp_path / "contests.csv"
+        write_catalog(path, [mk_contest(), mk_contest(contest_id="c2")])
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        # field 7 is the prize tiers, "from-to:prize"
+        row[field] = f"1-1:{amount}" if field == 7 else amount
+        path.write_text(lines[0] + "\n" + ",".join(row) + "\n")
+        with pytest.raises(DataError, match="currency") as info:
+            read_catalog(path)
         assert f"{path}:2:" in str(info.value)
 
     def test_bad_catalog_row_is_data_error(self, tmp_path):

@@ -1,9 +1,14 @@
+import base64
+import dataclasses
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from widir.domain import CENTS, MatchRecord, day_start
+from widir.domain import CENTS, ContestType, MatchRecord, day_start
+from widir.errors import DataError
 from widir.evaluation import model_rank
 from widir.features import _identity_stats
 from widir.inference import (
@@ -16,7 +21,7 @@ from widir.inference import (
 from widir.model import WidirDims, init_params
 
 from conftest import DAY0, mk_contest, mk_join
-from feature_oracle import snapshot_from
+from feature_oracle import RecentJoin, snapshot_from
 
 
 class TestActivePlayers:
@@ -49,23 +54,44 @@ def _setup(n_templates=8, n_players=6):
     return params, snap, [(match, templates)], active
 
 
+def _rows(blocks):
+    """The (player, match) payloads of score blocks, as `read_payloads` returns them."""
+    return [RankingPayload(b, i) for b in blocks for i in range(len(b.player_ids))]
+
+
+def _fields(payloads):
+    return [(p.player_id, p.match_id, p.ranking, p.generated_at, p.model_version) for p in payloads]
+
+
 class TestRunBatch:
     def test_payload_per_active_player(self):
         params, snap, matches, active = _setup()
-        payloads = run_batch(params, snap, matches, active, "v1", day_start(DAY0))
+        payloads = _rows(run_batch(params, snap, matches, active, "v1", day_start(DAY0)))
         assert len(payloads) == len(active)
         assert {p.player_id for p in payloads} == active
         assert all(p.match_id == "m1" for p in payloads)
         assert all(len(p.ranking) == 8 for p in payloads)
 
+    def test_one_block_per_match(self):
+        params, snap, matches, active = _setup()
+        blocks = run_batch(params, snap, matches, active, "v1", day_start(DAY0))
+        assert [b.match_id for b in blocks] == ["m1"]
+        assert blocks[0].player_ids == tuple(sorted(active))
+        assert blocks[0].scores.shape == (6, 8) and blocks[0].scores.dtype == np.float32
+
+    def test_float64_model_rejected(self):
+        params, snap, matches, active = _setup()
+        with pytest.raises(ValueError, match="float32"):
+            run_batch(params.astype(np.float64), snap, matches, active, "v1", day_start(DAY0))
+
     def test_no_payload_outside_active_set(self):
         params, snap, matches, _ = _setup()
-        payloads = run_batch(params, snap, matches, {"p0"}, "v1", day_start(DAY0))
+        payloads = _rows(run_batch(params, snap, matches, {"p0"}, "v1", day_start(DAY0)))
         assert {p.player_id for p in payloads} == {"p0"}
 
     def test_ordering_equals_model_rank_exactly(self):
         params, snap, matches, active = _setup()
-        payloads = run_batch(params, snap, matches, active, "v1", day_start(DAY0))
+        payloads = _rows(run_batch(params, snap, matches, active, "v1", day_start(DAY0)))
         match, templates = matches[0]
         for p in payloads:
             slate = model_rank(params, snap, p.player_id, templates)
@@ -84,7 +110,7 @@ class TestRunBatch:
         payloads = run_batch(params, snap, matches, active, "v2", day_start(DAY0))
         path = tmp_path / "payloads.jsonl"
         write_payloads(path, payloads)
-        assert read_payloads(path) == payloads
+        assert _fields(read_payloads(path)) == _fields(_rows(payloads))
 
     def test_failed_payload_write_keeps_previous_file(self, tmp_path):
         params, snap, matches, active = _setup(n_players=2)
@@ -92,8 +118,116 @@ class TestRunBatch:
         path = tmp_path / "payloads.jsonl"
         write_payloads(path, payloads)
         before = path.read_bytes()
-        unserializable = RankingPayload("p9", "m1", (("t1", 1.0),), object(), "v2")
+        unserializable = dataclasses.replace(payloads[0], match_id="m9", generated_at=object())
         with pytest.raises(TypeError):
             write_payloads(path, payloads + [unserializable])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["payloads.jsonl"]
+
+
+class TestPayloadFile:
+    """run_batch -> write_payloads -> read_payloads against one `model_rank` per (player, match)."""
+
+    dims = WidirDims()
+    known = [f"p{i:04d}" for i in range(600)]
+    pool = known + [f"cold{i}" for i in range(20)]
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        rng = np.random.default_rng(5)
+        types = [ContestType.PUBLIC, ContestType.SPECIAL, ContestType.MEGA]
+        matches = []
+        for m, n in (("m1", 6), ("m2", 3)):
+            contests = [
+                mk_contest(contest_id=f"{m}c{i}", template_id=f"t{i}", match_id=m, entry_fee=(i + 1) * CENTS,
+                           contest_size=10 + i, contest_type=types[i % 3], tiers=((1, 1, (40 + i) * CENTS),))
+                for i in range(n)
+            ]
+            start = day_start(DAY0) + 15 * 3600
+            matches.append((MatchRecord(m, start, tuple(c.contest_id for c in contests)), contests))
+        players = {pid: rng.standard_normal(self.dims.d_p).astype(np.float32) for pid in self.known}
+        recents = {
+            pid: [RecentJoin(DAY0 - dt.timedelta(days=1 + k % 5), f"t{k % 8}", types[k % 3],
+                             k % 8, (k // 3) % 8, (k // 7) % 8, 1 + k % 3)]
+            for k, pid in enumerate(self.known) if k % 4
+        }
+        return init_params(self.dims, 2), snapshot_from(DAY0, _identity_stats(), players, recents), matches
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 30))
+    @example(seed=0, size=600)  # more than one 512-player scoring chunk
+    def test_rankings_equal_model_rank(self, tmp_path_factory, setting, seed, size):
+        params, snap, matches = setting
+        rng = np.random.default_rng(seed)
+        active = {str(pid) for pid in rng.permutation(self.pool)[:size]} | {"never-seen"}
+        path = tmp_path_factory.mktemp("payloads") / "payloads.jsonl"
+        write_payloads(path, run_batch(params, snap, matches, active, "v3", 7))
+        payloads = read_payloads(path)
+        assert [(p.match_id, p.player_id) for p in payloads] == [(m.match_id, pid) for m, _ in matches
+                                                                 for pid in sorted(active)]
+        templates = {m.match_id: contests for m, contests in matches}
+        for p in payloads:
+            alone = model_rank(params, snap, p.player_id, templates[p.match_id]).ranked
+            assert [(t, v.hex()) for t, v in p.ranking] == [(t, v.hex()) for t, v in alone]
+            assert (p.generated_at, p.model_version) == (7, "v3")
+
+
+def _corrupt(doc: dict, case: str) -> dict:
+    """`doc`, a payload line's fields, broken the way `case` names."""
+    doc = dict(doc)
+    scores = base64.b64decode(doc["scores"])
+    if case == "bad-base64":
+        doc["scores"] = doc["scores"][:-4] + "!!!!"
+    elif case == "short-scores":
+        doc["scores"] = base64.b64encode(scores[:-4]).decode()
+    elif case == "extra-player":
+        doc["player_ids"] = doc["player_ids"] + ["zzz-extra"]
+    elif case in ("nan", "inf"):
+        values = np.frombuffer(scores, dtype="<f4").copy()
+        values[1] = np.nan if case == "nan" else -np.inf
+        doc["scores"] = base64.b64encode(values.tobytes()).decode()
+    elif case == "duplicate-player":
+        doc["player_ids"] = [doc["player_ids"][0]] * len(doc["player_ids"])
+    elif case == "duplicate-template":
+        doc["template_ids"] = [doc["template_ids"][0]] * len(doc["template_ids"])
+    elif case.startswith("no-"):
+        del doc[case[3:].replace("-", "_")]
+    else:
+        raise AssertionError(case)
+    return doc
+
+
+CORRUPTIONS = [
+    "bad-base64", "short-scores", "extra-player", "nan", "inf", "duplicate-player", "duplicate-template",
+    "no-scores", "no-player-ids", "no-template-ids", "no-match-id", "no-generated-at", "no-model-version",
+]
+
+
+class TestReadPayloads:
+    def _file(self, tmp_path):
+        params, snap, matches, active = _setup(n_players=3)
+        second = (dataclasses.replace(matches[0][0], match_id="m2"), matches[0][1])
+        path = tmp_path / "payloads.jsonl"
+        write_payloads(path, run_batch(params, snap, [matches[0], second], active, "v1", day_start(DAY0)))
+        return path, path.read_text().splitlines()
+
+    def test_one_line_per_match(self, tmp_path):
+        path, lines = self._file(tmp_path)
+        docs = [json.loads(line) for line in lines]
+        assert [d["match_id"] for d in docs] == ["m1", "m2"]
+        assert all(list(d) == sorted(d) for d in docs)
+        assert len(base64.b64decode(docs[0]["scores"])) == 4 * 3 * 8
+        assert len(read_payloads(path)) == 6
+
+    @pytest.mark.parametrize("case", CORRUPTIONS)
+    def test_corrupt_line_is_data_error_naming_the_line(self, tmp_path, case):
+        path, lines = self._file(tmp_path)
+        path.write_text(lines[0] + "\n" + json.dumps(_corrupt(json.loads(lines[1]), case)) + "\n")
+        with pytest.raises(DataError, match=f"{path}:2:"):
+            read_payloads(path)
+
+    def test_repeated_match_is_data_error(self, tmp_path):
+        path, lines = self._file(tmp_path)
+        path.write_text(lines[0] + "\n" + lines[0] + "\n")
+        with pytest.raises(DataError, match=f"{path}:2:.*earlier line"):
+            read_payloads(path)

@@ -8,9 +8,8 @@ import urllib.request
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from widir.domain import CENTS, day_start
+from widir.domain import CENTS
 from widir.errors import ConfigError
-from widir.inference import RankingPayload
 from widir.serving import (
     OnlineStore,
     RankRequest,
@@ -25,11 +24,11 @@ from widir.serving import (
     serve,
 )
 
-from conftest import DAY0, mk_contest
+from conftest import mk_contest, mk_payload
 
 
 def _payload(player="p1", match="m1", ranking=(("t2", 2.0), ("t1", 1.0)), version="v1"):
-    return RankingPayload(player, match, tuple(ranking), day_start(DAY0), version)
+    return mk_payload(player, match, ranking, version=version)
 
 
 def _store_with(payloads=(), fallback_contests=()):

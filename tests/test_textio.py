@@ -3,11 +3,13 @@ import os
 import pytest
 
 from widir import domain
-from widir.inference import RankingPayload, write_payloads
+from widir.inference import write_payloads
 from widir.manifest import RunManifest
 from widir.model import WidirDims, init_params, save_model
 from widir.textio import read_kv, write_kv, write_replace
 from widir.training import EpochRow, TrainingReport, write_report
+
+from conftest import mk_payload
 
 
 class TestWriteReplace:
@@ -48,7 +50,7 @@ WRITERS = {
     ),
     "model": (lambda d, w: save_model(d / "model.bin", init_params(WidirDims(), 0)), "model.bin"),
     "payloads": (
-        lambda d, w: write_payloads(d / "payloads.jsonl", [RankingPayload("p", "m", (("t", 1.0),), 0, "v")]),
+        lambda d, w: write_payloads(d / "payloads.jsonl", [mk_payload("p", "m", (("t", 1.0),), 0, "v").block]),
         "payloads.jsonl",
     ),
 }

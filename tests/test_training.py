@@ -272,6 +272,22 @@ class TestTrain:
         for x, y in zip(a.params.arrays(), b.params.arrays()):
             np.testing.assert_array_equal(x, y)
 
+    def test_sgd_lowers_the_loss_reproducibly(self):
+        rng = np.random.default_rng(4)
+        train_ds, _, _ = separable_dataset(rng, self.dims, 128)
+        valid_ds, _, _ = separable_dataset(rng, self.dims, 64)
+        config = TrainConfig(
+            learning_rate=0.05, epochs=3, batch_size=32, validation_batch_size=128, optimizer="sgd", seed=6
+        )
+        a = train(config, self.dims, train_ds, valid_ds)
+        b = train(config, self.dims, train_ds, valid_ds)
+        baseline = a.report.rows[0]
+        assert a.report.best_valid_loss < baseline.valid_loss
+        assert a.report.rows[a.report.best_epoch].train_loss < baseline.train_loss
+        assert [(r.train_loss, r.valid_loss) for r in a.report.rows] == [(r.train_loss, r.valid_loss) for r in b.report.rows]
+        for x, y in zip(a.params.arrays(), b.params.arrays()):
+            assert x.tobytes() == y.tobytes()
+
     def test_empty_pair_stream_rejected(self):
         rng = np.random.default_rng(0)
         ds, _, _ = separable_dataset(rng, self.dims, 4)
