@@ -292,6 +292,8 @@ class ABConfig:
             raise ConfigError(f"boost must be positive and finite, got {self.boost}")
         if self.h_exposed < 1 or self.pre_days < 1 or self.post_days < 1:
             raise ConfigError("h_exposed, pre_days and post_days must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_kv_dict(cls, kv: Mapping[str, str], context: str = "ab config") -> "ABConfig":

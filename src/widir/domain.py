@@ -339,17 +339,21 @@ def write_join_log(path, joins: Iterable[JoinRecord]) -> None:
 
 
 def _read_rows(path, n_fields: int, parse) -> list:
-    """parse(row) for each CSV row of `path`; a bad row is a DataError naming path:line."""
+    """parse(row) for each CSV row of `path`; a bad row is a DataError naming path:line,
+    and a missing, unreadable or non-UTF-8 file one naming the path."""
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            try:
-                if len(row) != n_fields:
-                    raise ValueError(f"expected {n_fields} fields, got {len(row)}")
-                out.append(parse(row))
-            except ValueError as exc:
-                raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                try:
+                    if len(row) != n_fields:
+                        raise ValueError(f"expected {n_fields} fields, got {len(row)}")
+                    out.append(parse(row))
+                except ValueError as exc:
+                    raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read: {exc}") from exc
     return out
 
 

@@ -482,6 +482,8 @@ def _draw_players(config: GeneratorConfig, seed: int) -> dict[str, PlayerArchety
 def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticWorld:
     """Deterministic synthetic world for a seed: catalog, schedule, joins, archetypes."""
     config.validate()
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     pool = build_template_pool(config)
     players = _draw_players(config, seed)
     player_ids = sorted(players)

@@ -285,7 +285,10 @@ def _abtest_impl(data_dir, report_path, config: ab.ABConfig, payloads_path=None)
     joins, _, matches, archetypes, _, by_match, _ = _load_world(data_dir)
     if not archetypes:
         raise DataError("abtest needs the generator's archetype table (archetypes.csv)")
-    gen_config = GeneratorConfig.from_file(os.path.join(str(data_dir), "generator.kv"))
+    gen_path = os.path.join(str(data_dir), "generator.kv")
+    if not os.path.exists(gen_path):
+        raise DataError(f"abtest needs the generator's config ({gen_path})")
+    gen_config = GeneratorConfig.from_file(gen_path)
 
     last_day = max(day_of(m.start_time) for m in matches)
     post_start = last_day - dt.timedelta(days=config.post_days - 1)

@@ -15,19 +15,24 @@ from .errors import ConfigError
 
 
 def read_kv(path) -> dict[str, str]:
+    """The file's items; a missing, unreadable or non-UTF-8 file is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 

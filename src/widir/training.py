@@ -2,10 +2,13 @@
 
 Per (player, match) the joined templates are aggregated into a fixed-length
 ordered list (most-joined first, padded with unjoined templates from the
-same match); strict count preferences become training pairs; pairs are
+same match). The lists are integer arrays: each entry a row of its match's
+catalog and a join count. Strict count preferences become training pairs,
+which index those rows straight into the pair features. Pairs are
 minimized under the pairwise hinge with Adam or SGD, validation-loss early
-stopping, and best-epoch parameter selection. All randomness is seeded and
-the loop is single-threaded, so a seed fixes the final parameters.
+stopping, and best-epoch parameter selection. All randomness is seeded (the
+pad and pair subsample draws per list) and the loop is single-threaded, so
+a seed fixes the final parameters.
 """
 
 from __future__ import annotations
@@ -40,25 +43,6 @@ _PAIR_STREAM = 12
 _EPOCH_STREAM = 13
 
 
-@dataclass(frozen=True, slots=True)
-class OrderedContestList:
-    """Join-frequency-ordered templates for one (player, match), fixed length."""
-
-    player_id: str
-    match_id: str
-    entries: tuple[tuple[str, int], ...]  # (template_id, join_count), count desc
-    joined_count: int
-    short: bool = False  # match had fewer templates than the target length
-
-
-@dataclass(frozen=True, slots=True)
-class PreferencePair:
-    player_id: str
-    match_id: str
-    pos_template_id: str
-    neg_template_id: str
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
@@ -82,6 +66,8 @@ class TrainConfig:
             raise ConfigError(f"list_length must be one of (50, 100, 200), got {self.list_length}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_kv_dict(cls, kv: Mapping[str, str], context: str = "train config") -> "TrainConfig":
@@ -113,96 +99,103 @@ def _list_rng(seed: int, stream: int, player_id: str, match_id: str) -> np.rando
     return np.random.default_rng(np.random.SeedSequence((seed, stream, key)))
 
 
+@dataclass(frozen=True, eq=False)
+class OrderedLists:
+    """Fixed-length ordered lists, one per (player, match) with a join, in (player, match) order.
+
+    Row i of `templates` holds list i's templates as rows of its match's
+    catalog: the joined ones by count, descending (ties by template id), then
+    the padded unjoined ones by template id, then -1 past the end of a list
+    whose match has fewer templates than the list length. `counts` holds
+    each entry's join count: 0 for a padded template, -1 past the end.
+    """
+
+    player_ids: np.ndarray  # (n_lists,) str
+    match_ids: np.ndarray   # (n_lists,) str
+    templates: np.ndarray   # (n_lists, list_length) int32
+    counts: np.ndarray      # (n_lists, list_length) int32
+
+    def __len__(self) -> int:
+        return len(self.player_ids)
+
+
 def build_ordered_lists(
     train_events: Sequence[JoinEvent],
     templates_by_match: Mapping[str, Sequence[ContestSpec]],
     list_length: int,
     seed: int,
-) -> list[OrderedContestList]:
+) -> OrderedLists:
     """One fixed-length ordered list per (player, match) with at least one join.
 
     Join counts are aggregated per template and sorted descending (ties by
     template_id); lists are trimmed to `list_length` or padded with unjoined
     templates sampled uniformly without replacement. Matches with too few
-    templates yield short lists (logged, not fatal).
+    templates yield short lists (logged, not fatal). A join of a match or a
+    template missing from the catalog is a DataError.
     """
-    groups: dict[tuple[str, str], dict[str, int]] = {}
-    for e in train_events:
-        counts = groups.setdefault((e.player_id, e.match_id), {})
-        counts[e.template_id] = counts.get(e.template_id, 0) + 1
+    def codes(values):
+        return np.unique(np.array(values, dtype=str), return_inverse=True)
 
-    out: list[OrderedContestList] = []
-    short_matches = 0
-    for (pid, mid) in sorted(groups):
-        counts = groups[(pid, mid)]
-        joined = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if len(joined) >= list_length:
-            entries = joined[:list_length]
-            short = False
-        else:
-            available = templates_by_match.get(mid)
-            if available is None:
-                raise DataError(f"match {mid} missing from catalog")
-            candidates = sorted(t.template_id for t in available if t.template_id not in counts)
-            need = list_length - len(joined)
-            if len(candidates) <= need:
-                pad = candidates
-                short = len(pad) < need
-                if short:
-                    short_matches += 1
-            else:
-                rng = _list_rng(seed, _LIST_STREAM, pid, mid)
-                idx = rng.choice(len(candidates), size=need, replace=False)
-                pad = [candidates[i] for i in sorted(int(i) for i in idx)]
-                short = False
-            entries = joined + [(tid, 0) for tid in pad]
-        out.append(
-            OrderedContestList(
-                player_id=pid,
-                match_id=mid,
-                entries=tuple(entries),
-                joined_count=sum(1 for _, c in entries if c > 0),
-                short=short,
-            )
-        )
-    if short_matches:
-        logger.warning("%d lists are short: match template sets smaller than list_length", short_matches)
-    return out
+    players, player_of = codes([e.player_id for e in train_events])
+    matches, match_of = codes([e.match_id for e in train_events])
+    keys, list_of = np.unique(player_of * len(matches) + match_of, return_inverse=True)
+    list_player, list_match = np.divmod(keys, max(len(matches), 1))
+    player_ids, match_ids = players[list_player], matches[list_match]
+
+    # a template's rank: its place in its match's catalog sorted by template id
+    rank_of, by_rank = {}, []
+    for mid in matches.tolist():
+        if (tpls := templates_by_match.get(mid)) is None:
+            raise DataError(f"match {mid} missing from catalog")
+        ids = [t.template_id for t in tpls]
+        by_rank.append(sorted(range(len(ids)), key=ids.__getitem__))
+        rank_of.update({(mid, ids[row]): r for r, row in enumerate(by_rank[-1])})
+    try:
+        rank = np.array([rank_of[e.match_id, e.template_id] for e in train_events], dtype=np.int64)
+    except KeyError as exc:
+        mid, tid = exc.args[0]
+        raise DataError(f"join of template {tid} missing from match {mid} catalog") from None
+    width = max([list_length] + [len(rows) for rows in by_rank])
+    row_of = np.full((len(matches), width), -1, dtype=np.int32)  # the catalog row of each (match, rank)
+    for m, rows in enumerate(by_rank):
+        row_of[m, : len(rows)] = rows
+
+    # one count per (list, rank); ranks past a match's templates count -1 and sort last
+    counts = np.bincount(list_of * width + rank, minlength=keys.size * width).reshape(keys.size, width)
+    n_templates = (row_of >= 0).sum(axis=1)[list_match]
+    counts[np.arange(width) >= n_templates[:, None]] = -1
+    order = np.argsort(-counts, axis=1, kind="stable")  # each list's ranks, most-joined first
+    joined = (counts > 0).sum(axis=1)
+    for i in np.flatnonzero((joined < list_length) & (n_templates > list_length)):
+        j = int(joined[i])
+        rng = _list_rng(seed, _LIST_STREAM, player_ids[i], match_ids[i])
+        pad = np.sort(rng.choice(int(n_templates[i]) - j, size=list_length - j, replace=False))
+        order[i, j:list_length] = order[i, j + pad]
+    order = order[:, :list_length]
+    short = int((n_templates < list_length).sum())
+    if short:
+        logger.warning("%d lists are short: match template sets smaller than list_length", short)
+    return OrderedLists(
+        player_ids=player_ids,
+        match_ids=match_ids,
+        templates=row_of[list_match[:, None], order],
+        counts=np.take_along_axis(counts, order, axis=1).astype(np.int32),
+    )
 
 
-def build_pairs(
-    lst: OrderedContestList, max_pairs: int | None, seed: int
-) -> list[PreferencePair]:
-    """The strict-preference pair set of a list; seeded uniform subsample if capped.
+def list_pairs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every strict preference of each list, as (list, preferred position, other position).
 
-    Every (more-joined, less-joined) combination is a pair, including joined
-    versus padded; equal counts (including padded vs padded) produce none.
+    `counts` is (lists x positions), -1 past a list's end. A position is
+    preferred to every position of a lower count, padded ones included;
+    equal counts give no pair. A list's pairs run by the preferred side's
+    count, then the other side's count, both descending, then by the two
+    positions: the order the pair subsample draws from.
     """
-    entries = lst.entries
-    # group positions by join count, descending
-    by_count: dict[int, list[int]] = {}
-    for i, (_, count) in enumerate(entries):
-        by_count.setdefault(count, []).append(i)
-    counts_desc = sorted(by_count, reverse=True)
-    pairs: list[tuple[int, int]] = []
-    for a_i, ca in enumerate(counts_desc):
-        for cb in counts_desc[a_i + 1 :]:
-            for i in by_count[ca]:
-                for j in by_count[cb]:
-                    pairs.append((i, j))
-    if max_pairs is not None and len(pairs) > max_pairs:
-        rng = _list_rng(seed, _PAIR_STREAM, lst.player_id, lst.match_id)
-        chosen = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in sorted(int(i) for i in chosen)]
-    return [
-        PreferencePair(
-            player_id=lst.player_id,
-            match_id=lst.match_id,
-            pos_template_id=entries[i][0],
-            neg_template_id=entries[j][0],
-        )
-        for i, j in pairs
-    ]
+    counts = counts[:, : (counts >= 0).sum(axis=1).max(initial=0)]  # no list reaches past here
+    lst, pref, other = np.nonzero((counts[:, :, None] > counts[:, None, :]) & (counts[:, None, :] >= 0))
+    order = np.lexsort((other, pref, -counts[lst, other], -counts[lst, pref], lst))
+    return lst[order], pref[order], other[order]
 
 
 # --- pair feature assembly -------------------------------------------------------
@@ -264,7 +257,7 @@ class PairDataset:
 
 
 def assemble_pair_dataset(
-    lists: Sequence[OrderedContestList],
+    lists: OrderedLists,
     snapshots,
     templates_by_match: Mapping[str, Sequence[ContestSpec]],
     match_days: Mapping[str, dt.date],
@@ -275,18 +268,16 @@ def assemble_pair_dataset(
     """Materialize pair features from snapshots (`snapshots.get(day)` lookup).
 
     The player and interaction rows of each match's lists come from one
-    snapshot call and one template-block call. Each match keeps the
+    snapshot call and one template-block call. A list with more than
+    `max_pairs` pairs keeps a seeded uniform subsample. Each match keeps the
     interaction rows its pairs use; contest rows equal in every feature are
     stored once. The pairs stay in list order.
     """
-    by_match: dict[str, list[int]] = {}
-    for li, lst in enumerate(lists):
-        by_match.setdefault(lst.match_id, []).append(li)
     player_rows = np.empty((len(lists), D_P), dtype=np.float32)
-    contests, inters, row_lists, row_contests = [], [], [], []
-    sides: list = [None] * len(lists)  # per list: its pairs' (pos, neg) pair rows
+    contests, inters, row_lists, row_contests, pair_lists, pairs = [], [], [], [], [], []
     n_rows = n_contests = 0
-    for mid, lis in by_match.items():
+    matches, first = np.unique(lists.match_ids, return_index=True)
+    for mid in matches[np.argsort(first)]:  # in the order of each match's first list
         day = match_days.get(mid)
         if day is None:
             raise DataError(f"no match day known for match {mid}")
@@ -295,36 +286,35 @@ def assemble_pair_dataset(
             raise DataError(f"match {mid} missing from catalog")
         snap = snapshots.get(day)
         block = build_template_block(tpls, stats)
-        tid_to_row = {tid: r for r, tid in enumerate(block.template_ids)}
-        ids = [lists[li].player_id for li in lis]
+        lis = np.flatnonzero(lists.match_ids == mid)
+        ids = lists.player_ids[lis].tolist()
         player_rows[lis] = snap.player_rows(ids)
         n = len(block.template_ids)
+        j, pref, other = list_pairs(lists.counts[lis])
+        if max_pairs is not None:
+            per_list = np.bincount(j, minlength=lis.size)
+            keep = per_list[j] <= max_pairs
+            starts = np.cumsum(per_list) - per_list
+            for k in np.flatnonzero(per_list > max_pairs):
+                rng = _list_rng(seed, _PAIR_STREAM, ids[k], mid)
+                keep[starts[k] + rng.choice(int(per_list[k]), size=max_pairs, replace=False)] = True
+            j, pref, other = j[keep], pref[keep], other[keep]
         # keys j * n + template row of the match's j-th list
-        keys = []
-        for j, li in enumerate(lis):
-            try:
-                keys.append(j * n + np.asarray([
-                    (tid_to_row[p.pos_template_id], tid_to_row[p.neg_template_id])
-                    for p in build_pairs(lists[li], max_pairs, seed)
-                ], dtype=np.int64).reshape(-1, 2))
-            except KeyError:
-                raise DataError(f"pair references template missing from match {mid} catalog") from None
-        used, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-        inverse = n_rows + inverse.reshape(-1, 2)
-        start = 0
-        for li, k in zip(lis, keys):
-            sides[li] = inverse[start : start + len(k)]
-            start += len(k)
+        keys = j[:, None] * n + lists.templates[lis[j, None], np.stack([pref, other], axis=1)]
+        used, inverse = np.unique(keys, return_inverse=True)
+        pair_lists.append(lis[j])
+        pairs.append(n_rows + inverse.reshape(-1, 2))
         inters.append(block.interaction_matrix(snap, ids).reshape(-1, D_I)[used])
-        row_lists.append(np.asarray(lis, dtype=np.int32)[used // n])
+        row_lists.append(lis.astype(np.int32)[used // n])
         row_contests.append(n_contests + used % n)
         contests.append(block.contest_matrix)
         n_rows += used.size
         n_contests += n
 
-    pairs = np.concatenate(sides) if sides else np.zeros((0, 2), dtype=np.int64)
+    pairs = np.concatenate(pairs) if pairs else np.zeros((0, 2), dtype=np.int64)
     if not pairs.size:
         raise DataError("no training pairs could be built (empty pair stream)")
+    pairs = pairs[np.argsort(np.concatenate(pair_lists), kind="stable")]  # list order
     contest_rows, contest_of = np.unique(np.concatenate(contests), axis=0, return_inverse=True)
     return PairDataset(
         player_rows=player_rows,

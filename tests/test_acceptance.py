@@ -28,12 +28,12 @@ from widir.model import (
     param_count,
 )
 from widir.serving import OnlineStore, rank_live, run_latency_harness, RankRequest
-from widir.training import EarlyStopper, TrainConfig, build_pairs, train
+from widir.training import EarlyStopper, TrainConfig, train
 from widir import pipeline
 
 from conftest import DAY0, mk_payload
 from model_oracle import min_abs_preactivation
-from test_training import lst_of, brute_force_pairs, separable_dataset
+from test_training import brute_force_pairs, lst_of, pairs_of, separable_dataset
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -149,11 +149,8 @@ def test_criterion_4_pair_oracle():
     for _ in range(500):
         length = int(rng.integers(1, 21))
         counts = sorted((int(c) for c in rng.integers(0, 5, size=length)), reverse=True)
-        lst = lst_of(counts)
-        got = sorted(
-            (p.pos_template_id, p.neg_template_id) for p in build_pairs(lst, None, seed=0)
-        )
-        ok &= got == sorted(brute_force_pairs(lst.entries))
+        got = sorted(pairs_of(counts))
+        ok &= got == sorted(brute_force_pairs(lst_of(counts)))
         mult: dict[int, int] = {}
         for c in counts:
             mult[c] = mult.get(c, 0) + 1

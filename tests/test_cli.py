@@ -204,6 +204,65 @@ class TestErrorPaths:
         assert "gen-1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["generate", "train", "abtest"])
+    def test_negative_seed_exit_1(self, pipeline_root, tmp_path, capsys, command):
+        cfg = tmp_path / "c.kv"
+        if command == "generate":
+            cfg.write_text(GEN_KV)
+            argv = ["generate", "--out", str(tmp_path / "o"), "--config", str(cfg), "--seed", "-1"]
+        else:
+            cfg.write_text((TRAIN_KV if command == "train" else AB_KV).replace("seed = ", "seed = -"))
+            argv = [command, "--out", str(pipeline_root), "--config", str(cfg), "--run-id", f"{command}-neg"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "seed must be non-negative, got -" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("content", [None, b"\xffseed = 3\n"], ids=["missing", "not-utf8"])
+    def test_unreadable_config_exit_1(self, pipeline_root, tmp_path, capsys, content):
+        cfg = tmp_path / "nope.kv"
+        if content is not None:
+            cfg.write_bytes(content)
+        capsys.readouterr()
+        code = main(["train", "--out", str(pipeline_root), "--config", str(cfg), "--run-id", "train-nope"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: cannot read config" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("name", ["joins.csv", "contests.csv", "matches.csv"])
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe,"], ids=["missing", "not-utf8"])
+    def test_unreadable_data_file_exit_2(self, pipeline_root, tmp_path, capsys, name, content):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_root / "data", data)
+        if content is None:
+            (data / name).unlink()
+        else:
+            (data / name).write_bytes(content)
+        capsys.readouterr()
+        code = main(["features", "--out", str(tmp_path), "--data", str(data),
+                     "--train-end", "2025-01-30", "--valid-end", "2025-02-07"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{data / name}: cannot read" in err and "internal error" not in err
+
+    def test_features_without_data_exit_2(self, tmp_path, capsys):
+        code = main(["features", "--out", str(tmp_path), "--train-end", "2025-01-30", "--valid-end", "2025-02-07"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "joins.csv: cannot read" in err and "internal error" not in err
+
+    def test_abtest_without_generator_config_exit_2(self, pipeline_root, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_root / "data", data)
+        (data / "generator.kv").unlink()
+        capsys.readouterr()
+        code = main(["abtest", "--out", str(tmp_path), "--data", str(data),
+                     "--config", str(pipeline_root.parent / "ab.kv"), "--run-id", "ab-nogen"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "generator.kv" in err and "internal error" not in err
+
+
 class TestCorruptInputs:
     @pytest.mark.parametrize("text", [
         '{"train_end": "2025-01-30", "valid_end": "2025-02',

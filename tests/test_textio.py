@@ -1,8 +1,10 @@
 import os
+import re
 
 import pytest
 
 from widir import domain
+from widir.errors import ConfigError
 from widir.inference import write_payloads
 from widir.manifest import RunManifest
 from widir.model import WidirDims, init_params, save_model
@@ -90,3 +92,12 @@ def test_write_kv_round_trip(tmp_path):
     write_kv(tmp_path / "c.kv", items)
     assert (tmp_path / "c.kv").read_text() == "a = 1\nb = x y\n"
     assert read_kv(tmp_path / "c.kv") == items
+
+
+@pytest.mark.parametrize("content", [None, b"\xffa = 1\n", b"a = \xe9\n"], ids=["missing", "bad-first-byte", "latin-1"])
+def test_unreadable_kv_is_config_error(tmp_path, content):
+    path = tmp_path / "c.kv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: cannot read config")):
+        read_kv(path)

@@ -14,12 +14,11 @@ import widir.training as training
 from widir.model import WidirDims, forward_batch, init_params, pair_gradients
 from widir.training import (
     EarlyStopper,
-    OrderedContestList,
     PairDataset,
     TrainConfig,
     assemble_pair_dataset,
     build_ordered_lists,
-    build_pairs,
+    list_pairs,
     read_report,
     train,
     write_report,
@@ -28,6 +27,7 @@ from widir.training import (
 from conftest import DAY0, mk_contest
 from feature_oracle import RecentJoin, snapshot_from
 import model_oracle
+import training_oracle
 
 
 def ev(day, player, match, template, fee=10 * CENTS):
@@ -54,21 +54,29 @@ def match_of(n_templates, match_id="m1"):
             for i in range(n_templates)]
 
 
+def entries(lists, templates, i=0):
+    """List i's (template_id, join_count) entries, up to its end."""
+    catalog = templates[lists.match_ids[i]]
+    return [(catalog[r].template_id, int(c)) for r, c in zip(lists.templates[i], lists.counts[i]) if r >= 0]
+
+
 class TestBuildOrderedLists:
     def test_joined_then_padded(self):
         templates = {"m1": match_of(200)}
         events = [ev(DAY0, "p1", "m1", "t000")] * 3 + [ev(DAY0, "p1", "m1", "t001")]
         lists = build_ordered_lists(events, templates, 100, seed=4)
         assert len(lists) == 1
-        lst = lists[0]
-        assert len(lst.entries) == 100
-        assert lst.entries[0] == ("t000", 3)
-        assert lst.entries[1] == ("t001", 1)
-        assert all(count == 0 for _, count in lst.entries[2:])
-        assert lst.joined_count == 2
-        assert not lst.short
-        padded = {tid for tid, count in lst.entries[2:]}
-        assert "t000" not in padded and "t001" not in padded
+        assert lists.templates.shape == lists.counts.shape == (1, 100)
+        assert (lists.player_ids[0], lists.match_ids[0]) == ("p1", "m1")
+        lst = entries(lists, templates)
+        assert len(lst) == 100
+        assert lst[0] == ("t000", 3)
+        assert lst[1] == ("t001", 1)
+        assert all(count == 0 for _, count in lst[2:])
+        assert (lists.counts[0] > 0).sum() == 2
+        assert (lists.templates[0] >= 0).all()  # not short
+        padded = {tid for tid, count in lst[2:]}
+        assert len(padded) == 98 and "t000" not in padded and "t001" not in padded
 
     def test_trim_to_top_by_count(self):
         templates = {"m1": match_of(150)}
@@ -76,10 +84,10 @@ class TestBuildOrderedLists:
         for i in range(120):
             events.extend([ev(DAY0, "p1", "m1", f"t{i:03d}")] * (1 + (i % 3)))
         lists = build_ordered_lists(events, templates, 100, seed=0)
-        lst = lists[0]
-        assert len(lst.entries) == 100
-        assert lst.joined_count == 100
-        counts = [count for _, count in lst.entries]
+        lst = entries(lists, templates)
+        assert len(lst) == 100
+        assert (lists.counts[0] > 0).sum() == 100
+        counts = [count for _, count in lst]
         assert counts == sorted(counts, reverse=True)
         # 40 threes + 40 twos fit whole; only 20 of the 40 count-1 templates fit
         assert counts.count(3) == 40 and counts.count(2) == 40 and counts.count(1) == 20
@@ -90,22 +98,55 @@ class TestBuildOrderedLists:
         a = build_ordered_lists(events, templates, 100, seed=9)
         b = build_ordered_lists(events, templates, 100, seed=9)
         c = build_ordered_lists(events, templates, 100, seed=10)
-        assert a == b
-        assert a != c
+        assert entries(a, templates) == entries(b, templates)
+        assert a.templates.tobytes() == b.templates.tobytes() and a.counts.tobytes() == b.counts.tobytes()
+        assert entries(a, templates) != entries(c, templates)
 
-    def test_short_match_marks_list(self):
+    def test_short_match_marks_list(self, caplog):
         templates = {"m1": match_of(40)}
         events = [ev(DAY0, "p1", "m1", "t000")]
-        lst = build_ordered_lists(events, templates, 100, seed=0)[0]
-        assert lst.short
-        assert len(lst.entries) == 40
-        assert lst.entries[0] == ("t000", 1)
+        with caplog.at_level(logging.WARNING, logger="widir.training"):
+            lists = build_ordered_lists(events, templates, 100, seed=0)
+        lst = entries(lists, templates)
+        assert len(lst) == 40
+        assert lst[0] == ("t000", 1)
+        assert (lists.templates[0, 40:] == -1).all() and (lists.counts[0, 40:] == -1).all()
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 lists are short: match template sets smaller than list_length"]
 
     def test_ties_broken_lexically(self):
-        templates = {"m1": match_of(10)}
+        # catalog rows run t009..t000, so template-id order is not catalog order
+        templates = {"m1": match_of(10)[::-1]}
         events = [ev(DAY0, "p1", "m1", "t003"), ev(DAY0, "p1", "m1", "t001")]
-        lst = build_ordered_lists(events, templates, 50, seed=0)[0]
-        assert lst.entries[0][0] == "t001" and lst.entries[1][0] == "t003"
+        lists = build_ordered_lists(events, templates, 50, seed=0)
+        lst = entries(lists, templates)
+        assert lst[0][0] == "t001" and lst[1][0] == "t003"
+        assert [tid for tid, _ in lst[2:]] == [f"t{i:03d}" for i in (0, 2, 4, 5, 6, 7, 8, 9)]
+        assert list(lists.templates[0, :2]) == [8, 6]  # catalog rows, not ids
+
+    def test_lists_in_player_then_match_order(self):
+        templates = {m: match_of(5, m) for m in ("m1", "m2")}
+        events = [ev(DAY0, p, m, "t000") for p, m in (("p2", "m1"), ("p1", "m2"), ("p2", "m2"), ("p1", "m1"))]
+        lists = build_ordered_lists(events, templates, 50, seed=0)
+        assert list(zip(lists.player_ids, lists.match_ids)) == [
+            ("p1", "m1"), ("p1", "m2"), ("p2", "m1"), ("p2", "m2")]
+
+    def test_join_of_template_missing_from_catalog_is_error(self):
+        templates = {"m1": match_of(5)}
+        events = [ev(DAY0, "p1", "m1", "t000"), ev(DAY0, "p1", "m1", "t777")]
+        with pytest.raises(DataError, match="template t777 missing from match m1 catalog"):
+            build_ordered_lists(events, templates, 50, seed=0)
+
+    def test_list_of_match_missing_from_catalog_is_error(self):
+        # m2 has no catalog entry, even though its list would need no padding
+        templates = {"m1": match_of(5)}
+        events = [ev(DAY0, "p1", "m1", "t000")] + [ev(DAY0, "p1", "m2", f"t{i:03d}") for i in range(60)]
+        with pytest.raises(DataError, match="match m2 missing from catalog"):
+            build_ordered_lists(events, templates, 50, seed=0)
+
+    def test_no_events_no_lists(self):
+        lists = build_ordered_lists([], {"m1": match_of(5)}, 50, seed=0)
+        assert len(lists) == 0 and lists.templates.shape == lists.counts.shape == (0, 50)
 
 
 def brute_force_pairs(entries):
@@ -118,47 +159,77 @@ def brute_force_pairs(entries):
     return out
 
 
-def lst_of(counts, player="p1", match="m1"):
-    entries = tuple((f"t{i:03d}", c) for i, c in enumerate(counts))
-    joined = sum(1 for c in counts if c > 0)
-    return OrderedContestList(player_id=player, match_id=match, entries=entries, joined_count=joined)
+def lst_of(counts):
+    """A list's entries: template t{i} at position i with the given join counts."""
+    return tuple((f"t{i:03d}", c) for i, c in enumerate(counts))
+
+
+def pairs_of(counts):
+    """`list_pairs` of one list, as (preferred, other) template ids in pair order."""
+    lst, pref, other = list_pairs(np.array([counts], dtype=np.int32).reshape(1, -1))
+    assert not lst.any()
+    return [(f"t{i:03d}", f"t{j:03d}") for i, j in zip(pref, other)]
+
+
+def oracle_pairs_of(counts):
+    """The oracle `build_pairs` of one list, as (preferred, other) template ids in pair order."""
+    lst = training_oracle.OrderedContestList("p1", "m1", lst_of(counts), sum(1 for c in counts if c > 0))
+    return [(p.pos_template_id, p.neg_template_id) for p in training_oracle.build_pairs(lst, None, 0)]
 
 
 class TestBuildPairs:
     def test_hand_case_counts_3_1_0_0(self):
-        lst = lst_of([3, 1, 0, 0])
-        pairs = build_pairs(lst, None, seed=0)
-        got = {(p.pos_template_id, p.neg_template_id) for p in pairs}
-        assert got == {
+        pairs = pairs_of([3, 1, 0, 0])
+        assert pairs == [
             ("t000", "t001"), ("t000", "t002"), ("t000", "t003"),
             ("t001", "t002"), ("t001", "t003"),
-        }
-        assert len(pairs) == 5
+        ]
 
     def test_all_equal_counts_no_pairs(self):
-        assert build_pairs(lst_of([2, 2, 2]), None, seed=0) == []
-        assert build_pairs(lst_of([0, 0, 0, 0]), None, seed=0) == []
+        assert pairs_of([2, 2, 2]) == []
+        assert pairs_of([0, 0, 0, 0]) == []
+        assert pairs_of([]) == []
 
     def test_subsample_is_subset(self):
-        lst = lst_of([3, 1, 0, 0])
-        full = {(p.pos_template_id, p.neg_template_id) for p in build_pairs(lst, None, 0)}
-        sub = build_pairs(lst, 2, seed=1)
-        assert len(sub) == 2
-        assert {(p.pos_template_id, p.neg_template_id) for p in sub} <= full
+        # counts 3, 1, 0, 0 over four templates with distinct contest rows
+        templates = {"m1": [mk_contest(contest_id=f"c{i}", template_id=f"t{i:03d}", entry_fee=(i + 1) * CENTS)
+                            for i in range(4)]}
+        events = [ev(DAY0, "p1", "m1", "t000")] * 3 + [ev(DAY0, "p1", "m1", "t001")]
+        lists = build_ordered_lists(events, templates, 50, seed=0)
+        stats = _identity_stats()
+        snap = snapshot_from(DAY0, stats, {"p1": np.zeros(107, dtype=np.float32)})
+
+        def sides(max_pairs, seed):
+            ds = assemble_pair_dataset(lists, {DAY0: snap}, templates, {"m1": DAY0}, stats, max_pairs, seed)
+            return [(p.tobytes(), n.tobytes()) for p, n in zip(ds.pos_contest, ds.neg_contest)]
+
+        full = sides(None, 0)
+        assert len(full) == 5
+        for seed in range(5):
+            sub = sides(2, seed)
+            assert len(sub) == 2 and len(set(sub)) == 2
+            assert set(sub) <= set(full)
+            assert sorted(sub, key=full.index) == sub  # kept in list order
+        assert sides(5, 0) == full  # no draw at the cap
+
+    def test_ragged_lists_end_at_minus_one(self):
+        counts = np.array([[2, 1, 0, -1], [1, 1, 0, 0], [3, -1, -1, -1]], dtype=np.int32)
+        lst, pref, other = list_pairs(counts)
+        assert list(zip(lst, pref, other)) == [(0, 0, 1), (0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 0, 3),
+                                              (1, 1, 2), (1, 1, 3)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=20))
     def test_matches_brute_force_oracle(self, counts):
         counts = sorted(counts, reverse=True)
-        lst = lst_of(counts)
-        got = [(p.pos_template_id, p.neg_template_id) for p in build_pairs(lst, None, 0)]
-        assert sorted(got) == sorted(brute_force_pairs(lst.entries))
+        got = pairs_of(counts)
+        assert sorted(got) == sorted(brute_force_pairs(lst_of(counts)))
+        assert got == oracle_pairs_of(counts)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=20))
     def test_combinatorial_count_formula(self, counts):
         counts = sorted(counts, reverse=True)
-        lst = lst_of(counts)
         multiplicities = {}
         for c in counts:
             multiplicities[c] = multiplicities.get(c, 0) + 1
@@ -167,7 +238,7 @@ class TestBuildPairs:
             multiplicities[a] * multiplicities[b]
             for a, b in itertools.combinations(distinct, 2)
         )
-        assert len(build_pairs(lst, None, 0)) == expected
+        assert len(pairs_of(counts)) == expected
 
 
 class TestEarlyStopper:
@@ -415,14 +486,14 @@ class TestAssemblePairDataset:
         interaction rows."""
         ds, lists, snaps, templates, days, stats = self._multi_list_dataset()
         k = 0
-        for li, lst in enumerate(lists):
-            snap = snaps[days[lst.match_id]]
-            block = build_template_block(templates[lst.match_id], stats)
-            inter = block.interaction_matrix(snap, [lst.player_id])[0]
-            assert ds.player_rows[li].tobytes() == snap.player_rows([lst.player_id])[0].tobytes()
-            for pair in build_pairs(lst, None, 0):
-                pr = block.template_ids.index(pair.pos_template_id)
-                nr = block.template_ids.index(pair.neg_template_id)
+        for li in range(len(lists)):
+            pid, mid = lists.player_ids[li], lists.match_ids[li]
+            snap = snaps[days[mid]]
+            block = build_template_block(templates[mid], stats)
+            inter = block.interaction_matrix(snap, [pid])[0]
+            assert ds.player_rows[li].tobytes() == snap.player_rows([pid])[0].tobytes()
+            _, pref, other = list_pairs(lists.counts[li : li + 1])
+            for pr, nr in zip(lists.templates[li, pref], lists.templates[li, other]):
                 assert ds.list_idx[k] == li
                 assert ds.pos_contest[k].tobytes() == block.contest_matrix[pr].tobytes()
                 assert ds.neg_contest[k].tobytes() == block.contest_matrix[nr].tobytes()
@@ -473,3 +544,63 @@ class TestAssemblePairDataset:
 
         with pytest.raises(DataError, match="snapshot missing"):
             assemble_pair_dataset(lists, Lookup(), templates, {"m1": DAY0}, stats, None, 0)
+
+
+FIELDS = ("player_rows", "contest_rows", "inter_rows", "row_list", "row_contest", "pos", "neg")
+
+
+@st.composite
+def small_worlds(draw):
+    """1-4 matches of 3-70 templates on their own days, catalog rows not in template-id order,
+    and joins of up to 6 players that repeat templates."""
+    sizes = draw(st.lists(st.integers(3, 70), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    templates, days, events = {}, {}, []
+    for m, n in enumerate(sizes):
+        mid = f"m{m}"
+        ids = rng.permutation(n)
+        templates[mid] = [mk_contest(contest_id=f"{mid}c{i}", template_id=f"t{t:03d}", match_id=mid,
+                                     entry_fee=(1 + t % 7) * CENTS, contest_size=10 + t % 5)
+                          for i, t in enumerate(ids)]
+        days[mid] = DAY0 + dt.timedelta(days=m)
+        for pid in rng.choice([f"p{k}" for k in range(6)], size=int(rng.integers(1, 7)), replace=False):
+            # a few favourites joined often, and sometimes many templates once each
+            picks = rng.choice(ids, size=int(rng.integers(1, 4)))
+            joins = list(rng.choice(picks, size=int(rng.integers(1, 12))))
+            if rng.random() < 0.3:
+                joins += list(rng.choice(ids, size=int(rng.integers(1, n + 1)), replace=False))
+            events += [ev(days[mid] - dt.timedelta(days=1), str(pid), mid, f"t{t:03d}") for t in joins]
+    rng.shuffle(events)
+    stats = _identity_stats()
+    players = [f"p{k}" for k in range(6)]
+    snaps = {
+        day: snapshot_from(day, stats, {p: rng.standard_normal(107).astype(np.float32) for p in players},
+                           {p: [RecentJoin(day - dt.timedelta(days=1), f"t{int(rng.integers(0, 70)):03d}",
+                                           ContestType.PUBLIC, 0, 0, 0, int(rng.integers(1, 4)))]
+                            for p in players[::2]})
+        for day in days.values()
+    }
+    return events, templates, days, stats, snaps
+
+
+class TestArrayBuildersMatchOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(small_worlds(), st.sampled_from([50, 100, 200]), st.sampled_from([None, 1, 24]),
+           st.integers(0, 2**32 - 1))
+    def test_pair_dataset_equals_oracle_bytes(self, world, list_length, max_pairs, seed):
+        events, templates, days, stats, snaps = world
+
+        def dataset(builders):
+            lists = builders.build_ordered_lists(events, templates, list_length, seed)
+            try:
+                return builders.assemble_pair_dataset(lists, snaps, templates, days, stats, max_pairs, seed)
+            except DataError as exc:
+                return str(exc)
+
+        want, got = dataset(training_oracle), dataset(training)
+        if isinstance(want, str):
+            assert got == want  # every list's counts are equal: no pairs
+            return
+        for name in FIELDS:
+            a, b = getattr(want, name), getattr(got, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
