@@ -282,6 +282,8 @@ class ABConfig:
     post_days: int = 42
     seed: int = 0
 
+    _SCALAR_KEYS = ("boost", "h_exposed", "pre_days", "post_days", "seed")
+
     def validate(self) -> None:
         if "CG" not in self.group_sizes:
             raise ConfigError("experiment requires a control group named CG")
@@ -305,7 +307,7 @@ class ABConfig:
                 group_sizes[key.split(".", 1)[1]] = value
             elif key.startswith("policy."):
                 policies[key.split(".", 1)[1]] = value
-            elif key in ("boost", "h_exposed", "pre_days", "post_days", "seed"):
+            elif key in cls._SCALAR_KEYS:
                 scalars[key] = value
             else:
                 raise ConfigError(f"{context}: unknown config key {key!r}")
@@ -323,6 +325,13 @@ class ABConfig:
             raise ConfigError(f"{context}: {exc}") from exc
         config.validate()
         return config
+
+    def to_kv_dict(self) -> dict[str, str]:
+        return {
+            **{f"group.{g}": str(size) for g, size in self.group_sizes.items()},
+            **{f"policy.{g}": name for g, name in self.policies.items()},
+            **{key: str(getattr(self, key)) for key in self._SCALAR_KEYS},
+        }
 
     @classmethod
     def from_file(cls, path) -> "ABConfig":

@@ -36,6 +36,7 @@ from .domain import (
     JoinRecord,
     MatchRecord,
     PrizeDistribution,
+    _read_rows,
     day_start,
     parse_day,
     prize_stats,
@@ -71,8 +72,7 @@ class PlayerArchetype:
     multi_entry_propensity: float
 
     def validate(self) -> None:
-        values = dataclasses.astuple(self)
-        if not all(math.isfinite(v) for v in values):
+        if not all(math.isfinite(getattr(self, f)) for f in _ARCHETYPE_FIELDS):
             raise ConfigError("archetype fields must be finite")
         if self.fee_sensitivity < 0 or self.popularity_weight < 0:
             raise ConfigError("fee_sensitivity and popularity_weight must be >= 0")
@@ -444,12 +444,17 @@ class SyntheticWorld:
 
     @staticmethod
     def read_archetypes(path) -> dict[str, PlayerArchetype]:
-        out: dict[str, PlayerArchetype] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                out[parts[0]] = PlayerArchetype(*(float(v) for v in parts[1:]))
-        return out
+        """A bad row is a DataError naming path:line, an unreadable file one naming the path."""
+        return dict(_read_rows(path, 1 + len(_ARCHETYPE_FIELDS), _parse_archetype_row))
+
+
+def _parse_archetype_row(row: list[str]) -> tuple[str, PlayerArchetype]:
+    archetype = PlayerArchetype(*(float(v) for v in row[1:]))
+    try:
+        archetype.validate()
+    except ConfigError as exc:
+        raise ValueError(str(exc)) from exc
+    return row[0], archetype
 
 
 def load_world_dir(path: str | os.PathLike) -> tuple[list[JoinRecord], list[ContestSpec], list[MatchRecord], dict[str, PlayerArchetype]]:

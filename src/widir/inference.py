@@ -165,19 +165,23 @@ def read_payloads(path) -> list[RankingPayload]:
     JSON, a missing or mistyped field, scores that are not base64, a score
     byte count that does not match the id counts, a NaN or infinite score,
     a duplicate player or template id, or a match seen on an earlier line.
+    A missing, unreadable or non-UTF-8 file is a DataError naming the path.
     """
     out: list[RankingPayload] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                block = _parse_block(line)
-                if block.match_id in seen:
-                    raise ValueError(f"match {block.match_id!r} has an earlier line")
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: not a payload line: {exc!r}") from exc
-            seen.add(block.match_id)
-            out.extend(RankingPayload(block, i) for i in range(len(block.player_ids)))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    block = _parse_block(line)
+                    if block.match_id in seen:
+                        raise ValueError(f"match {block.match_id!r} has an earlier line")
+                except (ValueError, TypeError) as exc:
+                    raise DataError(f"{path}:{lineno}: not a payload line: {exc!r}") from exc
+                seen.add(block.match_id)
+                out.extend(RankingPayload(block, i) for i in range(len(block.player_ids)))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read payloads: {exc}") from exc
     return out
 
 

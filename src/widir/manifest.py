@@ -19,6 +19,14 @@ from .errors import DataError
 from .textio import write_replace
 
 MANIFEST_SCHEMA = "widir-manifest-v1"
+_FIELDS = {
+    "run_id": str, "phase": str, "seed": int, "created_utc": str,
+    "config": dict, "inputs": dict, "outputs": dict, "schema_versions": dict,
+}
+_ENTRY_FIELDS = {
+    "inputs": {"path": str, "sha256": str},
+    "outputs": {"path": str, "sha256": str, "verify": bool},
+}
 
 
 def sha256_file(path) -> str:
@@ -100,15 +108,21 @@ class RunManifest:
                 doc = json.load(fh)
         except OSError as exc:
             raise DataError(f"no manifest for run_id {run_id!r} at {path}") from exc
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataError(f"{path}: manifest is not JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise DataError(f"{path}: a manifest is a JSON object, not {type(doc).__name__}")
         if doc.get("schema") != MANIFEST_SCHEMA:
             raise DataError(f"{path}: manifest schema {doc.get('schema')!r} != {MANIFEST_SCHEMA!r}")
-        return cls(
-            run_id=doc["run_id"],
-            phase=doc["phase"],
-            seed=doc["seed"],
-            created_utc=doc["created_utc"],
-            config=doc["config"],
-            inputs=doc["inputs"],
-            outputs=doc["outputs"],
-            schema_versions=doc["schema_versions"],
-        )
+        for name, kind in _FIELDS.items():
+            if type(doc.get(name)) is not kind:  # exact, so a bool is not an int seed
+                raise DataError(f"{path}: manifest field {name!r} is missing or not a {kind.__name__}")
+        for group, entry_fields in _ENTRY_FIELDS.items():
+            for name, entry in doc[group].items():
+                if not isinstance(entry, dict) or any(
+                    type(entry.get(k)) is not kind for k, kind in entry_fields.items()
+                ):
+                    raise DataError(f"{path}: manifest {group} entry {name!r} needs {sorted(entry_fields)}")
+        if not all(isinstance(v, str) for v in doc["config"].values()):
+            raise DataError(f"{path}: manifest config values must be strings")
+        return cls(**{name: doc[name] for name in _FIELDS})

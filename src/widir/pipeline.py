@@ -1,7 +1,8 @@
 """End-to-end phase runners behind the CLI, mirroring the four system phases:
 data preparation, training, inference, serving, plus evaluation and the
-simulated experiment. Every phase records a run manifest; `reproduce`
-re-executes a phase from its manifest and digest-checks the outputs.
+simulated experiment. Each `run_<phase>` does the phase's work and records a
+run manifest; `reproduce` calls the runner that recorded a manifest again,
+into `<out>/reproduce/<run_id>/`, and compares the output digests.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import os
+import shutil
 
 from . import abtest as ab
 from .domain import (
@@ -29,7 +31,7 @@ from .features import (
     fit_normalization,
     iter_snapshots,
 )
-from .generator import GeneratorConfig, SyntheticWorld, generate_synthetic, load_world_dir
+from .generator import GeneratorConfig, generate_synthetic, load_world_dir
 from .inference import active_players, read_payloads, run_batch, write_payloads
 from .manifest import RunManifest, digest_path
 from .model import WidirDims, load_model, save_model
@@ -82,19 +84,13 @@ def _split_events(joins, by_id, train_end: dt.date, valid_end: dt.date):
 # --- generate -------------------------------------------------------------------
 
 
-def _generate_impl(data_dir, config: GeneratorConfig, seed: int) -> SyntheticWorld:
-    world = generate_synthetic(config, seed)
-    world.write_dir(data_dir)
-    write_kv(os.path.join(data_dir, "generator.kv"), config.to_kv_dict())
-    return world
-
-
 def run_generate(out_root, config_path, seed: int, run_id: str | None = None) -> RunManifest:
     config = GeneratorConfig.from_file(config_path)
     data_dir = os.path.join(str(out_root), "data")
-    _generate_impl(data_dir, config, seed)
+    generate_synthetic(config, seed).write_dir(data_dir)
+    write_kv(os.path.join(data_dir, "generator.kv"), config.to_kv_dict())
     m = RunManifest(run_id=run_id or _new_run_id("generate", seed), phase="generate", seed=seed)
-    m.config = dict(config.to_kv_dict())
+    m.config = config.to_kv_dict()
     for name in ("joins.csv", "contests.csv", "matches.csv", "archetypes.csv", "generator.kv"):
         m.add_output(name, os.path.join(data_dir, name))
     m.save(out_root)
@@ -102,26 +98,6 @@ def run_generate(out_root, config_path, seed: int, run_id: str | None = None) ->
 
 
 # --- features -------------------------------------------------------------------
-
-
-def _features_impl(data_dir, features_dir, train_end: dt.date, valid_end: dt.date) -> None:
-    joins, contests, matches, _, by_id, by_match, match_days = _load_world(data_dir)
-    train_ev, _, _ = _split_events(joins, by_id, train_end, valid_end)
-    if not train_ev:
-        raise DataError("training partition is empty; move train_end later")
-    stats = fit_normalization(train_ev, by_match, match_days)
-
-    all_events = enrich_joins(joins, by_id)
-    days = sorted({day_of(m.start_time) for m in matches})
-    days.append(days[-1] + dt.timedelta(days=1))  # batch-inference day after the last match
-
-    store = SnapshotStore(features_dir)
-    store.write_manifest(stats)
-    for _, snapshot in iter_snapshots(all_events, days, stats):
-        store.write_day(snapshot)
-    splits = {"train_end": train_end.isoformat(), "valid_end": valid_end.isoformat()}
-    with write_replace(os.path.join(features_dir, "splits.json")) as fh:
-        json.dump(splits, fh, sort_keys=True)
 
 
 def _read_splits(features_dir) -> tuple[dt.date, dt.date]:
@@ -143,9 +119,26 @@ def run_features(
     out_root, data_dir, train_end: dt.date, valid_end: dt.date, run_id: str | None = None
 ) -> RunManifest:
     features_dir = os.path.join(str(out_root), "features")
-    _features_impl(data_dir, features_dir, train_end, valid_end)
+    joins, contests, matches, _, by_id, by_match, match_days = _load_world(data_dir)
+    train_ev, _, _ = _split_events(joins, by_id, train_end, valid_end)
+    if not train_ev:
+        raise DataError("training partition is empty; move train_end later")
+    stats = fit_normalization(train_ev, by_match, match_days)
+
+    all_events = enrich_joins(joins, by_id)
+    days = sorted({day_of(m.start_time) for m in matches})
+    days.append(days[-1] + dt.timedelta(days=1))  # batch-inference day after the last match
+
+    store = SnapshotStore(features_dir)
+    store.write_manifest(stats)
+    for _, snapshot in iter_snapshots(all_events, days, stats):
+        store.write_day(snapshot)
+    splits = {"train_end": train_end.isoformat(), "valid_end": valid_end.isoformat()}
+    with write_replace(os.path.join(features_dir, "splits.json")) as fh:
+        json.dump(splits, fh, sort_keys=True)
+
     m = RunManifest(run_id=run_id or _new_run_id("features", 0), phase="features", seed=0)
-    m.config = {"train_end": train_end.isoformat(), "valid_end": valid_end.isoformat()}
+    m.config = splits
     m.add_input("data", data_dir)
     m.add_output("features", features_dir)
     m.save(out_root)
@@ -155,15 +148,19 @@ def run_features(
 # --- train ----------------------------------------------------------------------
 
 
-def _train_impl(data_dir, features_dir, model_path, report_path, config: TrainConfig) -> None:
+def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None = None) -> RunManifest:
+    config = TrainConfig.from_file(config_path)
+    models_dir = os.path.join(str(out_root), "models")
+    os.makedirs(models_dir, exist_ok=True)
+    model_path = os.path.join(models_dir, "model.bin")
+    report_path = os.path.join(models_dir, "training_report.csv")
+
     joins, _, _, _, by_id, by_match, match_days = _load_world(data_dir)
     train_end, valid_end = _read_splits(features_dir)
     train_ev, valid_ev, _ = _split_events(joins, by_id, train_end, valid_end)
-
     store = SnapshotStore(features_dir)
     stats = store.read_manifest()
     snapshots = SnapshotCache(store)
-
     train_lists = build_ordered_lists(train_ev, by_match, config.list_length, config.seed)
     valid_lists = build_ordered_lists(valid_ev, by_match, config.list_length, config.seed)
     max_pairs = config.max_pairs_per_list
@@ -177,14 +174,6 @@ def _train_impl(data_dir, features_dir, model_path, report_path, config: TrainCo
     save_model(model_path, result.params)
     write_report(report_path, result.report)
 
-
-def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None = None) -> RunManifest:
-    config = TrainConfig.from_file(config_path)
-    models_dir = os.path.join(str(out_root), "models")
-    os.makedirs(models_dir, exist_ok=True)
-    model_path = os.path.join(models_dir, "model.bin")
-    report_path = os.path.join(models_dir, "training_report.csv")
-    _train_impl(data_dir, features_dir, model_path, report_path, config)
     m = RunManifest(run_id=run_id or _new_run_id("train", config.seed), phase="train", seed=config.seed)
     m.config = {k: str(v) for k, v in config.__dict__.items()}
     m.add_input("data", data_dir)
@@ -198,7 +187,8 @@ def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None 
 # --- eval -----------------------------------------------------------------------
 
 
-def _eval_impl(data_dir, features_dir, model_path, report_dir) -> dict[str, str]:
+def run_eval(out_root, data_dir, features_dir, model_path, run_id: str | None = None) -> RunManifest:
+    report_dir = os.path.join(str(out_root), "reports")
     joins, _, _, _, by_id, by_match, match_days = _load_world(data_dir)
     train_end, valid_end = _read_splits(features_dir)
     _, _, test_ev = _split_events(joins, by_id, train_end, valid_end)
@@ -208,25 +198,16 @@ def _eval_impl(data_dir, features_dir, model_path, report_dir) -> dict[str, str]
     params = load_model(model_path)
 
     os.makedirs(report_dir, exist_ok=True)
-    outputs: dict[str, str] = {}
+    m = RunManifest(run_id=run_id or _new_run_id("eval", 0), phase="eval", seed=0)
     for scorer in (ModelScorer(params), PopularityScorer()):
         report = evaluate(scorer, test_ev, by_match, match_days, snapshots, EVAL_H_VALUES)
         path = os.path.join(report_dir, f"eval_{scorer.name}.txt")
         with write_replace(path) as fh:
             fh.write(report.to_text())
-        outputs[f"eval_{scorer.name}.txt"] = path
-    return outputs
-
-
-def run_eval(out_root, data_dir, features_dir, model_path, run_id: str | None = None) -> RunManifest:
-    report_dir = os.path.join(str(out_root), "reports")
-    outputs = _eval_impl(data_dir, features_dir, model_path, report_dir)
-    m = RunManifest(run_id=run_id or _new_run_id("eval", 0), phase="eval", seed=0)
+        m.add_output(f"eval_{scorer.name}.txt", path)
     m.add_input("data", data_dir)
     m.add_input("features", features_dir)
     m.add_input("model.bin", model_path)
-    for name, path in outputs.items():
-        m.add_output(name, path)
     m.save(out_root)
     return m
 
@@ -234,7 +215,14 @@ def run_eval(out_root, data_dir, features_dir, model_path, run_id: str | None = 
 # --- infer ----------------------------------------------------------------------
 
 
-def _infer_impl(data_dir, features_dir, model_path, payloads_path, as_of_day: dt.date, horizon: int) -> None:
+def run_infer(
+    out_root, data_dir, features_dir, model_path, as_of_day: dt.date,
+    horizon: int = 3, run_id: str | None = None,
+) -> RunManifest:
+    payload_dir = os.path.join(str(out_root), "payloads")
+    os.makedirs(payload_dir, exist_ok=True)
+    payloads_path = os.path.join(payload_dir, "payloads.jsonl")
+
     joins, _, matches, _, _, by_match, _ = _load_world(data_dir)
     store = SnapshotStore(features_dir)
     if not store.has_day(as_of_day):
@@ -259,15 +247,6 @@ def _infer_impl(data_dir, features_dir, model_path, payloads_path, as_of_day: dt
     )
     write_payloads(payloads_path, payloads)
 
-
-def run_infer(
-    out_root, data_dir, features_dir, model_path, as_of_day: dt.date,
-    horizon: int = 3, run_id: str | None = None,
-) -> RunManifest:
-    payload_dir = os.path.join(str(out_root), "payloads")
-    os.makedirs(payload_dir, exist_ok=True)
-    payloads_path = os.path.join(payload_dir, "payloads.jsonl")
-    _infer_impl(data_dir, features_dir, model_path, payloads_path, as_of_day, horizon)
     m = RunManifest(run_id=run_id or _new_run_id("infer", 0), phase="infer", seed=0)
     m.config = {"as_of_day": as_of_day.isoformat(), "horizon": str(horizon)}
     m.add_input("data", data_dir)
@@ -281,7 +260,12 @@ def run_infer(
 # --- abtest ---------------------------------------------------------------------
 
 
-def _abtest_impl(data_dir, report_path, config: ab.ABConfig, payloads_path=None) -> None:
+def run_abtest(out_root, data_dir, config_path, payloads_path=None, run_id: str | None = None) -> RunManifest:
+    config = ab.ABConfig.from_file(config_path)
+    report_dir = os.path.join(str(out_root), "reports")
+    os.makedirs(report_dir, exist_ok=True)
+    report_path = os.path.join(report_dir, "ab_report.txt")
+
     joins, _, matches, archetypes, _, by_match, _ = _load_world(data_dir)
     if not archetypes:
         raise DataError("abtest needs the generator's archetype table (archetypes.csv)")
@@ -293,15 +277,11 @@ def _abtest_impl(data_dir, report_path, config: ab.ABConfig, payloads_path=None)
     last_day = max(day_of(m.start_time) for m in matches)
     post_start = last_day - dt.timedelta(days=config.post_days - 1)
     pre_start = post_start - dt.timedelta(days=config.pre_days)
-
-    def in_window(m, lo, hi):
-        return lo <= day_of(m.start_time) < hi
-
-    pre_matches = [(m, by_match[m.match_id]) for m in matches if in_window(m, pre_start, post_start)]
+    pre_matches = [
+        (m, by_match[m.match_id]) for m in matches if pre_start <= day_of(m.start_time) < post_start
+    ]
     post_matches = [
-        (m, by_match[m.match_id])
-        for m in matches
-        if post_start <= day_of(m.start_time) <= last_day
+        (m, by_match[m.match_id]) for m in matches if post_start <= day_of(m.start_time) <= last_day
     ]
     if not pre_matches or not post_matches:
         raise DataError("experiment windows contain no matches; shrink pre_days/post_days")
@@ -350,23 +330,8 @@ def _abtest_impl(data_dir, report_path, config: ab.ABConfig, payloads_path=None)
     with write_replace(report_path) as fh:
         fh.write(ab.ab_report_text(pre_aggs, post_aggs))
 
-
-def run_abtest(out_root, data_dir, config_path, payloads_path=None, run_id: str | None = None) -> RunManifest:
-    config = ab.ABConfig.from_file(config_path)
-    report_dir = os.path.join(str(out_root), "reports")
-    os.makedirs(report_dir, exist_ok=True)
-    report_path = os.path.join(report_dir, "ab_report.txt")
-    _abtest_impl(data_dir, report_path, config, payloads_path)
     m = RunManifest(run_id=run_id or _new_run_id("abtest", config.seed), phase="abtest", seed=config.seed)
-    m.config = {
-        **{f"group.{g}": str(s) for g, s in config.group_sizes.items()},
-        **{f"policy.{g}": p for g, p in config.policies.items()},
-        "boost": repr(config.boost),
-        "h_exposed": str(config.h_exposed),
-        "pre_days": str(config.pre_days),
-        "post_days": str(config.post_days),
-        "seed": str(config.seed),
-    }
+    m.config = config.to_kv_dict()
     m.add_input("data", data_dir)
     if payloads_path is not None:
         m.add_input("payloads.jsonl", payloads_path)
@@ -378,11 +343,50 @@ def run_abtest(out_root, data_dir, config_path, payloads_path=None, run_id: str 
 # --- reproduce ------------------------------------------------------------------
 
 
+def _replay(m: RunManifest, root: str) -> RunManifest:
+    """Call the runner that recorded `m` into `root`, with its recorded inputs, seed and config."""
+
+    def path(name: str) -> str:
+        if name not in m.inputs:
+            raise DataError(f"run {m.run_id}: the {m.phase} manifest has no input {name!r}")
+        return m.inputs[name]["path"]
+
+    def config(key: str, parse):
+        try:
+            return parse(m.config[key])
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"run {m.run_id}: missing or bad config {key!r}: {exc!r}") from exc
+
+    def config_file() -> str:
+        config_path = os.path.join(root, f"{m.phase}.kv")
+        write_kv(config_path, m.config)
+        return config_path
+
+    payloads = m.inputs.get("payloads.jsonl", {}).get("path")
+    runners = {
+        "generate": lambda: run_generate(root, config_file(), m.seed, m.run_id),
+        "features": lambda: run_features(
+            root, path("data"), config("train_end", parse_day), config("valid_end", parse_day), m.run_id
+        ),
+        "train": lambda: run_train(root, path("data"), path("features"), config_file(), m.run_id),
+        "eval": lambda: run_eval(root, path("data"), path("features"), path("model.bin"), m.run_id),
+        "infer": lambda: run_infer(
+            root, path("data"), path("features"), path("model.bin"),
+            config("as_of_day", parse_day), config("horizon", int), m.run_id,
+        ),
+        "abtest": lambda: run_abtest(root, path("data"), config_file(), payloads, m.run_id),
+    }
+    if m.phase not in runners:
+        raise DataError(f"phase {m.phase!r} cannot be reproduced")
+    return runners[m.phase]()
+
+
 def run_reproduce(out_root, run_id: str) -> dict:
-    """Re-execute a recorded phase and digest-check its verifiable outputs."""
+    """Re-run a recorded phase through its own runner into `<out>/reproduce/<run_id>/`
+    (emptied first) and compare each digest-verified output with the recorded one."""
     m = RunManifest.load(out_root, run_id)
     for name, entry in m.inputs.items():
-        actual = digest_path(entry["path"])
+        actual = digest_path(entry["path"]) if os.path.exists(entry["path"]) else "missing"
         if actual != entry["sha256"]:
             raise DataError(
                 f"input {name!r} at {entry['path']} changed since run {run_id} "
@@ -390,62 +394,22 @@ def run_reproduce(out_root, run_id: str) -> dict:
             )
 
     redo_root = os.path.join(str(out_root), "reproduce", run_id)
-    os.makedirs(redo_root, exist_ok=True)
-
-    def out(name: str) -> str:
-        return os.path.join(redo_root, name)
-
-    if m.phase == "generate":
-        config = GeneratorConfig.from_kv_dict(m.config)
-        _generate_impl(redo_root, config, m.seed)
-        fresh = {name: out(name) for name in m.outputs}
-    elif m.phase == "features":
-        _features_impl(
-            m.inputs["data"]["path"], out("features"),
-            parse_day(m.config["train_end"]), parse_day(m.config["valid_end"]),
-        )
-        fresh = {"features": out("features")}
-    elif m.phase == "train":
-        config = TrainConfig.from_kv_dict({k: v for k, v in m.config.items()})
-        _train_impl(
-            m.inputs["data"]["path"], m.inputs["features"]["path"],
-            out("model.bin"), out("training_report.csv"), config,
-        )
-        fresh = {"model.bin": out("model.bin"), "training_report.csv": out("training_report.csv")}
-    elif m.phase == "eval":
-        outputs = _eval_impl(
-            m.inputs["data"]["path"], m.inputs["features"]["path"],
-            m.inputs["model.bin"]["path"], redo_root,
-        )
-        fresh = {name: path for name, path in outputs.items()}
-    elif m.phase == "infer":
-        _infer_impl(
-            m.inputs["data"]["path"], m.inputs["features"]["path"],
-            m.inputs["model.bin"]["path"], out("payloads.jsonl"),
-            parse_day(m.config["as_of_day"]), int(m.config["horizon"]),
-        )
-        fresh = {"payloads.jsonl": out("payloads.jsonl")}
-    elif m.phase == "abtest":
-        config = ab.ABConfig.from_kv_dict(m.config)
-        payloads = m.inputs.get("payloads.jsonl", {}).get("path")
-        _abtest_impl(m.inputs["data"]["path"], out("ab_report.txt"), config, payloads)
-        fresh = {"ab_report.txt": out("ab_report.txt")}
-    else:
-        raise DataError(f"phase {m.phase!r} cannot be reproduced")
+    if os.path.exists(redo_root):
+        shutil.rmtree(redo_root)
+    os.makedirs(redo_root)
+    fresh = _replay(m, redo_root)
 
     artifacts = {}
-    ok = True
     for name, entry in m.outputs.items():
-        if not entry.get("verify", True):
+        if not entry["verify"]:
             artifacts[name] = {"verified": False}
             continue
-        actual = digest_path(fresh[name])
-        match = actual == entry["sha256"]
-        ok = ok and match
+        actual = fresh.outputs.get(name, {"sha256": "missing"})["sha256"]
         artifacts[name] = {
             "verified": True,
             "expected": entry["sha256"],
             "actual": actual,
-            "match": match,
+            "match": actual == entry["sha256"],
         }
+    ok = all(a.get("match", True) for a in artifacts.values())
     return {"run_id": run_id, "phase": m.phase, "ok": ok, "artifacts": artifacts}

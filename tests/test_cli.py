@@ -44,6 +44,8 @@ post_days = 10
 seed = 1
 """
 
+AB_PAYLOADS_KV = AB_KV.replace("policy.TG1 = ground_truth", "policy.TG1 = payloads")
+
 
 @pytest.fixture(scope="module")
 def pipeline_root(tmp_path_factory):
@@ -53,6 +55,7 @@ def pipeline_root(tmp_path_factory):
     (root / "gen.kv").write_text(GEN_KV)
     (root / "train.kv").write_text(TRAIN_KV)
     (root / "ab.kv").write_text(AB_KV)
+    (root / "ab-payloads.kv").write_text(AB_PAYLOADS_KV)
 
     steps = [
         ["generate", "--out", str(out), "--config", str(root / "gen.kv"), "--seed", "42",
@@ -64,6 +67,8 @@ def pipeline_root(tmp_path_factory):
         ["infer", "--out", str(out), "--as-of", "2025-02-17", "--horizon", "2",
          "--run-id", "infer-1"],
         ["abtest", "--out", str(out), "--config", str(root / "ab.kv"), "--run-id", "ab-1"],
+        ["abtest", "--out", str(out), "--config", str(root / "ab-payloads.kv"),
+         "--payloads", str(out / "payloads" / "payloads.jsonl"), "--run-id", "ab-payloads-1"],
     ]
     for argv in steps:
         assert main(argv) == 0, f"step failed: {argv[0]}"
@@ -72,7 +77,7 @@ def pipeline_root(tmp_path_factory):
 
 class TestPipeline:
     def test_manifests_and_artifacts_exist(self, pipeline_root):
-        for run_id in ("gen-1", "feat-1", "train-1", "eval-1", "infer-1", "ab-1"):
+        for run_id in ("gen-1", "feat-1", "train-1", "eval-1", "infer-1", "ab-1", "ab-payloads-1"):
             manifest = RunManifest.load(pipeline_root, run_id)
             for name, entry in manifest.outputs.items():
                 assert os.path.exists(entry["path"]), f"{run_id}: missing {name}"
@@ -85,17 +90,57 @@ class TestPipeline:
         assert set(report.recall) == {1, 3, 5, 10}
         report.validate()
 
-    def test_reproduce_generate_digests_match(self, pipeline_root):
-        assert main(["reproduce", "gen-1", "--out", str(pipeline_root)]) == 0
+    def test_reproduce_generate_digests_match(self, pipeline_root, capsys):
+        _reproduce_twice(pipeline_root, "gen-1", capsys)
 
-    def test_reproduce_infer_digests_match(self, pipeline_root):
-        assert main(["reproduce", "infer-1", "--out", str(pipeline_root)]) == 0
+    def test_reproduce_infer_digests_match(self, pipeline_root, capsys):
+        _reproduce_twice(pipeline_root, "infer-1", capsys)
+
+    @pytest.mark.parametrize("run_id", ["feat-1", "train-1", "eval-1", "ab-1", "ab-payloads-1"])
+    def test_reproduce_phase_digests_match(self, pipeline_root, capsys, run_id):
+        out = _reproduce_twice(pipeline_root, run_id, capsys)
+        if run_id == "train-1":
+            assert "training_report.csv: skipped (not digest-verified)" in out
+            assert "model.bin: match" in out
+
+    def test_reproduce_edited_output_digest_mismatch_exit_2(self, pipeline_root, capsys):
+        doc = json.loads((pipeline_root / "manifests" / "infer-1.json").read_text())
+        doc["run_id"] = "infer-edited"
+        doc["outputs"]["payloads.jsonl"]["sha256"] = "0" * 64
+        (pipeline_root / "manifests" / "infer-edited.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["reproduce", "infer-edited", "--out", str(pipeline_root)]) == 2
+        out = capsys.readouterr().out
+        assert "payloads.jsonl: MISMATCH" in out and "reproduce FAILED: run_id=infer-edited" in out
 
     def test_payloads_exist_and_are_json(self, pipeline_root):
         lines = (pipeline_root / "payloads" / "payloads.jsonl").read_text().splitlines()
         assert lines
         doc = json.loads(lines[0])
         assert {"match_id", "template_ids", "player_ids", "scores", "generated_at", "model_version"} <= set(doc)
+
+
+def _reproduce_twice(root, run_id, capsys) -> str:
+    """Reproduce `run_id` twice; the second run finds and empties the first one's directory.
+
+    Each run leaves a run's layout under `reproduce/<run_id>/`: its manifest, and every
+    output at the path the recorded run used relative to its own root.
+    """
+    recorded = RunManifest.load(root, run_id)
+    redo = root / "reproduce" / run_id
+    for attempt in range(2):
+        if attempt:
+            (redo / "stray.txt").write_text("left by an earlier run")
+        capsys.readouterr()
+        assert main(["reproduce", run_id, "--out", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert f"reproduce ok: run_id={run_id}" in out and "MISMATCH" not in out
+        assert not (redo / "stray.txt").exists()
+        fresh = RunManifest.load(redo, run_id)
+        assert fresh.phase == recorded.phase and set(fresh.outputs) == set(recorded.outputs)
+        for name, entry in recorded.outputs.items():
+            assert os.path.relpath(fresh.outputs[name]["path"], redo) == os.path.relpath(entry["path"], root)
+    return out
 
 
 class TestErrorPaths:
@@ -263,6 +308,67 @@ class TestErrorPaths:
         assert "generator.kv" in err and "internal error" not in err
 
 
+class TestCorruptRunManifest:
+    def _write(self, root, run_id, text):
+        path = root / "manifests" / f"{run_id}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        return path
+
+    def _edited(self, pipeline_root, run_id, edit):
+        doc = json.loads((pipeline_root / "manifests" / f"{run_id}.json").read_text())
+        edit(doc)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("case", ["not-json", "no-phase", "train-without-data", "input-file-gone"])
+    def test_reproduce_exit_2(self, pipeline_root, tmp_path, capsys, case):
+        if case == "not-json":
+            text = "{not json"
+        elif case == "no-phase":
+            text = self._edited(pipeline_root, "gen-1", lambda d: d.pop("phase"))
+        elif case == "train-without-data":
+            text = self._edited(pipeline_root, "train-1", lambda d: d["inputs"].pop("data"))
+        else:
+            text = self._edited(pipeline_root, "train-1",
+                                lambda d: d["inputs"]["data"].update(path=str(tmp_path / "gone")))
+        path = self._write(tmp_path, "r", text)
+        capsys.readouterr()
+        assert main(["reproduce", "r", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        if case == "train-without-data":
+            assert "the train manifest has no input 'data'" in err
+        elif case == "input-file-gone":
+            assert f"input 'data' at {tmp_path / 'gone'} changed since run r (digest missing" in err
+        else:
+            assert str(path) in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [],
+        lambda d: {**d, "seed": "3"},
+        lambda d: {**d, "seed": True},
+        lambda d: {k: v for k, v in d.items() if k != "created_utc"},
+        lambda d: {**d, "config": ["players"]},
+        lambda d: {**d, "config": {**d["config"], "players": 120}},
+        lambda d: {**d, "outputs": {"joins.csv": {"path": "joins.csv", "sha256": "0" * 64}}},
+        lambda d: {**d, "outputs": {"joins.csv": "joins.csv"}},
+        lambda d: {**d, "inputs": {"data": {"path": 7, "sha256": "0" * 64}}},
+    ], ids=["not-an-object", "seed-a-string", "seed-a-bool", "no-created-utc", "config-a-list",
+            "config-value-not-a-string", "output-without-verify", "output-not-an-object",
+            "input-path-not-a-string"])
+    def test_load_is_data_error_naming_the_file(self, pipeline_root, tmp_path, edit):
+        doc = json.loads((pipeline_root / "manifests" / "gen-1.json").read_text())
+        path = self._write(tmp_path, "r", json.dumps(edit(doc)))
+        with pytest.raises(DataError, match=str(path)):
+            RunManifest.load(tmp_path, "r")
+
+    def test_load_of_non_utf8_file_is_data_error(self, tmp_path):
+        path = self._write(tmp_path, "r", "")
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(DataError, match=str(path)):
+            RunManifest.load(tmp_path, "r")
+
+
 class TestCorruptInputs:
     @pytest.mark.parametrize("text", [
         '{"train_end": "2025-01-30", "valid_end": "2025-02',
@@ -295,6 +401,52 @@ class TestCorruptInputs:
     ], ids=["truncated-line", "no-ranking"])
     def test_serve_on_bad_payload_line_exit_2(self, pipeline_root, tmp_path, capsys, cut):
         self._serve_exits_2_naming_line_2(pipeline_root, tmp_path, capsys, cut)
+
+    @pytest.mark.parametrize("content", [None, b"\xff\n"], ids=["missing", "not-utf8"])
+    @pytest.mark.parametrize("command", ["serve", "abtest"])
+    def test_unreadable_payload_file_exit_2(self, pipeline_root, tmp_path, capsys, command, content):
+        bad = tmp_path / "payloads.jsonl"
+        if content is not None:
+            bad.write_bytes(content)
+        argv = ["serve", "--payloads", str(bad)] if command == "serve" else [
+            "abtest", "--out", str(tmp_path), "--data", str(pipeline_root / "data"),
+            "--config", str(pipeline_root.parent / "ab-payloads.kv"), "--payloads", str(bad)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: cannot read payloads" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("bad_line, named", [
+        ("p00000,1.0,2.0\n", "expected 8 fields, got 3"),
+        ("p00000,1.0,0.5,0.5,0.5,0.5,1.0,x\n", "could not convert"),
+        ("p00000,1.0,0.5,2.0,0.5,0.5,1.0,0.1\n", "size_preference must lie in [0, 1]"),
+        ("p00000,nan,0.5,0.5,0.5,0.5,1.0,0.1\n", "archetype fields must be finite"),
+    ], ids=["short-row", "not-a-number", "size-preference-out-of-range", "not-finite"])
+    def test_abtest_on_bad_archetype_row_exit_2(self, pipeline_root, tmp_path, capsys, bad_line, named):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_root / "data", data)
+        path = data / "archetypes.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([lines[0], bad_line, *lines[2:]]))
+        err = self._abtest_exits_2(pipeline_root, tmp_path, data, capsys)
+        assert f"{path}:2: {named}" in err
+
+    def test_abtest_on_non_utf8_archetypes_exit_2(self, pipeline_root, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_root / "data", data)
+        path = data / "archetypes.csv"
+        path.write_bytes(b"\xff" + path.read_bytes())
+        err = self._abtest_exits_2(pipeline_root, tmp_path, data, capsys)
+        assert f"{path}: cannot read" in err
+
+    @staticmethod
+    def _abtest_exits_2(pipeline_root, tmp_path, data, capsys) -> str:
+        capsys.readouterr()
+        assert main(["abtest", "--out", str(tmp_path), "--data", str(data),
+                     "--config", str(pipeline_root.parent / "ab.kv")]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        return err
 
     @pytest.mark.parametrize("case", CORRUPTIONS)
     def test_serve_on_corrupt_payload_block_exit_2(self, pipeline_root, tmp_path, capsys, case):
