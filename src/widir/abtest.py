@@ -31,7 +31,7 @@ from .generator import (
     template_stats,
 )
 from .inference import RankingPayload
-from .textio import format_kv, read_kv
+from .textio import format_kv, from_kv, parse_value, read_kv, to_kv
 
 _AB_STREAM = 21
 _PERIOD_CODE = {"pre": 0, "post": 1}
@@ -282,8 +282,6 @@ class ABConfig:
     post_days: int = 42
     seed: int = 0
 
-    _SCALAR_KEYS = ("boost", "h_exposed", "pre_days", "post_days", "seed")
-
     def validate(self) -> None:
         if "CG" not in self.group_sizes:
             raise ConfigError("experiment requires a control group named CG")
@@ -297,32 +295,21 @@ class ABConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
+    # -- flat key-value form: `group.<name>` sizes, `policy.<group>` names, then the scalars
+
     @classmethod
     def from_kv_dict(cls, kv: Mapping[str, str], context: str = "ab config") -> "ABConfig":
-        group_sizes: dict[str, str] = {}
+        group_sizes: dict[str, int] = {}
         policies: dict[str, str] = {}
         scalars: dict[str, str] = {}
         for key, value in kv.items():
             if key.startswith("group."):
-                group_sizes[key.split(".", 1)[1]] = value
+                group_sizes[key.split(".", 1)[1]] = parse_value(int, value, context, key)
             elif key.startswith("policy."):
                 policies[key.split(".", 1)[1]] = value
-            elif key in cls._SCALAR_KEYS:
-                scalars[key] = value
             else:
-                raise ConfigError(f"{context}: unknown config key {key!r}")
-        try:
-            config = cls(
-                group_sizes={g: int(size) for g, size in group_sizes.items()},
-                policies=policies,
-                boost=float(scalars.get("boost", "2.0")),
-                h_exposed=int(scalars.get("h_exposed", "5")),
-                pre_days=int(scalars.get("pre_days", "42")),
-                post_days=int(scalars.get("post_days", "42")),
-                seed=int(scalars.get("seed", "0")),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
+                scalars[key] = value
+        config = from_kv(cls, scalars, context, group_sizes=group_sizes, policies=policies)
         config.validate()
         return config
 
@@ -330,7 +317,7 @@ class ABConfig:
         return {
             **{f"group.{g}": str(size) for g, size in self.group_sizes.items()},
             **{f"policy.{g}": name for g, name in self.policies.items()},
-            **{key: str(getattr(self, key)) for key in self._SCALAR_KEYS},
+            **to_kv(self),
         }
 
     @classmethod

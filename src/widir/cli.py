@@ -6,13 +6,15 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import sys
 
 from . import pipeline
-from .domain import parse_day, read_catalog
+from .domain import read_catalog
 from .errors import ConfigError, DataError, WidirError
 from .inference import read_payloads
 from .serving import OnlineStore, ServeConfig, load_fallbacks, serve
+from .textio import parse_value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,6 +81,10 @@ def _defaults(args) -> tuple[str, str, str]:
     return data, features, model
 
 
+def _day(text: str, flag: str) -> dt.date:
+    return parse_value(dt.date, text, "command line", flag)
+
+
 def _dispatch(args) -> int:
     if args.command == "generate":
         m = pipeline.run_generate(args.out, args.config, args.seed, args.run_id)
@@ -87,7 +93,8 @@ def _dispatch(args) -> int:
     if args.command == "features":
         data, _, _ = _defaults(args)
         m = pipeline.run_features(
-            args.out, data, parse_day(args.train_end), parse_day(args.valid_end), args.run_id
+            args.out, data, _day(args.train_end, "--train-end"), _day(args.valid_end, "--valid-end"),
+            args.run_id,
         )
         print(f"features ok: run_id={m.run_id}")
         return 0
@@ -106,7 +113,7 @@ def _dispatch(args) -> int:
     if args.command == "infer":
         data, features, model = _defaults(args)
         m = pipeline.run_infer(
-            args.out, data, features, model, parse_day(args.as_of), args.horizon, args.run_id
+            args.out, data, features, model, _day(args.as_of, "--as-of"), args.horizon, args.run_id
         )
         print(f"infer ok: run_id={m.run_id}")
         return 0

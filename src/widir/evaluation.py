@@ -29,7 +29,7 @@ from .features import (
 )
 from .generator import PlayerArchetype, archetype_utilities, template_stats
 from .model import Rows, WidirParams, score_rows
-from .textio import format_kv
+from .textio import format_kv, from_kv, parse_kv, parse_value, to_kv
 
 EVAL_H_VALUES = (1, 3, 5, 10)
 _SCORE_CHUNK = 512  # players scored per forward batch
@@ -64,7 +64,7 @@ class EvalReport:
                 raise DataError(f"recall not non-decreasing between h={a} and h={b}")
 
     def to_text(self) -> str:
-        items = {"model": self.model, "n_pairs": str(self.n_pairs)}
+        items = to_kv(self)
         for h in sorted(self.precision):
             items[f"precision@{h}"] = repr(self.precision[h])
             items[f"recall@{h}"] = repr(self.recall[h])
@@ -72,22 +72,16 @@ class EvalReport:
 
     @classmethod
     def from_text(cls, text: str) -> "EvalReport":
-        precision: dict[int, float] = {}
-        recall: dict[int, float] = {}
-        model, n_pairs = "", 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "model":
-                model = value
-            elif key == "n_pairs":
-                n_pairs = int(value)
-            elif key.startswith("precision@"):
-                precision[int(key.split("@")[1])] = float(value)
-            elif key.startswith("recall@"):
-                recall[int(key.split("@")[1])] = float(value)
-        return cls(model=model, n_pairs=n_pairs, precision=precision, recall=recall)
+        context = "eval report"
+        at_h: dict[str, dict[int, float]] = {"precision": {}, "recall": {}}
+        scalars: dict[str, str] = {}
+        for key, value in parse_kv(text, context).items():
+            metric, _, h = key.partition("@")
+            if metric in at_h and h:
+                at_h[metric][parse_value(int, h, context, key)] = parse_value(float, value, context, key)
+            else:
+                scalars[key] = value
+        return from_kv(cls, scalars, context, **at_h)
 
 
 def _make_slate(player_id: str, match_id: str, template_ids: Sequence[str], scores: Sequence[float]) -> RankedSlate:

@@ -136,11 +136,6 @@ def enrich_joins(joins: Sequence[JoinRecord], contests_by_id: Mapping[str, Conte
 # --- normalization stats -----------------------------------------------------
 
 
-def bucket_of(value: float, edges: np.ndarray) -> int:
-    """Index of the training-quantile bucket holding `value` (0..7)."""
-    return int(np.searchsorted(edges[: N_BUCKETS - 1], value, side="left"))
-
-
 def quantile_edges(values: Sequence[float]) -> np.ndarray:
     """8 strictly increasing edges at the k/8 quantiles of a training sample.
 
@@ -344,7 +339,7 @@ def _lookup(index: Mapping[str, int], keys: Iterable[str]) -> np.ndarray:
 
 
 def _buckets(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """bucket_of over an array."""
+    """Index of the training-quantile bucket (0..7) holding each value."""
     return np.searchsorted(edges[: N_BUCKETS - 1], values, side="left").astype(np.int8)
 
 

@@ -38,7 +38,6 @@ from .domain import (
     PrizeDistribution,
     _read_rows,
     day_start,
-    parse_day,
     prize_stats,
     read_catalog,
     read_join_log,
@@ -49,7 +48,7 @@ from .domain import (
     write_schedule,
 )
 from .errors import ConfigError
-from .textio import read_kv, write_replace
+from .textio import from_kv, read_kv, to_kv, write_replace
 
 MAX_JOINS_PER_MATCH = 20  # truncation point of the per-match join count
 
@@ -93,8 +92,8 @@ class ArchetypeSpec:
 
     name: str
     weight: float
-    jitter: float
-    base: PlayerArchetype
+    jitter: float = 0.0
+    base: PlayerArchetype = None  # always given; a default only because jitter's precedes it
 
 
 DEFAULT_ARCHETYPES: tuple[ArchetypeSpec, ...] = (
@@ -117,14 +116,14 @@ DEFAULT_ARCHETYPES: tuple[ArchetypeSpec, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)  # keyword-only, so fields keep their kv order
 class GeneratorConfig:
     players: int
     matches: int
     templates_per_match: int
+    template_pool: int = 72
     start_day: dt.date
     end_day: dt.date
-    template_pool: int = 72
     participation_rate: float = 0.05
     archetypes: tuple[ArchetypeSpec, ...] = DEFAULT_ARCHETYPES
 
@@ -151,71 +150,35 @@ class GeneratorConfig:
                 raise ConfigError(f"archetype {spec.name}: jitter must be >= 0")
             spec.base.validate()
 
-    # -- flat key-value form --------------------------------------------------
-
-    _SCALAR_KEYS = (
-        "players", "matches", "templates_per_match", "template_pool",
-        "start_day", "end_day", "participation_rate",
-    )
+    # -- flat key-value form: the scalars, then `archetype.<name>.<field>` per archetype
 
     @classmethod
     def from_kv_dict(cls, kv: Mapping[str, str], context: str = "generator config") -> "GeneratorConfig":
-        arch_fields: dict[str, dict[str, str]] = {}
         scalars: dict[str, str] = {}
+        groups: dict[str, dict[str, str]] = {}
         for key, value in kv.items():
-            if key in cls._SCALAR_KEYS:
-                scalars[key] = value
-            elif key.startswith("archetype."):
-                parts = key.split(".")
-                if len(parts) != 3 or parts[2] not in _ARCHETYPE_FIELDS + ("weight", "jitter"):
-                    raise ConfigError(f"{context}: unknown config key {key!r}")
-                arch_fields.setdefault(parts[1], {})[parts[2]] = value
+            if key.startswith("archetype."):
+                groups.setdefault(key.split(".")[1], {})[key] = value
             else:
-                raise ConfigError(f"{context}: unknown config key {key!r}")
-        for req in ("players", "matches", "templates_per_match", "start_day", "end_day"):
-            if req not in scalars:
-                raise ConfigError(f"{context}: missing required key {req!r}")
-        try:
-            archetypes = []
-            for name in sorted(arch_fields):
-                fields = arch_fields[name]
-                missing = [f for f in _ARCHETYPE_FIELDS + ("weight",) if f not in fields]
-                if missing:
-                    raise ConfigError(f"{context}: archetype.{name} missing {missing[0]!r}")
-                base = PlayerArchetype(**{f: float(fields[f]) for f in _ARCHETYPE_FIELDS})
-                archetypes.append(
-                    ArchetypeSpec(name, float(fields["weight"]), float(fields.get("jitter", "0")), base)
-                )
-            config = cls(
-                players=int(scalars["players"]),
-                matches=int(scalars["matches"]),
-                templates_per_match=int(scalars["templates_per_match"]),
-                template_pool=int(scalars.get("template_pool", "72")),
-                start_day=parse_day(scalars["start_day"]),
-                end_day=parse_day(scalars["end_day"]),
-                participation_rate=float(scalars.get("participation_rate", "0.05")),
-                archetypes=tuple(archetypes) if archetypes else DEFAULT_ARCHETYPES,
-            )
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
+                scalars[key] = value
+        archetypes = []
+        for name in sorted(groups):
+            prefix = f"archetype.{name}."
+            base_items = {k: v for k, v in groups[name].items() if k[len(prefix):] in _ARCHETYPE_FIELDS}
+            spec_items = {k: v for k, v in groups[name].items() if k not in base_items}
+            base = from_kv(PlayerArchetype, base_items, context, prefix)
+            archetypes.append(from_kv(ArchetypeSpec, spec_items, context, prefix, name=name, base=base))
+        given = {"archetypes": tuple(archetypes)} if archetypes else {}
+        config = from_kv(cls, scalars, context, **given)
         config.validate()
         return config
 
     def to_kv_dict(self) -> dict[str, str]:
-        out = {
-            "players": str(self.players),
-            "matches": str(self.matches),
-            "templates_per_match": str(self.templates_per_match),
-            "template_pool": str(self.template_pool),
-            "start_day": self.start_day.isoformat(),
-            "end_day": self.end_day.isoformat(),
-            "participation_rate": repr(self.participation_rate),
-        }
+        out = to_kv(self)
         for spec in self.archetypes:
-            out[f"archetype.{spec.name}.weight"] = repr(spec.weight)
-            out[f"archetype.{spec.name}.jitter"] = repr(spec.jitter)
-            for f in _ARCHETYPE_FIELDS:
-                out[f"archetype.{spec.name}.{f}"] = repr(getattr(spec.base, f))
+            prefix = f"archetype.{spec.name}."
+            out.update(to_kv(spec, prefix, omit=("name",)))
+            out.update(to_kv(spec.base, prefix))
         return out
 
     @classmethod

@@ -68,11 +68,12 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)  # name -> {path, sha256, verify}
     schema_versions: dict = field(default_factory=dict)
 
+    # paths are recorded absolute, so a run can be reproduced from any working directory
     def add_input(self, name: str, path) -> None:
-        self.inputs[name] = {"path": str(path), "sha256": digest_path(path)}
+        self.inputs[name] = {"path": os.path.abspath(path), "sha256": digest_path(path)}
 
     def add_output(self, name: str, path, verify: bool = True) -> None:
-        self.outputs[name] = {"path": str(path), "sha256": digest_path(path), "verify": verify}
+        self.outputs[name] = {"path": os.path.abspath(path), "sha256": digest_path(path), "verify": verify}
 
     @staticmethod
     def _dir(out_root) -> str:

@@ -135,15 +135,6 @@ class WidirParams:
             },
         )
 
-    def astype(self, dtype) -> "WidirParams":
-        return WidirParams(
-            dims=self.dims,
-            components={
-                name: [Layer(l.w.astype(dtype), l.b.astype(dtype)) for l in layers]
-                for name, layers in self.components.items()
-            },
-        )
-
 
 def param_count(dims: WidirDims) -> tuple[dict[str, int], int]:
     """Per-component parameter counts and the grand total."""

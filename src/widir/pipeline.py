@@ -175,7 +175,7 @@ def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None 
     write_report(report_path, result.report)
 
     m = RunManifest(run_id=run_id or _new_run_id("train", config.seed), phase="train", seed=config.seed)
-    m.config = {k: str(v) for k, v in config.__dict__.items()}
+    m.config = config.to_kv_dict()
     m.add_input("data", data_dir)
     m.add_input("features", features_dir)
     m.add_output("model.bin", model_path)

@@ -18,13 +18,11 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .domain import ContestSpec, match_templates
 from .errors import ConfigError
 from .evaluation import popularity_rank
 from .inference import RankingPayload
-from .textio import read_kv, require_keys
+from .textio import from_kv, read_kv, to_kv
 
 
 class RequestError(ValueError):
@@ -203,25 +201,21 @@ class ServeConfig:
         "fallback_path": "WIDIR_FALLBACK_PATH",
     }
 
+    def validate(self) -> None:
+        if not 0 <= self.bind_port <= 65535:
+            raise ConfigError(f"bind_port must lie in [0, 65535], got {self.bind_port}")
+        if self.max_request_bytes < 1:
+            raise ConfigError(f"max_request_bytes must be >= 1, got {self.max_request_bytes}")
+
     @classmethod
     def load(cls, path=None, env: Mapping[str, str] | None = None) -> "ServeConfig":
         """File values overridden by environment variables (env wins)."""
         env = os.environ if env is None else env
-        kv = read_kv(path) if path else {}
-        require_keys(kv, set(cls._ENV), context=str(path) if path else "serve config")
-        values: dict[str, str] = dict(kv)
-        for name, var in cls._ENV.items():
-            if var in env:
-                values[name] = env[var]
-        try:
-            return cls(
-                bind_host=values.get("bind_host", cls.bind_host),
-                bind_port=int(values.get("bind_port", cls.bind_port)),
-                max_request_bytes=int(values.get("max_request_bytes", cls.max_request_bytes)),
-                fallback_path=values.get("fallback_path", ""),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"serve config: {exc}") from exc
+        config = from_kv(cls, read_kv(path), str(path)) if path else cls()
+        overrides = {name: env[var] for name, var in cls._ENV.items() if var in env}
+        config = from_kv(cls, {**to_kv(config), **overrides}, "WIDIR_* environment")
+        config.validate()
+        return config
 
 
 # --- HTTP service ------------------------------------------------------------------
@@ -324,59 +318,3 @@ def serve(store: OnlineStore, config: ServeConfig) -> RankingService:
     thread = threading.Thread(target=server.serve_forever, name="widir-serve", daemon=True)
     thread.start()
     return RankingService(server=server, thread=thread)
-
-
-# --- latency harness ----------------------------------------------------------------
-
-
-def run_latency_harness(
-    store: OnlineStore,
-    player_id: str,
-    match_id: str,
-    contests: Sequence[tuple[str, str]],
-    n_requests: int = 10_000,
-    seed: int = 0,
-) -> dict:
-    """Measure the in-process request path (parse -> rank -> serialize).
-
-    Latency is measured in-process by design: the budget applies to ranking
-    work, not network transit. Returns millisecond percentiles.
-    """
-    rng = np.random.default_rng(seed)
-    contests = list(contests)
-    bodies = []
-    for _ in range(16):
-        order = rng.permutation(len(contests))
-        bodies.append(
-            json.dumps(
-                {
-                    "player_id": player_id,
-                    "match_id": match_id,
-                    "contests": [
-                        {"contest_id": contests[i][0], "template_id": contests[i][1]} for i in order
-                    ],
-                }
-            ).encode()
-        )
-    samples_ms = np.empty(n_requests, dtype=np.float64)
-    for i in range(n_requests):
-        body = bodies[i % len(bodies)]
-        t0 = time.perf_counter_ns()
-        status, _ = handle_rank_body(store, body)
-        samples_ms[i] = (time.perf_counter_ns() - t0) / 1e6
-        if status != 200:
-            raise RuntimeError(f"latency harness got status {status}")
-    samples_ms.sort()
-
-    def pct(q: float) -> float:
-        return float(samples_ms[min(int(q * (n_requests - 1)), n_requests - 1)])
-
-    return {
-        "note": "in-process latency: request parse through response serialize (no network transit)",
-        "n_requests": n_requests,
-        "n_contests": len(contests),
-        "p50_ms": pct(0.50),
-        "p90_ms": pct(0.90),
-        "p99_ms": pct(0.99),
-        "max_ms": float(samples_ms[-1]),
-    }

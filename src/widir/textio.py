@@ -1,39 +1,51 @@
 """Flat key-value text files used for configs and reports, and atomic writes.
 
 Format: one `key = value` per line; blank lines and lines starting with `#`
-are ignored. Keys are validated by each consumer; unknown keys are an error
-there, not here. Every file the program writes, text or binary, goes
-through `write_replace`, so no reader ever sees a half-written file.
+are ignored. `from_kv` and `to_kv` are the one codec between such items and
+a dataclass: each field's declared type (int, finite float, str or ISO date)
+reads and writes its value, and the dataclass's defaults fill absent keys.
+Every file the program writes, text or binary, goes through `write_replace`,
+so no reader ever sees a half-written file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import datetime as dt
+import math
 import os
+import typing
+from typing import Mapping
 
 from .errors import ConfigError
+
+
+def parse_kv(text: str, context: str) -> dict[str, str]:
+    """The text's items; a line without `=` or a repeated key is a ConfigError naming `context:line`."""
+    out: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{context}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{context}:{lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
+    return out
 
 
 def read_kv(path) -> dict[str, str]:
     """The file's items; a missing, unreadable or non-UTF-8 file is a ConfigError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key in out:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
-    return out
+    return parse_kv(text, str(path))
 
 
 def write_kv(path, items: dict[str, str]) -> None:
@@ -45,11 +57,65 @@ def format_kv(items: dict[str, str]) -> str:
     return "".join(f"{key} = {value}\n" for key, value in items.items())
 
 
-def require_keys(items: dict[str, str], known: set[str], context: str) -> None:
-    """Reject unknown keys, naming the first offender."""
-    for key in items:
-        if key not in known:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+# the value types a kv file holds: how each is read from text and written back
+_DECODE = {int: int, float: _finite_float, str: str, dt.date: dt.date.fromisoformat}
+_ENCODE = {int: str, float: repr, str: str, dt.date: dt.date.isoformat}
+
+
+def parse_value(kind: type, text: str, context: str, key: str):
+    """`text` read as a `kind` value; an unreadable one is a ConfigError naming `context` and `key`."""
+    try:
+        return _DECODE[kind](text)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: bad value for {key!r}: {exc}") from exc
+
+
+def _value_fields(cls) -> dict[str, tuple[type, bool]]:
+    """Each field of dataclass `cls` whose type a kv value holds: its type, and whether it is required."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+        if hints[f.name] in _DECODE
+    }
+
+
+def from_kv(cls, items: Mapping[str, str], context: str, prefix: str = "", /, **given):
+    """An instance of dataclass `cls`: each value field from the item `<prefix><field>`,
+    read by the field's type, or its default when the item is absent; the rest from `given`.
+
+    An item that names no value field of `cls` (or names one in `given`), a
+    missing item for a field without a default, and an unreadable value are
+    ConfigErrors naming `context` and the key.
+    """
+    fields = {name: spec for name, spec in _value_fields(cls).items() if name not in given}
+    kwargs = dict(given)
+    for key, text in items.items():
+        name = key[len(prefix):] if key.startswith(prefix) else None
+        if name not in fields:
             raise ConfigError(f"{context}: unknown config key {key!r}")
+        kwargs[name] = parse_value(fields[name][0], text, context, key)
+    missing = [name for name, (_, required) in fields.items() if required and name not in kwargs]
+    if missing:
+        raise ConfigError(f"{context}: missing required key {prefix + missing[0]!r}")
+    return cls(**kwargs)
+
+
+def to_kv(obj, prefix: str = "", omit: tuple[str, ...] = ()) -> dict[str, str]:
+    """The value fields of dataclass instance `obj` but `omit`, as `<prefix><field>` text items:
+    ints and strings as they are, floats by `repr`, dates in ISO form."""
+    return {
+        prefix + name: _ENCODE[kind](getattr(obj, name))
+        for name, (kind, _) in _value_fields(type(obj)).items()
+        if name not in omit
+    }
 
 
 @contextlib.contextmanager

@@ -13,7 +13,6 @@ a seed fixes the final parameters.
 
 from __future__ import annotations
 
-import dataclasses
 import datetime as dt
 import hashlib
 import logging
@@ -34,7 +33,7 @@ from .features import (
     build_template_block,
 )
 from .model import Rows, WidirDims, WidirParams, hinge_losses, init_params, pair_gradients, score_rows
-from .textio import read_kv, require_keys, write_replace
+from .textio import from_kv, read_kv, to_kv, write_replace
 
 logger = logging.getLogger(__name__)
 
@@ -71,22 +70,12 @@ class TrainConfig:
 
     @classmethod
     def from_kv_dict(cls, kv: Mapping[str, str], context: str = "train config") -> "TrainConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        require_keys(dict(kv), known, context)
-        kwargs: dict = {}
-        try:
-            for name, raw in kv.items():
-                if name == "optimizer":
-                    kwargs[name] = raw
-                elif name == "learning_rate":
-                    kwargs[name] = float(raw)
-                else:
-                    kwargs[name] = int(raw)
-            config = cls(**kwargs)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
+        config = from_kv(cls, kv, context)
         config.validate()
         return config
+
+    def to_kv_dict(self) -> dict[str, str]:
+        return to_kv(self)
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":

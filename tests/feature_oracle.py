@@ -41,12 +41,16 @@ from widir.features import (
     _TYPE_INDEX,
     _identity_stats,
     _normalize,
-    bucket_of,
     contest_features_raw,
     quantile_edges,
 )
 
 _TYPES = sorted(_TYPE_INDEX, key=_TYPE_INDEX.get)
+
+
+def bucket_of(value: float, edges: np.ndarray) -> int:
+    """Index of the training-quantile bucket holding `value` (0..7)."""
+    return int(np.searchsorted(edges[: N_BUCKETS - 1], value, side="left"))
 
 
 class RecentJoin(NamedTuple):

@@ -9,7 +9,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from widir.model import WidirParams, _layer_plan, hinge_losses
+from widir.model import Layer, WidirParams, _layer_plan, hinge_losses
+
+
+def astype(params: WidirParams, dtype) -> WidirParams:
+    """A copy of `params` with every weight and bias in `dtype`, for float64 reference runs."""
+    return WidirParams(
+        dims=params.dims,
+        components={
+            name: [Layer(l.w.astype(dtype), l.b.astype(dtype)) for l in layers]
+            for name, layers in params.components.items()
+        },
+    )
 
 
 def _mlp(layers, flags, x, mm, cache):

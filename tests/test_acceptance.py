@@ -27,11 +27,12 @@ from widir.model import (
     init_params,
     param_count,
 )
-from widir.serving import OnlineStore, rank_live, run_latency_harness, RankRequest
+from widir.serving import OnlineStore, rank_live, RankRequest
 from widir.training import EarlyStopper, TrainConfig, train
 from widir import pipeline
 
 from conftest import DAY0, mk_payload
+from latency_harness import run_latency_harness
 from model_oracle import min_abs_preactivation
 from test_training import brute_force_pairs, lst_of, pairs_of, separable_dataset
 

@@ -113,6 +113,19 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "payloads.jsonl: MISMATCH" in out and "reproduce FAILED: run_id=infer-edited" in out
 
+    def test_reproduce_relative_out_from_another_directory(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "gen.kv").write_text(GEN_KV)
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        assert main(["generate", "--out", "run", "--config", str(tmp_path / "gen.kv"), "--seed", "5",
+                     "--run-id", "gen-rel"]) == 0
+        assert main(["features", "--out", "run", "--train-end", "2025-01-30", "--valid-end", "2025-02-07",
+                     "--run-id", "feat-rel"]) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["reproduce", "feat-rel", "--out", os.path.join("work", "run")]) == 0
+        assert "reproduce ok: run_id=feat-rel" in capsys.readouterr().out
+
     def test_payloads_exist_and_are_json(self, pipeline_root):
         lines = (pipeline_root / "payloads" / "payloads.jsonl").read_text().splitlines()
         assert lines
@@ -168,6 +181,43 @@ class TestErrorPaths:
         code = main(["train", "--out", str(pipeline_root), "--config", str(bad), "--run-id", "train-bad"])
         assert code == 1
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("weight", "inf"), ("jitter", "nan")])
+    def test_non_finite_archetype_value_exit_1(self, tmp_path, capsys, key, value):
+        group = {"weight": "1.0", "jitter": "0.1", "preferred_log_entry_fee": "2.0", "fee_sensitivity": "1.0",
+                 "size_preference": "0.5", "risk_appetite": "0.5", "popularity_weight": "0.1",
+                 "activity_rate": "1.0", "multi_entry_propensity": "0.1", key: value}
+        cfg = tmp_path / "gen.kv"
+        cfg.write_text(GEN_KV + "".join(f"archetype.a.{k} = {v}\n" for k, v in group.items()))
+        code = main(["generate", "--out", str(tmp_path / "o"), "--config", str(cfg), "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: bad value for 'archetype.a.{key}'" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["features", "--train-end", "2025-13-01", "--valid-end", "2025-02-07"], "--train-end"),
+        (["features", "--train-end", "2025-01-30", "--valid-end", "2025-02-30"], "--valid-end"),
+        (["infer", "--as-of", "2025-02-30"], "--as-of"),
+    ], ids=["train-end", "valid-end", "as-of"])
+    def test_impossible_date_exit_1(self, pipeline_root, capsys, argv, flag):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(pipeline_root), "--run-id", "bad-date"]) == 1
+        err = capsys.readouterr().err
+        assert f"bad value for {flag!r}" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("line, named", [
+        ("bind_port = -1", "bind_port"), ("bind_port = 70000", "bind_port"),
+        ("max_request_bytes = 0", "max_request_bytes"), ("max_request_bytes = -5", "max_request_bytes"),
+    ])
+    def test_serve_config_out_of_range_exit_1(self, tmp_path, capsys, line, named):
+        cfg = tmp_path / "serve.kv"
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        # the config is checked before the payloads are read, so none are needed
+        code = main(["serve", "--payloads", str(tmp_path / "none.jsonl"), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert named in err and "internal error" not in err
 
     def test_missing_model_exit_2(self, pipeline_root, tmp_path, capsys):
         code = main(

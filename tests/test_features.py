@@ -24,7 +24,6 @@ from widir.features import (
     _JoinColumns,
     _identity_stats,
     _normalize,
-    bucket_of,
     build_template_block,
     cold_start_player_raw,
     cold_start_player_row,
@@ -37,7 +36,7 @@ from widir.features import (
 
 from conftest import DAY0, mk_contest
 import feature_oracle
-from feature_oracle import build_recent_hists, build_snapshot, expand, recent_joins, snapshot_from
+from feature_oracle import bucket_of, build_recent_hists, build_snapshot, expand, recent_joins, snapshot_from
 
 UTC_TYPES = [ContestType.PUBLIC, ContestType.SPECIAL, ContestType.MEGA]
 

@@ -22,6 +22,7 @@ from widir.model import WidirDims, init_params
 
 from conftest import DAY0, mk_contest, mk_join
 from feature_oracle import RecentJoin, snapshot_from
+import model_oracle
 
 
 class TestActivePlayers:
@@ -82,7 +83,7 @@ class TestRunBatch:
     def test_float64_model_rejected(self):
         params, snap, matches, active = _setup()
         with pytest.raises(ValueError, match="float32"):
-            run_batch(params.astype(np.float64), snap, matches, active, "v1", day_start(DAY0))
+            run_batch(model_oracle.astype(params, np.float64), snap, matches, active, "v1", day_start(DAY0))
 
     def test_no_payload_outside_active_set(self):
         params, snap, matches, _ = _setup()

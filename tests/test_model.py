@@ -337,7 +337,7 @@ class TestFactoredGraph:
         neg = (pos + rng.integers(1, n_rows, n_pairs)) % n_rows
         grads, losses = pair_gradients(params, rows, pos, neg)
         want, want_losses = model_oracle.backward_batch(
-            params.astype(np.float64),
+            model_oracle.astype(params, np.float64),
             *([a.astype(np.float64) for a in _flat(rows, side)] for side in (pos, neg)),
         )
         assert 0 < (losses > 0).sum() < losses.size

@@ -20,11 +20,11 @@ from widir.serving import (
     load_fallbacks,
     parse_rank_request,
     rank_live,
-    run_latency_harness,
     serve,
 )
 
 from conftest import mk_contest, mk_payload
+from latency_harness import run_latency_harness
 
 
 def _payload(player="p1", match="m1", ranking=(("t2", 2.0), ("t1", 1.0)), version="v1"):
@@ -224,6 +224,10 @@ class TestServeConfig:
         path.write_text("threads = 4\n")
         with pytest.raises(ConfigError, match="threads"):
             ServeConfig.load(path, env={})
+
+    def test_bad_env_value_is_config_error_naming_key(self):
+        with pytest.raises(ConfigError, match="WIDIR_\\* environment: bad value for 'bind_port'"):
+            ServeConfig.load(None, env={"WIDIR_BIND_PORT": "eighty"})
 
 
 class TestHTTPService:

@@ -1,15 +1,20 @@
+import datetime as dt
+import math
 import os
 import re
 
 import pytest
 
 from widir import domain
+from widir.abtest import ABConfig
 from widir.errors import ConfigError
+from widir.generator import GeneratorConfig
 from widir.inference import write_payloads
 from widir.manifest import RunManifest
 from widir.model import WidirDims, init_params, save_model
-from widir.textio import read_kv, write_kv, write_replace
-from widir.training import EpochRow, TrainingReport, write_report
+from widir.serving import ServeConfig
+from widir.textio import parse_kv, read_kv, to_kv, write_kv, write_replace
+from widir.training import EpochRow, TrainConfig, TrainingReport, write_report
 
 from conftest import mk_payload
 
@@ -101,3 +106,73 @@ def test_unreadable_kv_is_config_error(tmp_path, content):
         path.write_bytes(content)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: cannot read config")):
         read_kv(path)
+
+
+def _valid_items() -> dict[str, tuple]:
+    """Per config: its loader, and the items of a valid file that sets every key."""
+    generator = GeneratorConfig(players=10, matches=5, templates_per_match=3,
+                                start_day=dt.date(2025, 1, 1), end_day=dt.date(2025, 3, 1))
+    ab = ABConfig(group_sizes={"CG": 10, "TG1": 10}, policies={"TG1": "popularity"})
+    return {
+        "train": (TrainConfig.from_file, TrainConfig().to_kv_dict()),
+        "generator": (GeneratorConfig.from_file, generator.to_kv_dict()),
+        "ab": (ABConfig.from_file, ab.to_kv_dict()),
+        "serve": (lambda path: ServeConfig.load(path, env={}), to_kv(ServeConfig())),
+    }
+
+
+def _bad_value_cases():
+    """(config, key, value): a non-finite value for each float key, a non-integer for each int key."""
+    for name, (_, items) in _valid_items().items():
+        for key, text in items.items():
+            if re.fullmatch(r"-?\d+", text):
+                yield from ((name, key, bad) for bad in ("1.5", "x", ""))
+            elif re.fullmatch(r"-?\d*\.\d+(e-?\d+)?", text):
+                yield from ((name, key, bad) for bad in ("nan", "inf", "-inf"))
+
+
+@pytest.mark.parametrize("config, key, value", list(_bad_value_cases()))
+def test_bad_value_is_config_error_naming_file_and_key(tmp_path, config, key, value):
+    load, items = _valid_items()[config]
+    path = tmp_path / f"{config}.kv"
+    write_kv(path, items)
+    load(path)  # the file is valid as written
+    write_kv(path, {**items, key: value})
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: bad value for {key!r}")):
+        load(path)
+
+
+def test_codec_round_trip_keeps_kv_text(tmp_path):
+    """Floats by repr, dates in ISO form, archetype groups in declared field order."""
+    items = _valid_items()["generator"][1]
+    path = tmp_path / "generator.kv"
+    write_kv(path, items)
+    assert GeneratorConfig.from_file(path).to_kv_dict() == items
+    assert list(items)[:7] == ["players", "matches", "templates_per_match", "template_pool",
+                               "start_day", "end_day", "participation_rate"]
+    assert items["archetype.casual.preferred_log_entry_fee"] == repr(math.log(2.0))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a = 1\nb\n", "x:2: expected 'key = value'"),
+    ("a = 1\n# note\na = 2\n", "x:3: duplicate key 'a'"),
+])
+def test_parse_kv_names_context_and_line(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_kv(text, "x")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("archetype.casual.weight", None, "missing required key 'archetype.casual.weight'"),
+    ("archetype.casual", "1.0", "unknown config key 'archetype.casual'"),
+    ("archetype.casual.name", "x", "unknown config key 'archetype.casual.name'"),
+    ("archetype.casual.base.activity_rate", "1.0", "unknown config key 'archetype.casual.base.activity_rate'"),
+], ids=["missing-field", "no-field", "name-is-the-group", "nested"])
+def test_generator_archetype_group_keys(key, value, message):
+    items = _valid_items()["generator"][1]
+    if value is None:
+        del items[key]
+    else:
+        items[key] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        GeneratorConfig.from_kv_dict(items)

@@ -523,7 +523,7 @@ class TestAssemblePairDataset:
         grads, losses = pair_gradients(params, *ds.batch(idx), fast=True)
         p = ds.player_rows[ds.list_idx[idx]]
         want, want_losses = model_oracle.backward_batch(
-            params.astype(np.float64),
+            model_oracle.astype(params, np.float64),
             *([a.astype(np.float64) for a in side] for side in ((p, ds.pos_contest[idx], ds.pos_inter[idx]),
                                                                  (p, ds.neg_contest[idx], ds.neg_inter[idx]))),
         )
