@@ -23,9 +23,10 @@ from .errors import DataError
 from .features import (
     D_I,
     FeatureSnapshot,
-    JoinEvent,
+    JoinTable,
     TemplateBlock,
     build_template_block,
+    group_indices,
 )
 from .generator import PlayerArchetype, archetype_utilities, template_stats
 from .model import Rows, WidirParams, score_rows
@@ -220,7 +221,7 @@ class GroundTruthScorer:
 
 def evaluate(
     scorer,
-    test_events: Sequence[JoinEvent],
+    test: JoinTable,
     templates_by_match: Mapping[str, Sequence[ContestSpec]],
     match_days: Mapping[str, dt.date],
     snapshots,
@@ -234,41 +235,31 @@ def evaluate(
     one `scorer.rank_players` call, in sorted order; the metrics are summed
     in sorted (player, match) order.
     """
-    joined: dict[tuple[str, str], set[str]] = {}
-    for e in test_events:
-        joined.setdefault((e.player_id, e.match_id), set()).add(e.template_id)
-    if not joined:
+    player_ids, match_ids, pair_of = test.player_matches()
+    if not len(player_ids):
         raise DataError("no (player, match) pairs with joins in the test partition")
-    pairs = sorted(joined)
-    players_by_match: dict[str, list[str]] = {}
-    for pid, mid in pairs:
-        players_by_match.setdefault(mid, []).append(pid)
+    joined = [set(test.template_id[rows].tolist()) for rows in group_indices(pair_of, len(player_ids))]
 
-    metrics: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for mid in sorted(players_by_match):
+    metrics = np.full((len(player_ids), len(h_values), 2), np.nan)  # per pair: precision and recall at each h
+    matches, match_of = np.unique(match_ids, return_inverse=True)
+    for mid, pairs in zip(matches.tolist(), group_indices(match_of, len(matches))):
         templates = templates_by_match.get(mid)
         if not templates:
             raise DataError(f"match {mid} missing from catalog")
         day = match_days.get(mid)
         if day is None:
             raise DataError(f"no match day known for match {mid}")
-        pids = players_by_match[mid]
-        for pid, slate in zip(pids, scorer.rank_players(mid, templates, snapshots.get(day), pids)):
-            actual = joined[(pid, mid)]
-            metrics[(pid, mid)] = [(precision_at(slate, actual, h), recall_at(slate, actual, h)) for h in h_values]
+        pids = player_ids[pairs].tolist()
+        for k, slate in zip(pairs.tolist(), scorer.rank_players(mid, templates, snapshots.get(day), pids)):
+            metrics[k] = [(precision_at(slate, joined[k], h), recall_at(slate, joined[k], h)) for h in h_values]
 
-    prec_sum = {h: 0.0 for h in h_values}
-    rec_sum = {h: 0.0 for h in h_values}
-    for pair in pairs:
-        for h, (p, r) in zip(h_values, metrics[pair]):
-            prec_sum[h] += p
-            rec_sum[h] += r
-    n = len(pairs)
+    total = np.add.accumulate(metrics)[-1].tolist()  # adds the pairs one after another, unlike np.sum
+    n = len(metrics)
     report = EvalReport(
         model=getattr(scorer, "name", "scorer"),
         n_pairs=n,
-        precision={h: prec_sum[h] / n for h in h_values},
-        recall={h: rec_sum[h] / n for h in h_values},
+        precision={h: p / n for h, (p, _) in zip(h_values, total)},
+        recall={h: r / n for h, (_, r) in zip(h_values, total)},
     )
     report.validate()
     return report

@@ -13,9 +13,13 @@ sees a join with joining_time >= as_of_day 00:00 UTC. Count and monetary
 dims are log1p-transformed, z-scored against training-partition statistics
 and clipped to [-10, 10]; rate-valued dims and flags pass through raw.
 
-One day-sweep kernel (`_JoinColumns`) builds every player row: the joins
-are laid out once as columns sorted by (player, time, template_id), and
-each day computes all players' windows with array operations. Money is
+`enrich_joins` joins the log against the contest catalog into one
+`JoinTable`, an array per column, which the day sweep, normalization
+fitting, training lists and evaluation all read.
+
+One day-sweep kernel (`_JoinColumns`) builds every player row: the table
+is sorted once by (player, time, template_id), and each day computes all
+players' windows with array operations. Money is
 summed in integer cents and converted to units once per sum, so a row is
 exact and does not depend on summation order. Snapshots and normalization
 fitting both call this kernel.
@@ -41,7 +45,7 @@ import datetime as dt
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +54,6 @@ from .domain import (
     ContestType,
     JoinRecord,
     SECONDS_PER_DAY,
-    day_of,
     epoch_day,
     money_units,
     parse_day,
@@ -90,47 +93,64 @@ CONTEST_Z_MASK[[0, 1, 2, 10]] = True  # fee, prize, size, prize/entry ratio
 INTERACTION_Z_MASK = np.ones(D_I, dtype=bool)
 
 
-class JoinEvent(NamedTuple):
-    """A join enriched with its contest's template-level attributes."""
+@dataclass(frozen=True, eq=False)
+class JoinTable:
+    """The join log enriched with its contests' attributes: one array per column, row i is join i."""
 
-    time: int
-    day: dt.date
-    player_id: str
-    match_id: str
-    template_id: str
-    contest_type: ContestType
-    entry_fee: int
-    prize_won: int
-    contest_size: int
-    prize_money: int
-    guaranteed: bool
-    multi_entry: bool
+    time: np.ndarray          # (n,) int64 epoch seconds
+    player_id: np.ndarray     # (n,) str
+    match_id: np.ndarray      # (n,) str
+    template_id: np.ndarray   # (n,) str
+    contest_type: np.ndarray  # (n,) int8, the type's index (_TYPE_INDEX)
+    entry_fee: np.ndarray     # (n,) int64 cents, the fee paid
+    prize_won: np.ndarray     # (n,) int64 cents
+    prize_money: np.ndarray   # (n,) int64 cents, the contest's prize pool
+    contest_size: np.ndarray  # (n,) int64
+    guaranteed: np.ndarray    # (n,) bool
+    multi_entry: np.ndarray   # (n,) bool
+
+    def __len__(self) -> int:
+        return self.time.size
+
+    def player_matches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct (player, match) pairs, sorted, as player ids and match ids, and each join's pair."""
+        players, player_of = np.unique(self.player_id, return_inverse=True)
+        matches, match_of = np.unique(self.match_id, return_inverse=True)
+        keys, pair_of = np.unique(player_of * len(matches) + match_of, return_inverse=True)
+        pair_player, pair_match = np.divmod(keys, max(len(matches), 1))
+        return players[pair_player], matches[pair_match], pair_of
 
 
-def enrich_joins(joins: Sequence[JoinRecord], contests_by_id: Mapping[str, ContestSpec]) -> list[JoinEvent]:
-    """Join the log against the catalog; missing contests are a data error."""
-    out = []
-    for r in joins:
-        spec = contests_by_id.get(r.contest_id)
-        if spec is None:
-            raise DataError(f"join references unknown contest {r.contest_id}")
-        out.append(
-            JoinEvent(
-                time=r.joining_time,
-                day=day_of(r.joining_time),
-                player_id=r.player_id,
-                match_id=r.match_id,
-                template_id=spec.template_id,
-                contest_type=spec.contest_type,
-                entry_fee=r.entry_fee_paid,
-                prize_won=r.prize_won,
-                contest_size=spec.contest_size,
-                prize_money=spec.prize_money,
-                guaranteed=spec.guaranteed,
-                multi_entry=spec.multi_entry,
-            )
-        )
-    return out
+def enrich_joins(joins: Sequence[JoinRecord], contests_by_id: Mapping[str, ContestSpec]) -> JoinTable:
+    """Join the log against the catalog; a contest that is missing or of another match is a data error."""
+    row_of = {cid: i for i, cid in enumerate(contests_by_id)}
+    try:
+        contest = np.array([row_of[r.contest_id] for r in joins], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(f"join references unknown contest {exc.args[0]}") from None
+
+    def per_contest(value, dtype) -> np.ndarray:
+        return np.array([value(s) for s in contests_by_id.values()], dtype=dtype)[contest]
+
+    match_id = np.array([r.match_id for r in joins], dtype=str)
+    contest_match = per_contest(lambda s: s.match_id, str)
+    if (bad := np.flatnonzero(match_id != contest_match)).size:
+        i = bad[0]
+        raise DataError(f"join of contest {joins[i].contest_id} names match {match_id[i]}, "
+                        f"but the contest belongs to match {contest_match[i]}")
+    return JoinTable(
+        time=np.array([r.joining_time for r in joins], dtype=np.int64),
+        player_id=np.array([r.player_id for r in joins], dtype=str),
+        match_id=match_id,
+        template_id=per_contest(lambda s: s.template_id, str),
+        contest_type=per_contest(lambda s: _TYPE_INDEX[s.contest_type], np.int8),
+        entry_fee=np.array([r.entry_fee_paid for r in joins], dtype=np.int64),
+        prize_won=np.array([r.prize_won for r in joins], dtype=np.int64),
+        prize_money=per_contest(lambda s: s.prize_money, np.int64),
+        contest_size=per_contest(lambda s: s.contest_size, np.int64),
+        guaranteed=per_contest(lambda s: s.guaranteed, bool),
+        multi_entry=per_contest(lambda s: s.multi_entry, bool),
+    )
 
 
 # --- normalization stats -----------------------------------------------------
@@ -218,44 +238,34 @@ class _JoinColumns:
     slice [lo, end) into a count of the joins whose `prev_*` lies before lo.
     """
 
-    def __init__(self, events: Sequence[JoinEvent], stats: NormalizationStats):
-        n = len(events)
-        self.player_ids = sorted({e.player_id for e in events})
-        self.template_ids = sorted({e.template_id for e in events})
+    def __init__(self, joins: JoinTable, stats: NormalizationStats):
+        players, pcode = np.unique(joins.player_id, return_inverse=True)
+        templates, tcode = np.unique(joins.template_id, return_inverse=True)
+        self.player_ids, self.template_ids = players.tolist(), templates.tolist()
         self._code = {p: i for i, p in enumerate(self.player_ids)}
-        tcodes = {t: i for i, t in enumerate(self.template_ids)}
-        pcode = np.fromiter((self._code[e.player_id] for e in events), dtype=np.int32, count=n)
-        tcode = np.fromiter((tcodes[e.template_id] for e in events), dtype=np.int32, count=n)
-        time = np.fromiter((e.time for e in events), dtype=np.int64, count=n)
-        order = np.lexsort((tcode, time, pcode))
-
-        def column(values, dtype) -> np.ndarray:
-            return np.fromiter(values, dtype=dtype, count=n)[order]
-
+        order = np.lexsort((tcode, joins.time, pcode))
         pcode, self.tcode = pcode[order], tcode[order]
-        self.day = time[order] // SECONDS_PER_DAY
+        self.day = joins.time[order] // SECONDS_PER_DAY
         # (player, day) as one sorted key: one searchsorted finds every
         # player's window edge at once
         self.key = (pcode.astype(np.int64) << 32) + self.day
         self.player_start = np.searchsorted(pcode, np.arange(len(self.player_ids) + 1))
         # the money columns end in one extra 0, so that reduceat may index n
-        self.fee = np.append(column((e.entry_fee for e in events), np.int64), 0)
-        self.prize = np.append(column((e.prize_won for e in events), np.int64), 0)
-        size = column((e.contest_size for e in events), np.int64)
-        self.type_idx = column((_TYPE_INDEX[e.contest_type] for e in events), np.int8)
-        self.fee_b = _buckets(self.fee[:n], stats.fee_edges)
+        self.fee = np.append(joins.entry_fee[order], 0)
+        self.prize = np.append(joins.prize_won[order], 0)
+        fee, prize, size = self.fee[:-1], self.prize[:-1], joins.contest_size[order]
+        self.type_idx = joins.contest_type[order]
+        self.fee_b = _buckets(fee, stats.fee_edges)
         self.size_b = _buckets(size, stats.size_edges)
-        self.prize_b = _buckets(column((e.prize_money for e in events), np.int64), stats.prize_edges)
-        mcodes: dict[str, int] = {}
-        match = column((mcodes.setdefault(e.match_id, len(mcodes)) for e in events), np.int32)
+        self.prize_b = _buckets(joins.prize_money[order], stats.prize_edges)
         self.prev_size = _previous_same(pcode, size)
-        self.prev_fee = _previous_same(pcode, self.fee[:n])
-        self.prev_match = _previous_same(pcode, match)
-        self.cum_fee = _prefix(self.fee[:n], np.int64)
-        self.cum_prize = _prefix(self.prize[:n], np.int64)
-        self.cum_won = _prefix(self.prize[:n] > 0, np.int32)
-        self.cum_multi = _prefix(column((e.multi_entry for e in events), bool), np.int32)
-        self.cum_guar = _prefix(column((e.guaranteed for e in events), bool), np.int32)
+        self.prev_fee = _previous_same(pcode, fee)
+        self.prev_match = _previous_same(pcode, np.unique(joins.match_id, return_inverse=True)[1][order])
+        self.cum_fee = _prefix(fee, np.int64)
+        self.cum_prize = _prefix(prize, np.int64)
+        self.cum_won = _prefix(prize > 0, np.int32)
+        self.cum_multi = _prefix(joins.multi_entry[order], np.int32)
+        self.cum_guar = _prefix(joins.guaranteed[order], np.int32)
         self.cum_new_type = _prefix(_previous_same(pcode, self.type_idx) < 0, np.int32)
         self.cum_new_match = _prefix(self.prev_match < 0, np.int32)
 
@@ -336,6 +346,11 @@ class _JoinColumns:
 def _lookup(index: Mapping[str, int], keys: Iterable[str]) -> np.ndarray:
     """index[key] for each key, -1 for a key it lacks."""
     return np.fromiter((index.get(k, -1) for k in keys), dtype=np.int64)
+
+
+def group_indices(codes: np.ndarray, n: int) -> list[np.ndarray]:
+    """For each code 0..n-1, the ascending indices i with codes[i] == code."""
+    return np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes, minlength=n))[:-1])
 
 
 def _buckets(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -513,7 +528,7 @@ def build_template_block(templates: Sequence[ContestSpec], stats: NormalizationS
 
 
 def fit_normalization(
-    train_events: Sequence[JoinEvent],
+    train: JoinTable,
     templates_by_match: Mapping[str, Sequence[ContestSpec]],
     match_days: Mapping[str, dt.date],
 ) -> NormalizationStats:
@@ -525,15 +540,16 @@ def fit_normalization(
     template, interaction rows per (player, match) against each available
     template.
     """
-    if not train_events:
+    if not train:
         raise DataError("cannot fit normalization on an empty training partition")
 
     stats = _identity_stats()
-    stats.fee_edges = quantile_edges([e.entry_fee for e in train_events])
-    stats.size_edges = quantile_edges([e.contest_size for e in train_events])
-    stats.prize_edges = quantile_edges([e.prize_money for e in train_events])
+    stats.fee_edges = quantile_edges(train.entry_fee)
+    stats.size_edges = quantile_edges(train.contest_size)
+    stats.prize_edges = quantile_edges(train.prize_money)
 
-    groups = sorted({(e.player_id, e.match_id) for e in train_events})
+    player_ids, match_ids, _ = train.player_matches()
+    groups = list(zip(player_ids.tolist(), match_ids.tolist()))
     row_of: dict[tuple[str, dt.date], int] = {}  # (player, match day) rows, in groups order
     by_day: dict[dt.date, dict[str, list[int]]] = {}  # match day -> match -> group indices
     for g, (pid, mid) in enumerate(groups):
@@ -547,7 +563,7 @@ def fit_normalization(
     # included, and one interaction block per match over its players. Rows
     # are stored in `groups` order and summed over axis 0, which adds them
     # one after another, so the sums run in the order of `groups`
-    columns = _JoinColumns(train_events, stats)
+    columns = _JoinColumns(train, stats)
     p_log = np.empty((len(row_of), np.count_nonzero(PLAYER_Z_MASK)), dtype=np.float64)
     i_log = np.zeros((2, len(groups), D_I), dtype=np.float64)  # per group: sum, sum of squares
     i_n = 0
@@ -629,16 +645,14 @@ class FeatureSnapshot:
         return out
 
 
-def iter_snapshots(
-    events: Sequence[JoinEvent], days: Sequence[dt.date], stats: NormalizationStats
-):
+def iter_snapshots(joins: JoinTable, days: Sequence[dt.date], stats: NormalizationStats):
     """Yield (day, FeatureSnapshot) for each day in sorted order.
 
     Each snapshot sees only joins strictly before its day 00:00 UTC. Players
     with no join in the 30 days before the day are omitted. The joins are
     laid out as columns once; each day is one vectorized sweep over them.
     """
-    columns = _JoinColumns(events, stats)
+    columns = _JoinColumns(joins, stats)
     everyone = np.arange(len(columns.player_ids))
     for day in sorted(days):
         end = columns.edges(everyone, day, 0)

@@ -73,12 +73,7 @@ def _split_events(joins, by_id, train_end: dt.date, valid_end: dt.date):
         )
     train_ts = day_start(train_end + dt.timedelta(days=1)) - 1
     valid_ts = day_start(valid_end + dt.timedelta(days=1)) - 1
-    train_j, valid_j, test_j = split_by_time(joins, train_ts, valid_ts)
-    return (
-        enrich_joins(train_j, by_id),
-        enrich_joins(valid_j, by_id),
-        enrich_joins(test_j, by_id),
-    )
+    return tuple(enrich_joins(part, by_id) for part in split_by_time(joins, train_ts, valid_ts))
 
 
 # --- generate -------------------------------------------------------------------
@@ -219,6 +214,8 @@ def run_infer(
     out_root, data_dir, features_dir, model_path, as_of_day: dt.date,
     horizon: int = 3, run_id: str | None = None,
 ) -> RunManifest:
+    if horizon < 1:
+        raise ConfigError(f"horizon must be at least 1 day, got {horizon}")
     payload_dir = os.path.join(str(out_root), "payloads")
     os.makedirs(payload_dir, exist_ok=True)
     payloads_path = os.path.join(payload_dir, "payloads.jsonl")

@@ -28,9 +28,10 @@ from .errors import ConfigError, DataError
 from .features import (
     D_I,
     D_P,
-    JoinEvent,
+    JoinTable,
     NormalizationStats,
     build_template_block,
+    group_indices,
 )
 from .model import Rows, WidirDims, WidirParams, hinge_losses, init_params, pair_gradients, score_rows
 from .textio import from_kv, read_kv, to_kv, write_replace
@@ -109,7 +110,7 @@ class OrderedLists:
 
 
 def build_ordered_lists(
-    train_events: Sequence[JoinEvent],
+    train: JoinTable,
     templates_by_match: Mapping[str, Sequence[ContestSpec]],
     list_length: int,
     seed: int,
@@ -122,35 +123,31 @@ def build_ordered_lists(
     templates yield short lists (logged, not fatal). A join of a match or a
     template missing from the catalog is a DataError.
     """
-    def codes(values):
-        return np.unique(np.array(values, dtype=str), return_inverse=True)
-
-    players, player_of = codes([e.player_id for e in train_events])
-    matches, match_of = codes([e.match_id for e in train_events])
-    keys, list_of = np.unique(player_of * len(matches) + match_of, return_inverse=True)
-    list_player, list_match = np.divmod(keys, max(len(matches), 1))
-    player_ids, match_ids = players[list_player], matches[list_match]
+    player_ids, match_ids, list_of = train.player_matches()
+    matches, list_match = np.unique(match_ids, return_inverse=True)
 
     # a template's rank: its place in its match's catalog sorted by template id
-    rank_of, by_rank = {}, []
-    for mid in matches.tolist():
+    rank = np.empty(len(train), dtype=np.int64)
+    by_rank = []
+    for mid, joins in zip(matches.tolist(), group_indices(list_match[list_of], len(matches))):
         if (tpls := templates_by_match.get(mid)) is None:
             raise DataError(f"match {mid} missing from catalog")
-        ids = [t.template_id for t in tpls]
-        by_rank.append(sorted(range(len(ids)), key=ids.__getitem__))
-        rank_of.update({(mid, ids[row]): r for r, row in enumerate(by_rank[-1])})
-    try:
-        rank = np.array([rank_of[e.match_id, e.template_id] for e in train_events], dtype=np.int64)
-    except KeyError as exc:
-        mid, tid = exc.args[0]
-        raise DataError(f"join of template {tid} missing from match {mid} catalog") from None
+        ids = np.array([t.template_id for t in tpls], dtype=str)
+        by_rank.append(np.argsort(ids, kind="stable"))
+        ids = ids[by_rank[-1]]
+        found = np.searchsorted(ids, train.template_id[joins], side="right") - 1  # the last of equal ids
+        known = found >= 0
+        known[known] = ids[found[known]] == train.template_id[joins[known]]
+        if not known.all():
+            raise DataError(f"join of template {train.template_id[joins[~known][0]]} missing from match {mid} catalog")
+        rank[joins] = found
     width = max([list_length] + [len(rows) for rows in by_rank])
     row_of = np.full((len(matches), width), -1, dtype=np.int32)  # the catalog row of each (match, rank)
     for m, rows in enumerate(by_rank):
         row_of[m, : len(rows)] = rows
 
     # one count per (list, rank); ranks past a match's templates count -1 and sort last
-    counts = np.bincount(list_of * width + rank, minlength=keys.size * width).reshape(keys.size, width)
+    counts = np.bincount(list_of * width + rank, minlength=len(player_ids) * width).reshape(-1, width)
     n_templates = (row_of >= 0).sum(axis=1)[list_match]
     counts[np.arange(width) >= n_templates[:, None]] = -1
     order = np.argsort(-counts, axis=1, kind="stable")  # each list's ranks, most-joined first

@@ -11,6 +11,10 @@ and `interaction_row` counts those against one target contest; each row of
 `TemplateBlock.raw_interaction` must equal it. `snapshot_from` lays
 per-player rows and `RecentJoin` lists out as a columnar `FeatureSnapshot`,
 and `recent_joins` reads one player's joins back from any snapshot.
+
+The oracles read the join log as `JoinEvent` rows, from the row-wise
+`enrich_joins` that `widir.features.enrich_joins` replaced; `join_table`
+turns such rows into the `JoinTable` the columnar code reads.
 """
 
 from __future__ import annotations
@@ -21,7 +25,18 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from widir.domain import ContestSpec, ContestType, day_start, epoch_day, money_units, validate_contest
+from widir import features
+from widir.domain import (
+    ContestSpec,
+    ContestType,
+    JoinRecord,
+    PrizeDistribution,
+    day_of,
+    day_start,
+    epoch_day,
+    money_units,
+    validate_contest,
+)
 from widir.errors import DataError
 from widir.features import (
     CONTEST_Z_MASK,
@@ -36,7 +51,7 @@ from widir.features import (
     INTERACTION_WINDOWS,
     D_P,
     FeatureSnapshot,
-    JoinEvent,
+    JoinTable,
     NormalizationStats,
     _TYPE_INDEX,
     _identity_stats,
@@ -46,6 +61,65 @@ from widir.features import (
 )
 
 _TYPES = sorted(_TYPE_INDEX, key=_TYPE_INDEX.get)
+
+
+class JoinEvent(NamedTuple):
+    """A join enriched with its contest's template-level attributes."""
+
+    time: int
+    day: dt.date
+    player_id: str
+    match_id: str
+    template_id: str
+    contest_type: ContestType
+    entry_fee: int
+    prize_won: int
+    contest_size: int
+    prize_money: int
+    guaranteed: bool
+    multi_entry: bool
+
+
+def enrich_joins(joins: Sequence[JoinRecord], contests_by_id: Mapping[str, ContestSpec]) -> list[JoinEvent]:
+    """Join the log against the catalog one row at a time; missing contests are a data error."""
+    out = []
+    for r in joins:
+        spec = contests_by_id.get(r.contest_id)
+        if spec is None:
+            raise DataError(f"join references unknown contest {r.contest_id}")
+        out.append(
+            JoinEvent(
+                time=r.joining_time,
+                day=day_of(r.joining_time),
+                player_id=r.player_id,
+                match_id=r.match_id,
+                template_id=spec.template_id,
+                contest_type=spec.contest_type,
+                entry_fee=r.entry_fee_paid,
+                prize_won=r.prize_won,
+                contest_size=spec.contest_size,
+                prize_money=spec.prize_money,
+                guaranteed=spec.guaranteed,
+                multi_entry=spec.multi_entry,
+            )
+        )
+    return out
+
+
+def join_table(events: Sequence[JoinEvent]) -> JoinTable:
+    """`events` as `widir.features.enrich_joins` returns them: one JoinRecord and one contest per event."""
+    contests = {
+        f"c{i}": ContestSpec(
+            contest_id=f"c{i}", template_id=e.template_id, match_id=e.match_id, entry_fee=e.entry_fee,
+            prize_money=e.prize_money, contest_size=e.contest_size, contest_type=e.contest_type,
+            prize_distribution=PrizeDistribution(((1, 1, e.prize_money),)),
+            guaranteed=e.guaranteed, multi_entry=e.multi_entry,
+        )
+        for i, e in enumerate(events)
+    }
+    records = [JoinRecord(e.player_id, f"c{i}", e.match_id, e.time, e.entry_fee, e.prize_won)
+               for i, e in enumerate(events)]
+    return features.enrich_joins(records, contests)
 
 
 def bucket_of(value: float, edges: np.ndarray) -> int:

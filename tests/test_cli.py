@@ -205,6 +205,15 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"bad value for {flag!r}" in err and "internal error" not in err
 
+    @pytest.mark.parametrize("horizon", ["0", "-2"])
+    def test_horizon_below_one_exit_1(self, tmp_path, capsys, horizon):
+        capsys.readouterr()
+        # checked before the world, the store and the model are read: none exist under tmp_path
+        assert main(["infer", "--out", str(tmp_path), "--as-of", "2025-02-17", "--horizon", horizon]) == 1
+        err = capsys.readouterr().err
+        assert f"horizon must be at least 1 day, got {horizon}" in err and "internal error" not in err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("line, named", [
         ("bind_port = -1", "bind_port"), ("bind_port = 70000", "bind_port"),
         ("max_request_bytes = 0", "max_request_bytes"), ("max_request_bytes = -5", "max_request_bytes"),

@@ -32,7 +32,7 @@ from widir.features import (
 from widir.model import WidirDims, forward_batch, init_params
 
 from conftest import DAY0, mk_contest
-from feature_oracle import RecentJoin, snapshot_from
+from feature_oracle import RecentJoin, join_table, snapshot_from
 
 
 class RandomScorer:
@@ -259,7 +259,7 @@ class TestEvaluate:
     def test_random_scorer_recall_at_1_is_half(self):
         events, by_match = self._two_template_world(2500)
         report = evaluate(
-            RandomScorer(seed=3), events, by_match, {"m1": DAY0},
+            RandomScorer(seed=3), join_table(events), by_match, {"m1": DAY0},
             _BlankSnapshots(_identity_stats()), (1,),
         )
         assert report.n_pairs == 2500
@@ -268,8 +268,8 @@ class TestEvaluate:
     def test_deterministic_and_order_invariant(self):
         events, by_match = self._two_template_world(300)
         snapshots = _BlankSnapshots(_identity_stats())
-        a = evaluate(RandomScorer(7), events, by_match, {"m1": DAY0}, snapshots)
-        b = evaluate(RandomScorer(7), list(reversed(events)), by_match, {"m1": DAY0}, snapshots)
+        a = evaluate(RandomScorer(7), join_table(events), by_match, {"m1": DAY0}, snapshots)
+        b = evaluate(RandomScorer(7), join_table(list(reversed(events))), by_match, {"m1": DAY0}, snapshots)
         assert a.to_text() == b.to_text()
 
     def test_ground_truth_beats_popularity(self, tiny_world):
@@ -291,13 +291,12 @@ class TestEvaluate:
         by_id = index_contests(tiny_world.contests)
         by_match = match_templates(tiny_world.contests)
         match_days = {m.match_id: day_of(m.start_time) for m in tiny_world.matches}
-        events = enrich_joins(tiny_world.joins, by_id)
         cut = tiny_world.matches[int(len(tiny_world.matches) * 0.8)].start_time
-        train = [e for e in events if e.time < cut]
-        test_events = [e for e in events if e.time >= cut]
+        train = enrich_joins([r for r in tiny_world.joins if r.joining_time < cut], by_id)
+        test_events = enrich_joins([r for r in tiny_world.joins if r.joining_time >= cut], by_id)
         stats = fit_normalization(train, by_match, match_days)
-        days = sorted({match_days[e.match_id] for e in test_events})
-        snapshots = dict(iter_snapshots(events, days, stats))
+        days = sorted({match_days[mid] for mid in test_events.match_id.tolist()})
+        snapshots = dict(iter_snapshots(enrich_joins(tiny_world.joins, by_id), days, stats))
         params = init_params(WidirDims(), 3)
 
         class PerPlayerScorer:
@@ -310,7 +309,7 @@ class TestEvaluate:
         score_players = evaluation.score_players
         monkeypatch.setattr(evaluation, "score_players", lambda *a: calls.append(a) or score_players(*a))
         batched = evaluate(ModelScorer(params), test_events, by_match, match_days, snapshots)
-        test_matches = {e.match_id for e in test_events}
+        test_matches = set(test_events.match_id.tolist())
         # one scoring call per test match (each has fewer than 512 test players)
         assert len(calls) == len(test_matches) < batched.n_pairs
         per_player = evaluate(PerPlayerScorer(), test_events, by_match, match_days, snapshots)
@@ -326,5 +325,5 @@ class TestEvaluate:
     def test_missing_match_is_error(self):
         events, _ = self._two_template_world(5)
         with pytest.raises(DataError, match="m1"):
-            evaluate(RandomScorer(0), events, {}, {"m1": DAY0},
+            evaluate(RandomScorer(0), join_table(events), {}, {"m1": DAY0},
                      _BlankSnapshots(_identity_stats()))

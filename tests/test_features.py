@@ -16,12 +16,13 @@ from widir.features import (
     D_P,
     DAYS_SINCE_CAP,
     INTERACTION_Z_MASK,
-    JoinEvent,
+    JoinTable,
     NormalizationStats,
     PLAYER_WINDOWS,
     SnapshotCache,
     SnapshotStore,
     _JoinColumns,
+    _TYPE_INDEX,
     _identity_stats,
     _normalize,
     build_template_block,
@@ -34,16 +35,25 @@ from widir.features import (
     quantile_edges,
 )
 
-from conftest import DAY0, mk_contest
+from conftest import DAY0, mk_contest, mk_join
 import feature_oracle
-from feature_oracle import bucket_of, build_recent_hists, build_snapshot, expand, recent_joins, snapshot_from
+from feature_oracle import (
+    JoinEvent,
+    bucket_of,
+    build_recent_hists,
+    build_snapshot,
+    expand,
+    join_table,
+    recent_joins,
+    snapshot_from,
+)
 
 UTC_TYPES = [ContestType.PUBLIC, ContestType.SPECIAL, ContestType.MEGA]
 
 
 def player_features_raw(history, as_of_day, stats):
     """One player's raw row through the day-sweep kernel, whatever player ids `history` carries."""
-    columns = _JoinColumns([e._replace(player_id="") for e in history], stats)
+    columns = _JoinColumns(join_table([e._replace(player_id="") for e in history]), stats)
     return columns.player_rows(columns.codes([""]), as_of_day)[0]
 
 
@@ -159,8 +169,8 @@ class TestQuantileEdges:
         events = [ev(DAY0 + dt.timedelta(days=d), fee=(d + 1) * CENTS, match=f"m{d}") for d in range(10)]
         by_match = {f"m{d}": [mk_contest(match_id=f"m{d}")] for d in range(10)}
         days = {f"m{d}": DAY0 + dt.timedelta(days=d) for d in range(10)}
-        s1 = fit_normalization(events, by_match, days)
-        s2 = fit_normalization(events, by_match, days)
+        s1 = fit_normalization(join_table(events), by_match, days)
+        s2 = fit_normalization(join_table(events), by_match, days)
         for k, v in s1.to_json_dict().items():
             assert v == s2.to_json_dict()[k]
 
@@ -169,7 +179,7 @@ class TestQuantileEdges:
         events = [ev(DAY0 + dt.timedelta(days=d), match=f"m{d}") for d in range(3)]
         by_match = {f"m{d}": [mk_contest(match_id=f"m{d}")] for d in range(3)}
         days = {f"m{d}": DAY0 + dt.timedelta(days=d) for d in range(3)}
-        stats = fit_normalization(events, by_match, days)
+        stats = fit_normalization(join_table(events), by_match, days)
         assert np.all(stats.player_std >= 1e-8)
         # a value equal to the mean normalizes to 0 even with the floored std
         constant_dim = np.flatnonzero(stats.player_std == 1e-8)
@@ -231,7 +241,7 @@ class TestPlayerFeatures:
 
     def test_normalized_is_clipped_and_finite(self, identity_stats):
         events = [ev(DAY0 - dt.timedelta(days=1), fee=10**6 * CENTS, prize=10**7 * CENTS)]
-        (_, snap), = iter_snapshots(events, [DAY0], identity_stats)
+        (_, snap), = iter_snapshots(join_table(events), [DAY0], identity_stats)
         out = snap.player_rows(["p1"])[0]
         expect = feature_oracle.player_features(events, DAY0, identity_stats).astype(np.float32)
         assert out.tobytes() == expect.tobytes()
@@ -357,14 +367,14 @@ class TestDaySweepMatchesOracle:
         stats.player_mean = np.linspace(0.0, 2.0, D_P)
         stats.player_std = np.linspace(0.5, 3.0, D_P)
         days = [AS_OF - dt.timedelta(days=1), AS_OF, AS_OF + dt.timedelta(days=1)]
-        columns = _JoinColumns(events, stats)
+        columns = _JoinColumns(join_table(events), stats)
         pids = sorted({e.player_id for e in events}) + ["never-joined"]
         for day in days:
             raw = columns.player_rows(columns.codes(pids), day)
             for pid, row in zip(pids, raw):
                 history = [e for e in events if e.player_id == pid]
                 assert row.tobytes() == feature_oracle.player_row(history, day, stats).tobytes(), (pid, day)
-        for day, snap in iter_snapshots(events, days, stats):
+        for day, snap in iter_snapshots(join_table(events), days, stats):
             oracle = build_snapshot(events, day, stats)
             assert snap.players == oracle.players
             assert snap.rows.dtype == np.float32
@@ -376,22 +386,22 @@ class TestDaySweepMatchesOracle:
 
     def test_cold_start_and_empty_log(self):
         stats = _sweep_stats()
-        columns = _JoinColumns([], stats)
+        columns = _JoinColumns(join_table([]), stats)
         raw = columns.player_rows(columns.codes(["a", "b"]), AS_OF)
         np.testing.assert_array_equal(raw, [cold_start_player_raw()] * 2)
-        (_, snap), = iter_snapshots([], [AS_OF], stats)
+        (_, snap), = iter_snapshots(join_table([]), [AS_OF], stats)
         assert snap.players == {} and snap.recent.shape == (0, 6)
         assert snap.join_offsets.tolist() == [0]
         np.testing.assert_array_equal(snap.player_rows(["a"]), [snap.cold_row])
 
     def test_fit_normalization_equals_oracle_fit(self, tiny_world):
         by_id = index_contests(tiny_world.contests)
-        events = enrich_joins(tiny_world.joins, by_id)
+        train = [r for r in tiny_world.joins if r.joining_time < day_start(dt.date(2025, 2, 10))]
         by_match = match_templates(tiny_world.contests)
         days = {m.match_id: day_of(m.start_time) for m in tiny_world.matches}
-        train = [e for e in events if e.day < dt.date(2025, 2, 10)]
-        fitted = fit_normalization(train, by_match, days).to_json_dict()
-        oracle = feature_oracle.fit_normalization(train, by_match, days).to_json_dict()
+        fitted = fit_normalization(enrich_joins(train, by_id), by_match, days).to_json_dict()
+        rows = feature_oracle.enrich_joins(train, by_id)
+        oracle = feature_oracle.fit_normalization(rows, by_match, days).to_json_dict()
         assert fitted == oracle
 
 
@@ -438,7 +448,7 @@ class TestContestFeatures:
 
 def interaction_raw(events, target, day, stats):
     """Player p1's raw interaction row against `target`, via the day's snapshot and a block."""
-    (_, snap), = iter_snapshots(events, [day], stats)
+    (_, snap), = iter_snapshots(join_table(events), [day], stats)
     return build_template_block([target], stats).raw_interaction(snap, ["p1"])[0, 0]
 
 
@@ -520,7 +530,7 @@ class TestTemplateBlock:
         day = AS_OF + dt.timedelta(days=offset)
         block = build_template_block(templates, stats)
         pids = ["never-joined"] + sorted({e.player_id for e in events})
-        (_, swept), = iter_snapshots(events, [day], stats)
+        (_, swept), = iter_snapshots(join_table(events), [day], stats)
         with tempfile.TemporaryDirectory() as root:
             store = SnapshotStore(root)
             store.write_manifest(stats)
@@ -540,8 +550,8 @@ class TestTemplateBlock:
     def test_contest_matrix_equals_per_row_contest_features(self, tiny_world):
         by_match = match_templates(tiny_world.contests)
         days = {m.match_id: day_of(m.start_time) for m in tiny_world.matches}
-        events = enrich_joins(tiny_world.joins, index_contests(tiny_world.contests))
-        stats = fit_normalization([e for e in events if e.day < dt.date(2025, 2, 10)], by_match, days)
+        train = [r for r in tiny_world.joins if r.joining_time < day_start(dt.date(2025, 2, 10))]
+        stats = fit_normalization(enrich_joins(train, index_contests(tiny_world.contests)), by_match, days)
         for tpls in by_match.values():
             block = build_template_block(tpls, stats)
             expect = np.stack([feature_oracle.contest_features(t, stats) for t in tpls]).astype(np.float32)
@@ -605,7 +615,7 @@ class TestSnapshots:
     def test_iter_snapshots_matches_single_day_builds(self, identity_stats):
         events = self._world_events()
         days = [DAY0 + dt.timedelta(days=d) for d in (10, 20, 31)]
-        streamed = dict(iter_snapshots(events, days, identity_stats))
+        streamed = dict(iter_snapshots(join_table(events), days, identity_stats))
         for day in days:
             single = build_snapshot(events, day, identity_stats)
             assert streamed[day].players == single.players
@@ -777,7 +787,7 @@ class TestSnapshots:
 class TestFitNormalization:
     def test_empty_training_rejected(self):
         with pytest.raises(Exception):
-            fit_normalization([], {}, {})
+            fit_normalization(join_table([]), {}, {})
 
     def test_stats_round_trip_json(self, tiny_world):
         by_id = index_contests(tiny_world.contests)
@@ -790,3 +800,33 @@ class TestFitNormalization:
             assert loaded.to_json_dict()[key] == value
         assert np.all(stats.player_std > 0)
         assert np.all(np.diff(stats.fee_edges) > 0)
+
+
+class TestEnrichJoins:
+    def test_columns_equal_row_oracle(self, tiny_world):
+        by_id = index_contests(tiny_world.contests)
+        table = enrich_joins(tiny_world.joins, by_id)
+        rows = feature_oracle.enrich_joins(tiny_world.joins, by_id)
+        assert len(table) == len(rows) == len(tiny_world.joins)
+        for name, dtype in (("time", np.int64), ("contest_type", np.int8), ("entry_fee", np.int64),
+                            ("prize_won", np.int64), ("prize_money", np.int64), ("contest_size", np.int64),
+                            ("guaranteed", bool), ("multi_entry", bool)):
+            column = getattr(table, name)
+            assert column.dtype == dtype, name
+            expect = [getattr(e, name) for e in rows]
+            if name == "contest_type":
+                expect = [_TYPE_INDEX[t] for t in expect]
+            assert column.tolist() == expect, name
+        for name in ("player_id", "match_id", "template_id"):
+            column = getattr(table, name)
+            assert column.dtype.kind == "U" and column.tolist() == [getattr(e, name) for e in rows], name
+        assert sorted(JoinTable.__dataclass_fields__) == sorted(
+            ["time", "player_id", "match_id", "template_id", "contest_type", "entry_fee", "prize_won",
+             "prize_money", "contest_size", "guaranteed", "multi_entry"])
+
+    def test_unknown_or_inconsistent_contest_is_data_error(self):
+        contests = {"c1": mk_contest(contest_id="c1", match_id="m1")}
+        with pytest.raises(DataError, match="join references unknown contest c9"):
+            enrich_joins([mk_join(contest="c1"), mk_join(contest="c9")], contests)
+        with pytest.raises(DataError, match="contest c1 names match m2, but the contest belongs to match m1"):
+            enrich_joins([mk_join(contest="c1"), mk_join(contest="c1", match="m2")], contests)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from widir.domain import CENTS, ContestType, day_start
 from widir.errors import ConfigError, DataError
-from widir.features import JoinEvent, _identity_stats, build_template_block
+from widir.features import _identity_stats, build_template_block
 import widir.training as training
 from widir.model import WidirDims, forward_batch, init_params, pair_gradients
 from widir.training import (
@@ -25,7 +25,7 @@ from widir.training import (
 )
 
 from conftest import DAY0, mk_contest
-from feature_oracle import RecentJoin, snapshot_from
+from feature_oracle import JoinEvent, RecentJoin, join_table, snapshot_from
 import model_oracle
 import training_oracle
 
@@ -64,7 +64,7 @@ class TestBuildOrderedLists:
     def test_joined_then_padded(self):
         templates = {"m1": match_of(200)}
         events = [ev(DAY0, "p1", "m1", "t000")] * 3 + [ev(DAY0, "p1", "m1", "t001")]
-        lists = build_ordered_lists(events, templates, 100, seed=4)
+        lists = build_ordered_lists(join_table(events), templates, 100, seed=4)
         assert len(lists) == 1
         assert lists.templates.shape == lists.counts.shape == (1, 100)
         assert (lists.player_ids[0], lists.match_ids[0]) == ("p1", "m1")
@@ -83,7 +83,7 @@ class TestBuildOrderedLists:
         events = []
         for i in range(120):
             events.extend([ev(DAY0, "p1", "m1", f"t{i:03d}")] * (1 + (i % 3)))
-        lists = build_ordered_lists(events, templates, 100, seed=0)
+        lists = build_ordered_lists(join_table(events), templates, 100, seed=0)
         lst = entries(lists, templates)
         assert len(lst) == 100
         assert (lists.counts[0] > 0).sum() == 100
@@ -95,9 +95,9 @@ class TestBuildOrderedLists:
     def test_same_seed_same_padding(self):
         templates = {"m1": match_of(200)}
         events = [ev(DAY0, "p1", "m1", "t000")]
-        a = build_ordered_lists(events, templates, 100, seed=9)
-        b = build_ordered_lists(events, templates, 100, seed=9)
-        c = build_ordered_lists(events, templates, 100, seed=10)
+        a = build_ordered_lists(join_table(events), templates, 100, seed=9)
+        b = build_ordered_lists(join_table(events), templates, 100, seed=9)
+        c = build_ordered_lists(join_table(events), templates, 100, seed=10)
         assert entries(a, templates) == entries(b, templates)
         assert a.templates.tobytes() == b.templates.tobytes() and a.counts.tobytes() == b.counts.tobytes()
         assert entries(a, templates) != entries(c, templates)
@@ -106,7 +106,7 @@ class TestBuildOrderedLists:
         templates = {"m1": match_of(40)}
         events = [ev(DAY0, "p1", "m1", "t000")]
         with caplog.at_level(logging.WARNING, logger="widir.training"):
-            lists = build_ordered_lists(events, templates, 100, seed=0)
+            lists = build_ordered_lists(join_table(events), templates, 100, seed=0)
         lst = entries(lists, templates)
         assert len(lst) == 40
         assert lst[0] == ("t000", 1)
@@ -118,7 +118,7 @@ class TestBuildOrderedLists:
         # catalog rows run t009..t000, so template-id order is not catalog order
         templates = {"m1": match_of(10)[::-1]}
         events = [ev(DAY0, "p1", "m1", "t003"), ev(DAY0, "p1", "m1", "t001")]
-        lists = build_ordered_lists(events, templates, 50, seed=0)
+        lists = build_ordered_lists(join_table(events), templates, 50, seed=0)
         lst = entries(lists, templates)
         assert lst[0][0] == "t001" and lst[1][0] == "t003"
         assert [tid for tid, _ in lst[2:]] == [f"t{i:03d}" for i in (0, 2, 4, 5, 6, 7, 8, 9)]
@@ -127,7 +127,7 @@ class TestBuildOrderedLists:
     def test_lists_in_player_then_match_order(self):
         templates = {m: match_of(5, m) for m in ("m1", "m2")}
         events = [ev(DAY0, p, m, "t000") for p, m in (("p2", "m1"), ("p1", "m2"), ("p2", "m2"), ("p1", "m1"))]
-        lists = build_ordered_lists(events, templates, 50, seed=0)
+        lists = build_ordered_lists(join_table(events), templates, 50, seed=0)
         assert list(zip(lists.player_ids, lists.match_ids)) == [
             ("p1", "m1"), ("p1", "m2"), ("p2", "m1"), ("p2", "m2")]
 
@@ -135,17 +135,17 @@ class TestBuildOrderedLists:
         templates = {"m1": match_of(5)}
         events = [ev(DAY0, "p1", "m1", "t000"), ev(DAY0, "p1", "m1", "t777")]
         with pytest.raises(DataError, match="template t777 missing from match m1 catalog"):
-            build_ordered_lists(events, templates, 50, seed=0)
+            build_ordered_lists(join_table(events), templates, 50, seed=0)
 
     def test_list_of_match_missing_from_catalog_is_error(self):
         # m2 has no catalog entry, even though its list would need no padding
         templates = {"m1": match_of(5)}
         events = [ev(DAY0, "p1", "m1", "t000")] + [ev(DAY0, "p1", "m2", f"t{i:03d}") for i in range(60)]
         with pytest.raises(DataError, match="match m2 missing from catalog"):
-            build_ordered_lists(events, templates, 50, seed=0)
+            build_ordered_lists(join_table(events), templates, 50, seed=0)
 
     def test_no_events_no_lists(self):
-        lists = build_ordered_lists([], {"m1": match_of(5)}, 50, seed=0)
+        lists = build_ordered_lists(join_table([]), {"m1": match_of(5)}, 50, seed=0)
         assert len(lists) == 0 and lists.templates.shape == lists.counts.shape == (0, 50)
 
 
@@ -195,7 +195,7 @@ class TestBuildPairs:
         templates = {"m1": [mk_contest(contest_id=f"c{i}", template_id=f"t{i:03d}", entry_fee=(i + 1) * CENTS)
                             for i in range(4)]}
         events = [ev(DAY0, "p1", "m1", "t000")] * 3 + [ev(DAY0, "p1", "m1", "t001")]
-        lists = build_ordered_lists(events, templates, 50, seed=0)
+        lists = build_ordered_lists(join_table(events), templates, 50, seed=0)
         stats = _identity_stats()
         snap = snapshot_from(DAY0, stats, {"p1": np.zeros(107, dtype=np.float32)})
 
@@ -435,7 +435,7 @@ class TestAssemblePairDataset:
         events = [ev(DAY0 - dt.timedelta(days=1), "p1", "m1", "t000")] * 2 + [
             ev(DAY0 - dt.timedelta(days=1), "p1", "m1", "t001")
         ]
-        lists = build_ordered_lists(events, templates, 50, seed=0)
+        lists = build_ordered_lists(join_table(events), templates, 50, seed=0)
         rng = np.random.default_rng(0)
         players = {"p1": rng.standard_normal(107).astype(np.float32)}
         ds = assemble_pair_dataset(
@@ -464,7 +464,7 @@ class TestAssemblePairDataset:
         for k, pid in enumerate(("p3", "p1", "p2")):
             events += [ev(DAY0, pid, "m1", f"t{k:03d}")] * (k + 1) + [ev(DAY0, pid, "m1", "t005")]
             events += [ev(day1, pid, "m2", f"t{(k + 2) % 5:03d}")] * 2 + [ev(day1, pid, "m2", "t004")]
-        lists = build_ordered_lists(events, templates, 50, seed=0)
+        lists = build_ordered_lists(join_table(events), templates, 50, seed=0)
         rng = np.random.default_rng(1)
         recents = {pid: [RecentJoin(DAY0 - dt.timedelta(days=d), f"t{d:03d}", ContestType.PUBLIC, 0, 0, 0, d)]
                    for d, pid in enumerate(("p1", "p2"), start=1)}
@@ -536,7 +536,7 @@ class TestAssemblePairDataset:
         stats = _identity_stats()
         templates = {"m1": match_of(6)}
         events = [ev(DAY0, "p1", "m1", "t000")]
-        lists = build_ordered_lists(events, templates, 50, seed=0)
+        lists = build_ordered_lists(join_table(events), templates, 50, seed=0)
 
         class Lookup:
             def get(self, day):
@@ -590,14 +590,14 @@ class TestArrayBuildersMatchOracle:
     def test_pair_dataset_equals_oracle_bytes(self, world, list_length, max_pairs, seed):
         events, templates, days, stats, snaps = world
 
-        def dataset(builders):
-            lists = builders.build_ordered_lists(events, templates, list_length, seed)
+        def dataset(builders, joins):
+            lists = builders.build_ordered_lists(joins, templates, list_length, seed)
             try:
                 return builders.assemble_pair_dataset(lists, snaps, templates, days, stats, max_pairs, seed)
             except DataError as exc:
                 return str(exc)
 
-        want, got = dataset(training_oracle), dataset(training)
+        want, got = dataset(training_oracle, events), dataset(training, join_table(events))
         if isinstance(want, str):
             assert got == want  # every list's counts are equal: no pairs
             return

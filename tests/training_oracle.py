@@ -18,8 +18,10 @@ import numpy as np
 
 from widir.domain import ContestSpec
 from widir.errors import DataError
-from widir.features import D_I, D_P, JoinEvent, NormalizationStats, build_template_block
+from widir.features import D_I, D_P, NormalizationStats, build_template_block
 from widir.training import _LIST_STREAM, _PAIR_STREAM, PairDataset, _list_rng
+
+from feature_oracle import JoinEvent
 
 logger = logging.getLogger(__name__)
 
