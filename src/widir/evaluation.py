@@ -13,6 +13,8 @@ through it. Batch inference takes `ModelScorer.score_matrix`, the scores
 from __future__ import annotations
 
 import datetime as dt
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -33,7 +35,12 @@ from .model import Rows, WidirParams, score_rows
 from .textio import format_kv, from_kv, parse_kv, parse_value, to_kv
 
 EVAL_H_VALUES = (1, 3, 5, 10)
-_SCORE_CHUNK = 512  # players scored per forward batch
+_SCORE_CHUNK = 256  # players scored per forward batch
+
+
+def _workers() -> int:
+    """Threads that score chunks at once: one per CPU this process may run on."""
+    return len(os.sched_getaffinity(0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,7 +183,9 @@ class ModelScorer:
     """Ranks with the model; each slate equals that player's `model_rank` bit for bit.
 
     The match's template block is built once per call, and the players are
-    scored in chunks through `score_players`, whose kernel is batch-invariant.
+    scored in chunks through `score_players`, on one thread per CPU when
+    there is more than one chunk. The kernel is batch-invariant, so a
+    player's scores depend neither on its chunk nor on the thread count.
     """
 
     name = "widir"
@@ -187,13 +196,14 @@ class ModelScorer:
     def score_matrix(self, templates, snapshot, player_ids) -> tuple[list[str], np.ndarray]:
         """The match's template ids and the (players, templates) scores, rows in `player_ids` order."""
         block = build_template_block(templates, snapshot.stats)
-        chunks = [
-            score_players(self.params, snapshot, block, player_ids[base : base + _SCORE_CHUNK])
-            for base in range(0, len(player_ids), _SCORE_CHUNK)
-        ]
-        if not chunks:
-            return block.template_ids, np.zeros((0, len(block.template_ids)), dtype=np.float32)
-        return block.template_ids, np.concatenate(chunks)
+        chunks = [player_ids[base : base + _SCORE_CHUNK] for base in range(0, len(player_ids), _SCORE_CHUNK)]
+        if len(chunks) <= 1:
+            return block.template_ids, score_players(self.params, snapshot, block, player_ids)
+        # numpy releases the GIL in matmul and its ufunc loops, so the chunks'
+        # forwards overlap; map yields the results in chunk order
+        with ThreadPoolExecutor(max_workers=min(_workers(), len(chunks))) as pool:
+            scored = list(pool.map(lambda ids: score_players(self.params, snapshot, block, ids), chunks))
+        return block.template_ids, np.concatenate(scored)
 
     def rank_players(self, match_id, templates, snapshot, player_ids) -> list[RankedSlate]:
         template_ids, scores = self.score_matrix(templates, snapshot, player_ids)

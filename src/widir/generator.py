@@ -420,13 +420,20 @@ def _parse_archetype_row(row: list[str]) -> tuple[str, PlayerArchetype]:
     return row[0], archetype
 
 
-def load_world_dir(path: str | os.PathLike) -> tuple[list[JoinRecord], list[ContestSpec], list[MatchRecord], dict[str, PlayerArchetype]]:
+def load_world_dir(
+    path: str | os.PathLike, archetypes: bool = True
+) -> tuple[list[JoinRecord], list[ContestSpec], list[MatchRecord], dict[str, PlayerArchetype]]:
+    """The world's joins, contests, matches and archetypes.
+
+    The archetype table is empty when `archetypes` is false (it is then not
+    read) or when the directory has no `archetypes.csv`.
+    """
     joins = read_join_log(os.path.join(path, "joins.csv"))
     contests = read_catalog(os.path.join(path, "contests.csv"))
     matches = read_schedule(os.path.join(path, "matches.csv"))
     arch_path = os.path.join(path, "archetypes.csv")
-    archetypes = SyntheticWorld.read_archetypes(arch_path) if os.path.exists(arch_path) else {}
-    return joins, contests, matches, archetypes
+    table = SyntheticWorld.read_archetypes(arch_path) if archetypes and os.path.exists(arch_path) else {}
+    return joins, contests, matches, table
 
 
 def _draw_players(config: GeneratorConfig, seed: int) -> dict[str, PlayerArchetype]:

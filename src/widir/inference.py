@@ -4,10 +4,12 @@ The batch job produces one `MatchScores` block per upcoming match: the
 match's template ids, its sorted active player ids and a float32
 (players x templates) score matrix, so the serving layer never runs the
 model. Each block comes from one `ModelScorer.score_matrix` call, the
-chunked `score_players` calls evaluation ranks through, so every score is
-bit-identical to that player's `model_rank`. No slate is built here: an
-ordering is made only where a (player, match) row's `ranking` is read.
-`generated_at` is an input, making re-runs bytewise idempotent.
+chunked `score_players` calls evaluation ranks through, run on one thread
+per CPU. The scoring kernel is batch-invariant, so every score is
+bit-identical to that player's `model_rank` whatever the chunking or the
+thread count. No slate is built here: an ordering is made only where a
+(player, match) row's `ranking` is read. `generated_at` is an input,
+making re-runs bytewise idempotent.
 
 The payload file holds one JSON line per match (see `write_payloads`), and
 `read_payloads` gives back one `RankingPayload` view per (player, match).

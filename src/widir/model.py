@@ -29,7 +29,9 @@ width-1 products as row-wise reductions. Every row therefore goes through a
 GEMM of the same shape whatever the batch size or its position in the
 batch, and a pair row's score depends only on its own player, template and
 interaction rows: scoring a batch equals scoring rows one at a time bit for
-bit. A plain `x @ w` is not row-stable this way: BLAS picks its blocking and
+bit. That is also why scoring chunks of players on several threads at once
+(`evaluation.ModelScorer.score_matrix`) gives the same bits at any thread
+count. A plain `x @ w` is not row-stable this way: BLAS picks its blocking and
 kernels from the batch shape, so a row's rounding follows the batch.
 SLICE_ROWS is a constant because the scores' last bits depend on it. The
 trainer uses `fast=True` for plain BLAS matmul, which is row-stable only up
@@ -280,7 +282,8 @@ def _forward(params: WidirParams, rows: Rows, mm, acts: dict | None = None) -> n
     A first layer multiplies each input block in the block's own row space
     and gathers the product to the component's rows; the products, then the
     bias, are summed in input order. Bias and ReLU apply in place. With
-    `acts`, acts[name] keeps every layer's output for the backward pass.
+    `acts`, acts[name] keeps every layer's output for the backward pass;
+    without it, only each component's last output stays alive.
     """
     plan = _layer_plan(params.dims)
     values = {"player": rows.player, "contest": rows.contest, "interaction": rows.interaction}
@@ -300,7 +303,8 @@ def _forward(params: WidirParams, rows: Rows, mm, acts: dict | None = None) -> n
             x += layer.b
             if relu:
                 np.maximum(x, 0, out=x)
-            outs.append(x)
+            if acts is not None:  # else each layer's output is freed once the next is made
+                outs.append(x)
         values[name] = x
         if acts is not None:
             acts[name] = outs

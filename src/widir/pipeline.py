@@ -50,19 +50,21 @@ def _new_run_id(phase: str, seed: int) -> str:
     return f"{phase}-s{seed}-{stamp}-{os.getpid()}"
 
 
-def _load_world(data_dir):
-    joins, contests, matches, archetypes = load_world_dir(data_dir)
+def _load_world(data_dir, archetypes: bool = False):
+    """The world's tables and indexes; `archetypes.csv` is read only when `archetypes` is set."""
+    joins, contests, matches, table = load_world_dir(data_dir, archetypes)
     violations = validate_catalog(contests, matches)
     if violations:
         raise DataError(f"{data_dir}: invalid catalog: {violations[0]}")
     by_id = index_contests(contests)
     by_match = match_templates(contests)
     match_days = {m.match_id: day_of(m.start_time) for m in matches}
-    return joins, contests, matches, archetypes, by_id, by_match, match_days
+    return joins, contests, matches, table, by_id, by_match, match_days
 
 
-def _split_events(joins, by_id, train_end: dt.date, valid_end: dt.date):
-    """Partition at day boundaries: a boundary day belongs to the earlier side."""
+def _split_records(joins, train_end: dt.date, valid_end: dt.date):
+    """The (train, valid, test) join records, cut at day boundaries: a boundary
+    day belongs to the earlier side. Each runner enriches only what it reads."""
     days = sorted({day_of(r.joining_time) for r in joins})
     if not days:
         raise DataError("join log is empty")
@@ -73,7 +75,7 @@ def _split_events(joins, by_id, train_end: dt.date, valid_end: dt.date):
         )
     train_ts = day_start(train_end + dt.timedelta(days=1)) - 1
     valid_ts = day_start(valid_end + dt.timedelta(days=1)) - 1
-    return tuple(enrich_joins(part, by_id) for part in split_by_time(joins, train_ts, valid_ts))
+    return split_by_time(joins, train_ts, valid_ts)
 
 
 # --- generate -------------------------------------------------------------------
@@ -115,10 +117,10 @@ def run_features(
 ) -> RunManifest:
     features_dir = os.path.join(str(out_root), "features")
     joins, contests, matches, _, by_id, by_match, match_days = _load_world(data_dir)
-    train_ev, _, _ = _split_events(joins, by_id, train_end, valid_end)
-    if not train_ev:
+    train_joins, _, _ = _split_records(joins, train_end, valid_end)
+    if not train_joins:
         raise DataError("training partition is empty; move train_end later")
-    stats = fit_normalization(train_ev, by_match, match_days)
+    stats = fit_normalization(enrich_joins(train_joins, by_id), by_match, match_days)
 
     all_events = enrich_joins(joins, by_id)
     days = sorted({day_of(m.start_time) for m in matches})
@@ -152,12 +154,12 @@ def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None 
 
     joins, _, _, _, by_id, by_match, match_days = _load_world(data_dir)
     train_end, valid_end = _read_splits(features_dir)
-    train_ev, valid_ev, _ = _split_events(joins, by_id, train_end, valid_end)
+    train_joins, valid_joins, _ = _split_records(joins, train_end, valid_end)
     store = SnapshotStore(features_dir)
     stats = store.read_manifest()
     snapshots = SnapshotCache(store)
-    train_lists = build_ordered_lists(train_ev, by_match, config.list_length, config.seed)
-    valid_lists = build_ordered_lists(valid_ev, by_match, config.list_length, config.seed)
+    train_lists = build_ordered_lists(enrich_joins(train_joins, by_id), by_match, config.list_length, config.seed)
+    valid_lists = build_ordered_lists(enrich_joins(valid_joins, by_id), by_match, config.list_length, config.seed)
     max_pairs = config.max_pairs_per_list
     train_ds = assemble_pair_dataset(
         train_lists, snapshots, by_match, match_days, stats, max_pairs, config.seed
@@ -186,9 +188,10 @@ def run_eval(out_root, data_dir, features_dir, model_path, run_id: str | None = 
     report_dir = os.path.join(str(out_root), "reports")
     joins, _, _, _, by_id, by_match, match_days = _load_world(data_dir)
     train_end, valid_end = _read_splits(features_dir)
-    _, _, test_ev = _split_events(joins, by_id, train_end, valid_end)
-    if not test_ev:
+    _, _, test_joins = _split_records(joins, train_end, valid_end)
+    if not test_joins:
         raise DataError("test partition is empty; move valid_end earlier")
+    test_ev = enrich_joins(test_joins, by_id)
     snapshots = SnapshotCache(SnapshotStore(features_dir))
     params = load_model(model_path)
 
@@ -263,7 +266,7 @@ def run_abtest(out_root, data_dir, config_path, payloads_path=None, run_id: str 
     os.makedirs(report_dir, exist_ok=True)
     report_path = os.path.join(report_dir, "ab_report.txt")
 
-    joins, _, matches, archetypes, _, by_match, _ = _load_world(data_dir)
+    joins, _, matches, archetypes, _, by_match, _ = _load_world(data_dir, archetypes=True)
     if not archetypes:
         raise DataError("abtest needs the generator's archetype table (archetypes.csv)")
     gen_path = os.path.join(str(data_dir), "generator.kv")

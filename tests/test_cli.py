@@ -490,6 +490,18 @@ class TestCorruptInputs:
         err = self._abtest_exits_2(pipeline_root, tmp_path, data, capsys)
         assert f"{path}:2: {named}" in err
 
+    def test_infer_does_not_read_archetypes(self, pipeline_root, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_root / "data", data)
+        (data / "archetypes.csv").write_bytes(b"\xff")
+        code = main(["infer", "--out", str(tmp_path), "--data", str(data),
+                     "--features", str(pipeline_root / "features"),
+                     "--model", str(pipeline_root / "models" / "model.bin"),
+                     "--as-of", "2025-02-17", "--horizon", "2"])
+        assert code == 0
+        assert (tmp_path / "payloads" / "payloads.jsonl").read_bytes() == (
+            pipeline_root / "payloads" / "payloads.jsonl").read_bytes()
+
     def test_abtest_on_non_utf8_archetypes_exit_2(self, pipeline_root, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(pipeline_root / "data", data)

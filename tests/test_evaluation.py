@@ -1,5 +1,6 @@
 import datetime as dt
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ class TestRankPlayers:
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 40))
-    @example(seed=0, size=600)  # more than one 512-player chunk
+    @example(seed=0, size=600)  # more than two 256-player chunks, scored on the pool
     def test_equals_per_player_model_rank(self, setting, seed, size):
         params, snap, contests = setting
         rng = np.random.default_rng(seed)
@@ -198,6 +199,54 @@ class TestRankPlayers:
             alone = model_rank(params, snap, pid, contests)
             assert [(t, v.hex()) for t, v in slate.ranked] == [(t, v.hex()) for t, v in alone.ranked]
             assert slate == alone
+
+
+class TestScoreMatrixPool:
+    """`ModelScorer.score_matrix` over small chunks on a thread pool against one `score_players` call."""
+
+    @pytest.fixture(scope="class")
+    def setting(self, tiny_world):
+        by_id = index_contests(tiny_world.contests)
+        by_match = match_templates(tiny_world.contests)
+        match_days = {m.match_id: day_of(m.start_time) for m in tiny_world.matches}
+        match_id = tiny_world.matches[-1].match_id
+        events = enrich_joins(tiny_world.joins, by_id)
+        stats = fit_normalization(events, by_match, match_days)
+        ((_, snapshot),) = iter_snapshots(events, [match_days[match_id]], stats)
+        players = sorted(set(tiny_world.archetypes))  # the snapshot's players and cold ones
+        return init_params(WidirDims(), 5), snapshot, by_match[match_id], players
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("size", [0, 1, 7, 15])
+    def test_equals_one_score_players_call(self, setting, monkeypatch, workers, size):
+        params, snapshot, templates, players = setting
+        monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 7)
+        monkeypatch.setattr(evaluation, "_workers", lambda: workers)
+        ids = players[:size]
+        template_ids, scores = ModelScorer(params).score_matrix(templates, snapshot, ids)
+        block = build_template_block(templates, snapshot.stats)
+        whole = score_players(params, snapshot, block, ids)
+        assert template_ids == block.template_ids
+        assert (scores.dtype, scores.shape) == (np.float32, (size, len(templates)))
+        assert scores.tobytes() == whole.tobytes()
+
+    def test_error_in_second_chunk_propagates(self, setting, monkeypatch):
+        params, snapshot, templates, players = setting
+        monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 7)
+        monkeypatch.setattr(evaluation, "_workers", lambda: 3)
+        ids = players[:21]
+        real = evaluation.score_players
+
+        def failing(params, snapshot, block, chunk):
+            if chunk[0] == ids[7]:
+                raise DataError("second chunk failed")
+            return real(params, snapshot, block, chunk)
+
+        monkeypatch.setattr(evaluation, "score_players", failing)
+        before = threading.active_count()
+        with pytest.raises(DataError, match="second chunk failed"):
+            ModelScorer(params).score_matrix(templates, snapshot, ids)
+        assert threading.active_count() == before
 
 
 class TestMetricFormulas:
@@ -310,7 +359,8 @@ class TestEvaluate:
         monkeypatch.setattr(evaluation, "score_players", lambda *a: calls.append(a) or score_players(*a))
         batched = evaluate(ModelScorer(params), test_events, by_match, match_days, snapshots)
         test_matches = set(test_events.match_id.tolist())
-        # one scoring call per test match (each has fewer than 512 test players)
+        # one scoring call per test match: each has fewer than 256 test players,
+        # so its one chunk is scored inline
         assert len(calls) == len(test_matches) < batched.n_pairs
         per_player = evaluate(PerPlayerScorer(), test_events, by_match, match_days, snapshots)
         assert batched == per_player

@@ -2,15 +2,21 @@ import base64
 import dataclasses
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from widir.domain import CENTS, ContestType, MatchRecord, day_start
+import widir
+from widir import pipeline
+from widir.domain import CENTS, ContestType, MatchRecord, day_of, day_start
 from widir.errors import DataError
-from widir.evaluation import model_rank
+from widir.evaluation import _SCORE_CHUNK, model_rank
 from widir.features import _identity_stats
+from widir.generator import GeneratorConfig, generate_synthetic
 from widir.inference import (
     RankingPayload,
     active_players,
@@ -18,7 +24,7 @@ from widir.inference import (
     run_batch,
     write_payloads,
 )
-from widir.model import WidirDims, init_params
+from widir.model import WidirDims, init_params, save_model
 
 from conftest import DAY0, mk_contest, mk_join
 from feature_oracle import RecentJoin, snapshot_from
@@ -232,3 +238,47 @@ class TestReadPayloads:
         path.write_text(lines[0] + "\n" + lines[0] + "\n")
         with pytest.raises(DataError, match=f"{path}:2:.*earlier line"):
             read_payloads(path)
+
+
+# Runs `pipeline.run_infer` for argv: out, data, features, model, as-of day,
+# and a CPU to pin the process to first ("-" for none); prints the CPU count.
+_INFER_CHILD = """
+import datetime as dt, os, sys
+out, data, features, model, day, cpu = sys.argv[1:]
+if cpu != "-":
+    os.sched_setaffinity(0, {int(cpu)})
+from widir import pipeline
+pipeline.run_infer(out, data, features, model, dt.date.fromisoformat(day), horizon=1, run_id="infer")
+print(len(os.sched_getaffinity(0)))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to compare thread counts")
+def test_payloads_do_not_depend_on_the_thread_count(tmp_path):
+    """`run_infer` pinned to one CPU (one scoring thread) and unpinned write the same payload bytes."""
+    config = GeneratorConfig(
+        players=700, matches=20, templates_per_match=8, template_pool=12,
+        start_day=dt.date(2025, 1, 1), end_day=dt.date(2025, 2, 9), participation_rate=0.25,
+    )
+    world = generate_synthetic(config, seed=3)
+    data = tmp_path / "data"
+    world.write_dir(data)
+    pipeline.run_features(tmp_path, data, dt.date(2025, 1, 25), dt.date(2025, 2, 1), run_id="features")
+    model = tmp_path / "model.bin"
+    save_model(model, init_params(WidirDims(), 8))
+    as_of = max(day_of(m.start_time) for m in world.matches)
+    src = os.path.dirname(os.path.dirname(widir.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cpus, payloads = [], []
+    for name, cpu in (("pinned", str(min(os.sched_getaffinity(0)))), ("unpinned", "-")):
+        out = tmp_path / name
+        argv = [str(out), str(data), str(tmp_path / "features"), str(model), as_of.isoformat(), cpu]
+        child = subprocess.run([sys.executable, "-c", _INFER_CHILD, *argv], env=env,
+                               capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        cpus.append(int(child.stdout))
+        payloads.append((out / "payloads" / "payloads.jsonl").read_bytes())
+    assert cpus[0] == 1 < cpus[1]
+    blocks = [json.loads(line) for line in payloads[1].splitlines()]
+    assert blocks and all(len(b["player_ids"]) > _SCORE_CHUNK for b in blocks)  # several chunks per match
+    assert payloads[0] == payloads[1]
