@@ -264,31 +264,6 @@ def prize_stats(d: PrizeDistribution, contest_size: int, prize_money: int) -> tu
     return top / prize_money, d.winners() / contest_size
 
 
-# --- time split -------------------------------------------------------------
-
-
-def split_by_time(
-    joins: Sequence[JoinRecord], train_end: int, valid_end: int
-) -> tuple[list[JoinRecord], list[JoinRecord], list[JoinRecord]]:
-    """Partition joins by joining_time into (train, valid, test).
-
-    Records at exactly a boundary timestamp belong to the earlier partition:
-    train is t <= train_end, valid is train_end < t <= valid_end, test is
-    t > valid_end. Boundaries must be strictly increasing.
-    """
-    if train_end >= valid_end:
-        raise ValueError("boundaries not strictly increasing: train_end >= valid_end")
-    train, valid, test = [], [], []
-    for r in joins:
-        if r.joining_time <= train_end:
-            train.append(r)
-        elif r.joining_time <= valid_end:
-            valid.append(r)
-        else:
-            test.append(r)
-    return train, valid, test
-
-
 # --- record serialization ---------------------------------------------------
 #
 # Newline-delimited UTF-8 records, comma-separated, no header; field order is

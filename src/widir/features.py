@@ -15,7 +15,8 @@ and clipped to [-10, 10]; rate-valued dims and flags pass through raw.
 
 `enrich_joins` joins the log against the contest catalog into one
 `JoinTable`, an array per column, which the day sweep, normalization
-fitting, training lists and evaluation all read.
+fitting, training lists and evaluation all read. A phase enriches the
+whole log once and selects its partitions' rows with `JoinTable.take`.
 
 One day-sweep kernel (`_JoinColumns`) builds every player row: the table
 is sorted once by (player, time, template_id), and each day computes all
@@ -44,7 +45,7 @@ import contextlib
 import datetime as dt
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -111,6 +112,10 @@ class JoinTable:
 
     def __len__(self) -> int:
         return self.time.size
+
+    def take(self, rows: np.ndarray) -> "JoinTable":
+        """The joins that `rows` (a boolean mask or indices) selects, in table order."""
+        return JoinTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
 
     def player_matches(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The distinct (player, match) pairs, sorted, as player ids and match ids, and each join's pair."""
@@ -201,10 +206,21 @@ class NormalizationStats:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NormalizationStats":
-        return cls(**{k: np.asarray(d[k], dtype=np.float64) for k in (
+        """The stats `to_json_dict` wrote; a stat of the wrong length, a NaN or
+        infinite value, or a std <= 0 is a ValueError."""
+        stats = cls(**{k: np.asarray(d[k], dtype=np.float64) for k in (
             "player_mean", "player_std", "contest_mean", "contest_std",
             "inter_mean", "inter_std", "fee_edges", "size_edges", "prize_edges",
         )})
+        lengths = {"player": D_P, "contest": D_C, "inter": D_I}
+        for name, values in vars(stats).items():
+            if values.shape != (lengths.get(name.split("_")[0], N_BUCKETS),):
+                raise ValueError(f"{name} has shape {values.shape}")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} holds a NaN or infinite value")
+            if name.endswith("_std") and np.any(values <= 0):
+                raise ValueError(f"{name} holds a std <= 0")
+        return stats
 
 
 def _identity_stats() -> NormalizationStats:
@@ -691,7 +707,8 @@ class SnapshotStore:
     failed part-way) reads as absent: `has_day` is False, `days()` skips it
     and `read_day` raises StoreError. `read_day` also raises StoreError for
     another schema version, an array of the wrong dtype or shape, lengths
-    that disagree, or a recent-join value out of its range.
+    that disagree, a recent-join value out of its range, or a NaN or
+    infinite player row.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -809,6 +826,8 @@ class SnapshotStore:
             raise StoreError(f"{path}: snapshot arrays disagree in length or shape")
         if recent.size and (np.any(recent.min(axis=0) < low) or np.any(recent.max(axis=0) > high)):
             raise StoreError(f"{path}: a recent join is out of range")
+        if not np.isfinite(rows).all():
+            raise StoreError(f"{os.path.join(path, 'player_rows.npy')}: a player row holds a NaN or infinite value")
         return FeatureSnapshot(as_of_day=day, stats=stats, players=players, rows=rows,
                                join_offsets=offsets, recent=recent, templates=templates)
 

@@ -3,9 +3,11 @@
 The batch job produces one `MatchScores` block per upcoming match: the
 match's template ids, its sorted active player ids and a float32
 (players x templates) score matrix, so the serving layer never runs the
-model. Each block comes from one `ModelScorer.score_matrix` call, the
-chunked `score_players` calls evaluation ranks through, run on one thread
-per CPU. The scoring kernel is batch-invariant, so every score is
+model. The active players are the as-of day's snapshot players: the day
+sweep keeps exactly the players with a join in the 30 days before the
+day, so the batch job reads no join log. Each block comes from one
+`ModelScorer.score_matrix` call, the chunked `score_players` calls
+evaluation ranks through, run on one thread per CPU. The scoring kernel is batch-invariant, so every score is
 bit-identical to that player's `model_rank` whatever the chunking or the
 thread count. No slate is built here: an ordering is made only where a
 (player, match) row's `ranking` is read. `generated_at` is an input,
@@ -21,7 +23,7 @@ import base64
 import datetime as dt
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -92,7 +94,12 @@ class RankingPayload:
 
 
 def active_players(joins: Sequence[JoinRecord], as_of_day: dt.date) -> set[str]:
-    """Players with at least one join in the 30 days ending the day before `as_of_day`."""
+    """Players with at least one join in the 30 days ending the day before `as_of_day`.
+
+    The batch job scores the as-of snapshot's players instead, the same set
+    (`iter_snapshots` keeps a player by the same window); this is the
+    benchmark's independent count of that population.
+    """
     lo = as_of_day - dt.timedelta(days=30)
     return {
         r.player_id
@@ -105,7 +112,7 @@ def run_batch(
     params: WidirParams,
     snapshot: FeatureSnapshot,
     matches: Sequence[tuple[MatchRecord, Sequence[ContestSpec]]],
-    active: set[str],
+    active: Iterable[str],
     model_version: str,
     generated_at: int,
 ) -> list[MatchScores]:

@@ -46,7 +46,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DimensionError, ModelFormatError, ModelVersionError, ParamCountError
+from .errors import DataError, DimensionError, ModelFormatError, ModelVersionError, ParamCountError
 from .textio import write_replace
 
 MODEL_MAGIC = b"WDIR"
@@ -482,6 +482,8 @@ def deserialize(data: bytes) -> WidirParams:
             w = np.frombuffer(cur.take(rows * cols * 4), dtype="<f4").reshape(rows, cols).copy()
             (blen,) = cur.unpack("<I")
             b = np.frombuffer(cur.take(blen * 4), dtype="<f4").copy()
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise ModelFormatError(f"corrupt model stream: component {name} has a NaN or infinite weight")
             layers.append(Layer(w, b))
         components[name] = layers
     if cur.pos != len(data):
@@ -511,8 +513,13 @@ def save_model(path, params: WidirParams) -> None:
 
 
 def load_model(path) -> WidirParams:
+    """The model in the file at `path`; a stream `deserialize` rejects is an error naming the file."""
     try:
         with open(path, "rb") as fh:
-            return deserialize(fh.read())
+            data = fh.read()
     except OSError as exc:
         raise ModelFormatError(f"cannot read model at {path}: {exc}") from exc
+    try:
+        return deserialize(data)
+    except DataError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

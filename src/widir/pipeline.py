@@ -12,6 +12,8 @@ import json
 import os
 import shutil
 
+import numpy as np
+
 from . import abtest as ab
 from .domain import (
     day_of,
@@ -19,12 +21,14 @@ from .domain import (
     match_templates,
     index_contests,
     parse_day,
-    split_by_time,
+    read_catalog,
+    read_schedule,
     validate_catalog,
 )
 from .errors import ConfigError, DataError
 from .evaluation import EVAL_H_VALUES, GroundTruthScorer, ModelScorer, PopularityScorer, evaluate
 from .features import (
+    JoinTable,
     SnapshotCache,
     SnapshotStore,
     enrich_joins,
@@ -32,7 +36,7 @@ from .features import (
     iter_snapshots,
 )
 from .generator import GeneratorConfig, generate_synthetic, load_world_dir
-from .inference import active_players, read_payloads, run_batch, write_payloads
+from .inference import read_payloads, run_batch, write_payloads
 from .manifest import RunManifest, digest_path
 from .model import WidirDims, load_model, save_model
 from .textio import write_kv, write_replace
@@ -50,32 +54,37 @@ def _new_run_id(phase: str, seed: int) -> str:
     return f"{phase}-s{seed}-{stamp}-{os.getpid()}"
 
 
-def _load_world(data_dir, archetypes: bool = False):
-    """The world's tables and indexes; `archetypes.csv` is read only when `archetypes` is set."""
-    joins, contests, matches, table = load_world_dir(data_dir, archetypes)
+def _catalog(data_dir, contests, matches):
+    """Each contest by id and each match's templates, from a checked catalog."""
     violations = validate_catalog(contests, matches)
     if violations:
         raise DataError(f"{data_dir}: invalid catalog: {violations[0]}")
-    by_id = index_contests(contests)
-    by_match = match_templates(contests)
+    return index_contests(contests), match_templates(contests)
+
+
+def _load_world(data_dir, archetypes: bool = False):
+    """The join log enriched once, the matches, the archetypes (read only when
+    `archetypes` is set), each match's templates and each match's day."""
+    records, contests, matches, table = load_world_dir(data_dir, archetypes)
+    by_id, by_match = _catalog(data_dir, contests, matches)
     match_days = {m.match_id: day_of(m.start_time) for m in matches}
-    return joins, contests, matches, table, by_id, by_match, match_days
+    return enrich_joins(records, by_id), matches, table, by_match, match_days
 
 
-def _split_records(joins, train_end: dt.date, valid_end: dt.date):
-    """The (train, valid, test) join records, cut at day boundaries: a boundary
-    day belongs to the earlier side. Each runner enriches only what it reads."""
-    days = sorted({day_of(r.joining_time) for r in joins})
-    if not days:
+def _split(joins: JoinTable, train_end: dt.date, valid_end: dt.date) -> tuple[JoinTable, JoinTable, JoinTable]:
+    """The (train, valid, test) joins, cut at day boundaries: a boundary day
+    belongs to the earlier side."""
+    if not joins:
         raise DataError("join log is empty")
-    if not (days[0] <= train_end < valid_end <= days[-1]):
+    first, last = day_of(int(joins.time.min())), day_of(int(joins.time.max()))
+    if not (first <= train_end < valid_end <= last):
         raise ConfigError(
             f"split boundaries ({train_end}, {valid_end}) outside the log's "
-            f"day range [{days[0]}, {days[-1]}]"
+            f"day range [{first}, {last}]"
         )
-    train_ts = day_start(train_end + dt.timedelta(days=1)) - 1
-    valid_ts = day_start(valid_end + dt.timedelta(days=1)) - 1
-    return split_by_time(joins, train_ts, valid_ts)
+    cuts = [day_start(d + dt.timedelta(days=1)) for d in (train_end, valid_end)]
+    side = np.searchsorted(cuts, joins.time, side="right")
+    return joins.take(side == 0), joins.take(side == 1), joins.take(side == 2)
 
 
 # --- generate -------------------------------------------------------------------
@@ -116,19 +125,18 @@ def run_features(
     out_root, data_dir, train_end: dt.date, valid_end: dt.date, run_id: str | None = None
 ) -> RunManifest:
     features_dir = os.path.join(str(out_root), "features")
-    joins, contests, matches, _, by_id, by_match, match_days = _load_world(data_dir)
-    train_joins, _, _ = _split_records(joins, train_end, valid_end)
+    joins, matches, _, by_match, match_days = _load_world(data_dir)
+    train_joins, _, _ = _split(joins, train_end, valid_end)
     if not train_joins:
         raise DataError("training partition is empty; move train_end later")
-    stats = fit_normalization(enrich_joins(train_joins, by_id), by_match, match_days)
+    stats = fit_normalization(train_joins, by_match, match_days)
 
-    all_events = enrich_joins(joins, by_id)
     days = sorted({day_of(m.start_time) for m in matches})
     days.append(days[-1] + dt.timedelta(days=1))  # batch-inference day after the last match
 
     store = SnapshotStore(features_dir)
     store.write_manifest(stats)
-    for _, snapshot in iter_snapshots(all_events, days, stats):
+    for _, snapshot in iter_snapshots(joins, days, stats):
         store.write_day(snapshot)
     splits = {"train_end": train_end.isoformat(), "valid_end": valid_end.isoformat()}
     with write_replace(os.path.join(features_dir, "splits.json")) as fh:
@@ -152,14 +160,14 @@ def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None 
     model_path = os.path.join(models_dir, "model.bin")
     report_path = os.path.join(models_dir, "training_report.csv")
 
-    joins, _, _, _, by_id, by_match, match_days = _load_world(data_dir)
+    joins, _, _, by_match, match_days = _load_world(data_dir)
     train_end, valid_end = _read_splits(features_dir)
-    train_joins, valid_joins, _ = _split_records(joins, train_end, valid_end)
+    train_joins, valid_joins, _ = _split(joins, train_end, valid_end)
     store = SnapshotStore(features_dir)
     stats = store.read_manifest()
     snapshots = SnapshotCache(store)
-    train_lists = build_ordered_lists(enrich_joins(train_joins, by_id), by_match, config.list_length, config.seed)
-    valid_lists = build_ordered_lists(enrich_joins(valid_joins, by_id), by_match, config.list_length, config.seed)
+    train_lists = build_ordered_lists(train_joins, by_match, config.list_length, config.seed)
+    valid_lists = build_ordered_lists(valid_joins, by_match, config.list_length, config.seed)
     max_pairs = config.max_pairs_per_list
     train_ds = assemble_pair_dataset(
         train_lists, snapshots, by_match, match_days, stats, max_pairs, config.seed
@@ -186,19 +194,18 @@ def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None 
 
 def run_eval(out_root, data_dir, features_dir, model_path, run_id: str | None = None) -> RunManifest:
     report_dir = os.path.join(str(out_root), "reports")
-    joins, _, _, _, by_id, by_match, match_days = _load_world(data_dir)
+    joins, _, _, by_match, match_days = _load_world(data_dir)
     train_end, valid_end = _read_splits(features_dir)
-    _, _, test_joins = _split_records(joins, train_end, valid_end)
+    _, _, test_joins = _split(joins, train_end, valid_end)
     if not test_joins:
         raise DataError("test partition is empty; move valid_end earlier")
-    test_ev = enrich_joins(test_joins, by_id)
     snapshots = SnapshotCache(SnapshotStore(features_dir))
     params = load_model(model_path)
 
     os.makedirs(report_dir, exist_ok=True)
     m = RunManifest(run_id=run_id or _new_run_id("eval", 0), phase="eval", seed=0)
     for scorer in (ModelScorer(params), PopularityScorer()):
-        report = evaluate(scorer, test_ev, by_match, match_days, snapshots, EVAL_H_VALUES)
+        report = evaluate(scorer, test_joins, by_match, match_days, snapshots, EVAL_H_VALUES)
         path = os.path.join(report_dir, f"eval_{scorer.name}.txt")
         with write_replace(path) as fh:
             fh.write(report.to_text())
@@ -223,15 +230,12 @@ def run_infer(
     os.makedirs(payload_dir, exist_ok=True)
     payloads_path = os.path.join(payload_dir, "payloads.jsonl")
 
-    joins, _, matches, _, _, by_match, _ = _load_world(data_dir)
-    store = SnapshotStore(features_dir)
-    if not store.has_day(as_of_day):
-        raise DataError(f"feature snapshot missing for day {as_of_day.isoformat()}")
-    snapshot = store.read_day(as_of_day)
+    matches = read_schedule(os.path.join(str(data_dir), "matches.csv"))
+    _, by_match = _catalog(data_dir, read_catalog(os.path.join(str(data_dir), "contests.csv")), matches)
+    snapshot = SnapshotCache(SnapshotStore(features_dir)).get(as_of_day)
     params = load_model(model_path)
     model_version = digest_path(model_path)[:12]
 
-    active = active_players(joins, as_of_day)
     upcoming = [
         (m, by_match[m.match_id])
         for m in matches
@@ -242,7 +246,7 @@ def run_infer(
             f"no matches start within {horizon} day(s) of {as_of_day.isoformat()}"
         )
     payloads = run_batch(
-        params, snapshot, upcoming, active,
+        params, snapshot, upcoming, snapshot.players.keys(),
         model_version=model_version, generated_at=day_start(as_of_day),
     )
     write_payloads(payloads_path, payloads)
@@ -266,7 +270,7 @@ def run_abtest(out_root, data_dir, config_path, payloads_path=None, run_id: str 
     os.makedirs(report_dir, exist_ok=True)
     report_path = os.path.join(report_dir, "ab_report.txt")
 
-    joins, _, matches, archetypes, _, by_match, _ = _load_world(data_dir, archetypes=True)
+    joins, matches, archetypes, by_match, _ = _load_world(data_dir, archetypes=True)
     if not archetypes:
         raise DataError("abtest needs the generator's archetype table (archetypes.csv)")
     gen_path = os.path.join(str(data_dir), "generator.kv")
@@ -286,11 +290,8 @@ def run_abtest(out_root, data_dir, config_path, payloads_path=None, run_id: str 
     if not pre_matches or not post_matches:
         raise DataError("experiment windows contain no matches; shrink pre_days/post_days")
 
-    activity: dict[str, int] = {}
-    pre_start_ts = day_start(pre_start)
-    for r in joins:
-        if r.joining_time < pre_start_ts:
-            activity[r.player_id] = activity.get(r.player_id, 0) + 1
+    active, counts = np.unique(joins.player_id[joins.time < day_start(pre_start)], return_counts=True)
+    activity = dict(zip(active.tolist(), counts.tolist()))
 
     players = sorted(archetypes)
     assignment = ab.assign_cohorts(players, activity, config.group_sizes, config.seed)

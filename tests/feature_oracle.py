@@ -15,6 +15,8 @@ and `recent_joins` reads one player's joins back from any snapshot.
 The oracles read the join log as `JoinEvent` rows, from the row-wise
 `enrich_joins` that `widir.features.enrich_joins` replaced; `join_table`
 turns such rows into the `JoinTable` the columnar code reads.
+`split_by_time` is the record split that the pipeline's time mask over the
+enriched table replaced.
 """
 
 from __future__ import annotations
@@ -104,6 +106,28 @@ def enrich_joins(joins: Sequence[JoinRecord], contests_by_id: Mapping[str, Conte
             )
         )
     return out
+
+
+def split_by_time(
+    joins: Sequence[JoinRecord], train_end: int, valid_end: int
+) -> tuple[list[JoinRecord], list[JoinRecord], list[JoinRecord]]:
+    """Partition joins by joining_time into (train, valid, test).
+
+    Records at exactly a boundary timestamp belong to the earlier partition:
+    train is t <= train_end, valid is train_end < t <= valid_end, test is
+    t > valid_end. Boundaries must be strictly increasing.
+    """
+    if train_end >= valid_end:
+        raise ValueError("boundaries not strictly increasing: train_end >= valid_end")
+    train, valid, test = [], [], []
+    for r in joins:
+        if r.joining_time <= train_end:
+            train.append(r)
+        elif r.joining_time <= valid_end:
+            valid.append(r)
+        else:
+            test.append(r)
+    return train, valid, test
 
 
 def join_table(events: Sequence[JoinEvent]) -> JoinTable:

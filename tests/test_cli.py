@@ -1,15 +1,24 @@
+import dataclasses
+import datetime as dt
 import json
 import os
 import shutil
 
+import numpy as np
 import pytest
 
 from widir.cli import main
-from widir.errors import DataError
+from widir.domain import day_start, index_contests, read_join_log
+from widir.errors import ConfigError, DataError
 from widir.evaluation import EvalReport
+from widir.features import JoinTable, SnapshotStore, enrich_joins
+from widir.inference import active_players
 from widir.manifest import RunManifest
-from widir.pipeline import _read_splits
+from widir.model import load_model, save_model
+from widir.pipeline import _read_splits, _split
 
+from conftest import DAY0, mk_contest, mk_join
+from feature_oracle import split_by_time
 from test_inference import CORRUPTIONS, _corrupt
 
 GEN_KV = """\
@@ -126,6 +135,14 @@ class TestPipeline:
         assert main(["reproduce", "feat-rel", "--out", os.path.join("work", "run")]) == 0
         assert "reproduce ok: run_id=feat-rel" in capsys.readouterr().out
 
+    def test_every_stored_day_holds_the_active_players(self, pipeline_root):
+        """The batch job scores a snapshot's players; they are the players `active_players` counts."""
+        joins = read_join_log(pipeline_root / "data" / "joins.csv")
+        store = SnapshotStore(pipeline_root / "features")
+        assert store.days()
+        for day in store.days():
+            assert sorted(store.read_day(day).players) == sorted(active_players(joins, day)), day
+
     def test_payloads_exist_and_are_json(self, pipeline_root):
         lines = (pipeline_root / "payloads" / "payloads.jsonl").read_text().splitlines()
         assert lines
@@ -154,6 +171,54 @@ def _reproduce_twice(root, run_id, capsys) -> str:
         for name, entry in recorded.outputs.items():
             assert os.path.relpath(fresh.outputs[name]["path"], redo) == os.path.relpath(entry["path"], root)
     return out
+
+
+def _table(joins) -> JoinTable:
+    return enrich_joins(joins, {"c1": mk_contest()})
+
+
+def _columns(table: JoinTable) -> dict:
+    return {f.name: getattr(table, f.name).tolist() for f in dataclasses.fields(table)}
+
+
+class TestSplit:
+    def test_partition_by_day(self):
+        joins = [mk_join(player=f"p{i}", day=DAY0 + dt.timedelta(days=i)) for i in range(10)]
+        train, valid, test = _split(_table(joins), DAY0 + dt.timedelta(days=5), DAY0 + dt.timedelta(days=7))
+        assert [t.player_id.tolist() for t in (train, valid, test)] == [
+            [f"p{i}" for i in range(6)], ["p6", "p7"], ["p8", "p9"]]
+
+    def test_boundary_day_goes_to_earlier_partition(self):
+        end = day_start(DAY0 + dt.timedelta(days=1))
+        joins = [mk_join(player="first", day=DAY0, hour=0),
+                 dataclasses.replace(mk_join(player="last-second"), joining_time=end - 1),
+                 dataclasses.replace(mk_join(player="next-day"), joining_time=end),
+                 mk_join(player="end", day=DAY0 + dt.timedelta(days=2))]
+        train, valid, test = _split(_table(joins), DAY0, DAY0 + dt.timedelta(days=1))
+        assert [t.player_id.tolist() for t in (train, valid, test)] == [
+            ["first", "last-second"], ["next-day"], ["end"]]
+
+    @pytest.mark.parametrize("train_end, valid_end", [(0, 0), (1, 0), (-1, 1), (0, 3)])
+    def test_boundaries_outside_the_log_or_not_increasing_are_config_errors(self, train_end, valid_end):
+        joins = _table([mk_join(day=DAY0 + dt.timedelta(days=i)) for i in range(3)])
+        with pytest.raises(ConfigError, match="split boundaries"):
+            _split(joins, DAY0 + dt.timedelta(days=train_end), DAY0 + dt.timedelta(days=valid_end))
+
+    def test_empty_log_is_data_error(self):
+        with pytest.raises(DataError, match="join log is empty"):
+            _split(_table([]), DAY0, DAY0 + dt.timedelta(days=1))
+
+    @pytest.mark.parametrize("train_days, valid_days", [(10, 20), (0, 1), (30, 53)])
+    def test_equals_the_record_split(self, tiny_world, train_days, valid_days):
+        """Each partition is the enriched record partition of `split_by_time`, column for column."""
+        by_id = index_contests(tiny_world.contests)
+        train_end, valid_end = (DAY0 + dt.timedelta(days=d) for d in (train_days, valid_days))  # log: DAY0 + 0..54
+        records = split_by_time(tiny_world.joins, day_start(train_end + dt.timedelta(days=1)) - 1,
+                                day_start(valid_end + dt.timedelta(days=1)) - 1)
+        tables = _split(enrich_joins(tiny_world.joins, by_id), train_end, valid_end)
+        assert [len(t) for t in tables] == [len(r) for r in records]
+        for table, part in zip(tables, records):
+            assert _columns(table) == _columns(enrich_joins(part, by_id))
 
 
 class TestErrorPaths:
@@ -490,10 +555,16 @@ class TestCorruptInputs:
         err = self._abtest_exits_2(pipeline_root, tmp_path, data, capsys)
         assert f"{path}:2: {named}" in err
 
-    def test_infer_does_not_read_archetypes(self, pipeline_root, tmp_path):
+    @pytest.mark.parametrize("name, content", [
+        ("archetypes.csv", b"\xff"), ("joins.csv", None), ("joins.csv", b"\xff"),
+    ], ids=["archetypes-not-utf8", "joins-missing", "joins-not-utf8"])
+    def test_infer_reads_neither_archetypes_nor_the_join_log(self, pipeline_root, tmp_path, name, content):
         data = tmp_path / "data"
         shutil.copytree(pipeline_root / "data", data)
-        (data / "archetypes.csv").write_bytes(b"\xff")
+        if content is None:
+            (data / name).unlink()
+        else:
+            (data / name).write_bytes(content)
         code = main(["infer", "--out", str(tmp_path), "--data", str(data),
                      "--features", str(pipeline_root / "features"),
                      "--model", str(pipeline_root / "models" / "model.bin"),
@@ -501,6 +572,35 @@ class TestCorruptInputs:
         assert code == 0
         assert (tmp_path / "payloads" / "payloads.jsonl").read_bytes() == (
             pipeline_root / "payloads" / "payloads.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("case", ["model-weight", "manifest-std", "player-row"])
+    def test_infer_on_a_non_finite_input_exit_2(self, pipeline_root, tmp_path, capsys, case):
+        features, model = tmp_path / "features", tmp_path / "model.bin"
+        shutil.copytree(pipeline_root / "features", features)
+        shutil.copy(pipeline_root / "models" / "model.bin", model)
+        if case == "model-weight":
+            params = load_model(model)
+            params.components["deep"][1].w[3, 2] = np.inf
+            save_model(model, params)
+            bad = model
+        elif case == "manifest-std":
+            bad = features / "manifest.json"
+            doc = json.loads(bad.read_text())
+            doc["stats"]["player_std"][4] = float("nan")
+            bad.write_text(json.dumps(doc))
+        else:
+            bad = features / "days" / "2025-02-17" / "player_rows.npy"
+            rows = np.load(bad)
+            rows[0, 5] = np.nan
+            np.save(bad, rows)
+        capsys.readouterr()
+        code = main(["infer", "--out", str(tmp_path), "--data", str(pipeline_root / "data"),
+                     "--features", str(features), "--model", str(model),
+                     "--as-of", "2025-02-17", "--horizon", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:" in err and "NaN or infinite" in err and "internal error" not in err
+        assert not (tmp_path / "payloads" / "payloads.jsonl").exists()
 
     def test_abtest_on_non_utf8_archetypes_exit_2(self, pipeline_root, tmp_path, capsys):
         data = tmp_path / "data"

@@ -17,7 +17,6 @@ from widir.domain import (
     read_catalog,
     read_join_log,
     read_schedule,
-    split_by_time,
     validate_contest,
     write_catalog,
     write_join_log,
@@ -160,37 +159,6 @@ class TestPrizeStats:
         d = PrizeDistribution(((1, 1, 0),))
         with pytest.raises(ValueError):
             prize_stats(d, 2, 0)
-
-
-class TestSplitByTime:
-    def test_partition_by_timestamp(self):
-        joins = [mk_join(player=f"p{i}", day=DAY0 + dt.timedelta(days=i)) for i in range(10)]
-        train_end = joins[5].joining_time
-        valid_end = joins[7].joining_time
-        train, valid, test = split_by_time(joins, train_end, valid_end)
-        assert [len(train), len(valid), len(test)] == [6, 2, 2]
-        assert set(train) | set(valid) | set(test) == set(joins)
-
-    def test_all_before_train_end(self):
-        joins = [mk_join(player=f"p{i}", hour=i) for i in range(5)]
-        train, valid, test = split_by_time(joins, day_start(DAY0) + 86_399, day_start(DAY0) + 86_400)
-        assert (len(train), len(valid), len(test)) == (5, 0, 0)
-
-    def test_boundary_record_goes_to_earlier_partition(self):
-        t = day_start(DAY0) + 3600
-        joins = [
-            mk_join(player="a", hour=0),
-            mk_join(player="b", hour=1),  # exactly at train_end
-            mk_join(player="c", hour=2),
-        ]
-        train, valid, test = split_by_time(joins, t, t + 3600)
-        assert [r.player_id for r in train] == ["a", "b"]
-        assert [r.player_id for r in valid] == ["c"]
-        assert test == []
-
-    def test_rejects_non_increasing_boundaries(self):
-        with pytest.raises(ValueError):
-            split_by_time([mk_join()], 100, 100)
 
 
 class TestSerialization:

@@ -696,7 +696,13 @@ class TestSnapshots:
         lambda doc, text: json.dumps({**doc, "stats": 3}),
         lambda doc, text: json.dumps({**doc, "stats": {k: v for k, v in doc["stats"].items() if k != "inter_std"}}),
         lambda doc, text: json.dumps({**doc, "stats": {**doc["stats"], "fee_edges": ["x"]}}),
-    ], ids=["truncated", "not-an-object", "no-stats", "stats-not-an-object", "no-stats-key", "bad-stats-value"])
+        lambda doc, text: json.dumps({**doc, "stats": {**doc["stats"], "player_mean": [float("nan")] * D_P}}),
+        lambda doc, text: json.dumps({**doc, "stats": {**doc["stats"], "size_edges": [1.0] * 7 + [float("inf")]}}),
+        lambda doc, text: json.dumps({**doc, "stats": {**doc["stats"], "inter_std": [1.0] * 8 + [0.0]}}),
+        lambda doc, text: json.dumps({**doc, "stats": {**doc["stats"], "contest_std": [-1.0] * D_C}}),
+        lambda doc, text: json.dumps({**doc, "stats": {**doc["stats"], "player_std": [1.0] * (D_P - 1)}}),
+    ], ids=["truncated", "not-an-object", "no-stats", "stats-not-an-object", "no-stats-key", "bad-stats-value",
+            "nan-mean", "infinite-edge", "zero-std", "negative-std", "short-stat"])
     def test_corrupt_manifest_is_store_error(self, tmp_path, identity_stats, corrupt):
         store = SnapshotStore(tmp_path / "store")
         store.write_manifest(identity_stats)
@@ -758,6 +764,9 @@ class TestSnapshots:
         ("player_rows", lambda a: a[:-1]),
         ("player_rows", lambda a: a.astype(np.float64)),
         ("player_rows", lambda a: a.astype(">f4")),
+        ("player_rows", lambda a: np.where(np.arange(D_P) == 5, np.nan, a).astype(np.float32)),
+        ("player_rows", lambda a: np.where(np.arange(D_P) == 0, np.inf, a).astype(np.float32)),
+        ("player_rows", lambda a: np.where(np.arange(D_P) == 106, -np.inf, a).astype(np.float32)),
         ("player_ids", lambda a: a[:-1]),
         ("player_ids", lambda a: np.asarray([a[0]] * len(a))),
         ("player_ids", lambda a: np.arange(len(a))),

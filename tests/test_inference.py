@@ -15,7 +15,7 @@ from widir import pipeline
 from widir.domain import CENTS, ContestType, MatchRecord, day_of, day_start
 from widir.errors import DataError
 from widir.evaluation import _SCORE_CHUNK, model_rank
-from widir.features import _identity_stats
+from widir.features import SnapshotStore, _identity_stats
 from widir.generator import GeneratorConfig, generate_synthetic
 from widir.inference import (
     RankingPayload,
@@ -44,6 +44,15 @@ class TestActivePlayers:
 
     def test_empty_log(self):
         assert active_players([], DAY0) == set()
+
+    def test_every_stored_day_holds_the_active_players(self, tiny_world, tmp_path):
+        """The batch job scores a snapshot's players; they are the players `active_players` counts."""
+        tiny_world.write_dir(tmp_path / "data")
+        pipeline.run_features(tmp_path, tmp_path / "data", dt.date(2025, 1, 25), dt.date(2025, 2, 1), run_id="f")
+        store = SnapshotStore(tmp_path / "features")
+        assert len(store.days()) > 40
+        for day in store.days():
+            assert sorted(store.read_day(day).players) == sorted(active_players(tiny_world.joins, day)), day
 
 
 def _setup(n_templates=8, n_players=6):

@@ -560,6 +560,14 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             deserialize(serialize(params) + b"\x00")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["w", "b"])
+    def test_non_finite_weight(self, array, value):
+        params = init_params(WidirDims(5, 4, 3), seed=0)
+        getattr(params.components["combined"][0], array).flat[1] = value
+        with pytest.raises(ModelFormatError, match="component combined has a NaN or infinite weight"):
+            deserialize(serialize(params))
+
     def test_bad_magic(self):
         params = init_params(WidirDims(5, 4, 3), seed=0)
         data = serialize(params)
