@@ -57,7 +57,6 @@ from .domain import (
     SECONDS_PER_DAY,
     epoch_day,
     money_units,
-    parse_day,
     prize_stats,
     validate_contest,
 )
@@ -796,6 +795,8 @@ class SnapshotStore:
                 meta = json.load(fh)
         except (OSError, ValueError) as exc:
             raise StoreError(f"no snapshot for day {day} at {path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise StoreError(f"{os.path.join(path, 'day.json')}: not a JSON object")
         if meta.get("schema_version") != SNAPSHOT_SCHEMA:
             raise StoreError(
                 f"{path}: snapshot schema {meta.get('schema_version')!r} != {SNAPSHOT_SCHEMA!r}"
@@ -834,12 +835,6 @@ class SnapshotStore:
     def has_day(self, day: dt.date) -> bool:
         """True once a write of `day` has committed its day.json."""
         return os.path.isfile(os.path.join(self._day_dir(day), "day.json"))
-
-    def days(self) -> list[dt.date]:
-        base = os.path.join(self.root, "days")
-        if not os.path.isdir(base):
-            return []
-        return sorted(d for d in map(parse_day, os.listdir(base)) if self.has_day(d))
 
 
 class SnapshotCache:

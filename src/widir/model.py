@@ -472,7 +472,10 @@ def deserialize(data: bytes) -> WidirParams:
         raise ModelVersionError(f"unsupported model version {version}, expected {MODEL_VERSION}")
     d_p, d_c, d_i = cur.unpack("<III")
     dims = WidirDims(d_p, d_c, d_i)
-    dims.validate()
+    try:
+        dims.validate()
+    except DimensionError as exc:
+        raise ModelFormatError(f"corrupt model stream: {exc}") from exc
     components: dict[str, list[Layer]] = {}
     for name in COMPONENT_ORDER:
         (n_layers,) = cur.unpack("<B")

@@ -5,17 +5,40 @@ batch job published for that row, plus a per-match popularity fallback. Request
 handling only reorders live contest instances by stored template scores;
 no model forward pass ever runs here. The 10 ms budget is measured
 in-process (request parse through response serialize).
+
+`serve` runs one asyncio event loop on one daemon thread, and that loop serves
+every connection through callbacks: no thread or task per connection. The
+ranking work is Python that holds the GIL, so it runs one request at a time
+whatever the thread count; threads per connection only added the cost of
+handing each request from thread to thread. The service speaks a subset of
+HTTP/1.0: one request per connection, answered with an `HTTP/1.0` reply with a
+JSON body, after which the service closes the connection.
+
+- `GET /health` and `POST /rank` answer 200; a rank body that `handle_rank_body`
+  rejects answers 400;
+- 400: a request line that is not `METHOD PATH HTTP/x.y`, a header line with no
+  colon, a `POST /rank` with no, a repeated or a non-decimal `Content-Length`,
+  or a body that ends before its `Content-Length`;
+- 404: any other path; 501: a method other than GET and POST; 505: HTTP/2 or later;
+- 413: a `Content-Length` over `max_request_bytes`, answered before any body is read;
+- 414 or 431: a request line or a head over 64 KiB (`HEAD_LIMIT`); 431: more
+  than 100 headers;
+- 408: a request not complete `CONNECTION_TIMEOUT_S` (10 s) after the connection
+  was accepted. Past that deadline a connection whose reply is still unread is
+  aborted;
+- 500: ranking raised; the loop goes on serving the other connections.
 """
 
 from __future__ import annotations
 
-import contextlib
+import asyncio
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Mapping, Sequence
 
 from .domain import ContestSpec, match_templates
@@ -147,7 +170,7 @@ def parse_rank_request(body: bytes) -> RankRequest:
     """
     try:
         doc = json.loads(body)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise RequestError(f"malformed rank request body: {exc}") from exc
     if not isinstance(doc, dict):
         raise RequestError(f"rank request body must be a JSON object, not {type(doc).__name__}")
@@ -220,101 +243,201 @@ class ServeConfig:
 
 # --- HTTP service ------------------------------------------------------------------
 
+HEAD_LIMIT = 64 * 1024  # bytes of request line and headers
+MAX_HEADERS = 100
+# seconds from accept to the last byte of the request; a client that declares
+# more body than it sends would otherwise hold its connection open forever
+CONNECTION_TIMEOUT_S = 10.0
+_VERSION = re.compile(rb"HTTP/(\d{1,9})\.\d{1,9}")
 
-class _Handler(BaseHTTPRequestHandler):
-    store: OnlineStore
-    max_request_bytes: int
-    # seconds any one read or write on a connection may stall; a client that
-    # declares more body than it sends would otherwise hold a thread forever
-    timeout = 10.0
 
-    def _send(self, status: int, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+class _Refused(Exception):
+    """A request the service answers with `status` and the message, without ranking."""
 
-    def _drop(self, status: int, message: str) -> None:
-        """Answer an incomplete request if the client still reads, then close."""
-        self.close_connection = True
-        with contextlib.suppress(OSError):
-            self._send(status, json.dumps({"error": message}).encode())
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
-    def do_GET(self):  # noqa: N802 (http.server API)
-        if self.path != "/health":
-            self._send(404, json.dumps({"error": "not found"}).encode())
+
+def _body_length(head: bytes, max_request_bytes: int) -> int | None:
+    """The body length a request head declares for POST /rank, None for GET /health.
+
+    `head` is the request line and headers, up to but without the empty line;
+    lines end in CRLF or a bare LF. Anything else raises _Refused.
+    """
+    line, *headers = head.split(b"\n")
+    words = line.split()
+    if len(words) != 3 or not (version := _VERSION.fullmatch(words[2])):
+        raise _Refused(400, f"malformed request line {line.strip().decode('latin-1')!r}")
+    if int(version[1]) >= 2:
+        raise _Refused(505, f"HTTP version {words[2].decode()} is not supported")
+    if len(headers) > MAX_HEADERS:
+        raise _Refused(431, f"more than {MAX_HEADERS} headers")
+    raw_length = None
+    for header in headers:
+        name, colon, value = header.partition(b":")
+        if not colon:
+            raise _Refused(400, f"malformed header line {header.strip().decode('latin-1')!r}")
+        if name.strip().lower() == b"content-length":
+            if raw_length is not None:
+                raise _Refused(400, "more than one Content-Length")
+            raw_length = value.strip()
+    method, path = words[0], words[1]
+    if method not in (b"GET", b"POST"):
+        raise _Refused(501, f"method {method.decode('latin-1')} is not supported")
+    if (method, path) == (b"GET", b"/health"):
+        return None
+    if (method, path) != (b"POST", b"/rank"):
+        raise _Refused(404, "not found")
+    if raw_length is None:
+        raise _Refused(400, "POST /rank needs a Content-Length")
+    # digits only: int() would also take "-1", "+5" and "1_0"
+    if not (raw_length.isdigit() and len(raw_length) <= 18):
+        raise _Refused(400, f"invalid Content-Length {raw_length.decode('latin-1')!r}")
+    length = int(raw_length)
+    if length > max_request_bytes:
+        raise _Refused(413, f"request of {length} bytes exceeds limit {max_request_bytes}")
+    return length
+
+
+def _error(message: str) -> bytes:
+    return json.dumps({"error": message}).encode()
+
+
+class _RankProtocol(asyncio.Protocol):
+    """One connection: read one request, answer it with HTTP/1.0 and close.
+
+    The service's event loop calls these methods, one at a time.
+    """
+
+    def __init__(self, store: OnlineStore, max_request_bytes: int, connections: set):
+        self.store = store
+        self.max_request_bytes = max_request_bytes
+        self.connections = connections
+        self.buffer = bytearray()
+        self.scanned = 0  # bytes of buffer already searched for the head's end
+        self.length: int | None = None  # the body's length, once the head is read
+
+    def connection_made(self, transport):
+        self.transport = transport
+        self.connections.add(self)
+        self.deadline = asyncio.get_running_loop().call_later(CONNECTION_TIMEOUT_S, self._expire)
+
+    def connection_lost(self, exc):
+        self.deadline.cancel()
+        self.connections.discard(self)
+
+    def data_received(self, data):
+        self.buffer += data
+        if self.length is None and not self._read_head():
             return
-        body = json.dumps(
-            {
-                "status": "ok",
-                "model_version": self.store.model_version,
-                "payload_count": self.store.payload_count,
-            }
-        ).encode()
-        self._send(200, body)
+        if len(self.buffer) >= self.length:
+            try:
+                status, body = handle_rank_body(self.store, bytes(self.buffer[: self.length]))
+            except Exception as exc:  # answer, and keep serving the other connections
+                status, body = 500, _error(f"internal error: {exc}")
+            self._reply(status, body)
 
-    def do_POST(self):  # noqa: N802
-        if self.path != "/rank":
-            self._send(404, json.dumps({"error": "not found"}).encode())
-            return
-        raw_length = self.headers.get("Content-Length", "0").strip()
-        # digits only: int() would also take "-1" (rfile.read(-1) blocks until
-        # the client hangs up), "+5" and "1_0"
-        if not (raw_length.isascii() and raw_length.isdigit()):
-            self._send(400, json.dumps({"error": f"invalid Content-Length {raw_length!r}"}).encode())
-            return
-        length = int(raw_length)
-        if length > self.max_request_bytes:
-            self._send(
-                413,
-                json.dumps(
-                    {"error": f"request of {length} bytes exceeds limit {self.max_request_bytes}"}
-                ).encode(),
-            )
-            return
+    def eof_received(self):
+        if self.length is not None:
+            self._reply(400, _error(f"request body ended after {len(self.buffer)} of {self.length} bytes"))
+        elif self.buffer:
+            self._reply(400, _error("request head ended before its empty line"))
+        # returning None closes the transport
+
+    def _read_head(self) -> bool:
+        """Answer or take the request head once it has arrived; True if a body is due."""
+        buf = self.buffer
+        # the head ends at its first empty line: the first "\n" followed by "\r\n" or "\n"
+        start = max(0, self.scanned - 2)
+        crlf = buf.find(b"\n\r\n", start, HEAD_LIMIT)
+        lf = buf.find(b"\n\n", start, HEAD_LIMIT if crlf < 0 else crlf + 1)
+        end, body = (lf, lf + 2) if lf >= 0 else (crlf, crlf + 3)
+        if end < 0:
+            self.scanned = len(buf)
+            if len(buf) >= HEAD_LIMIT:
+                status = 414 if buf.find(b"\n", 0, HEAD_LIMIT) < 0 else 431
+                self._reply(status, _error(f"request head exceeds {HEAD_LIMIT} bytes"))
+            return False
+        head = bytes(buf[:end])
+        del buf[:body]
         try:
-            body = self.rfile.read(length)
-        except TimeoutError:
-            self._drop(408, f"request body not received within {self.timeout} s")
-            return
-        if len(body) < length:
-            self._drop(400, f"request body ended after {len(body)} of {length} bytes")
-            return
-        try:
-            status, out = handle_rank_body(self.store, body)
-        except Exception as exc:  # defensive: never kill the connection thread
-            status, out = 500, json.dumps({"error": f"internal error: {exc}"}).encode()
-        self._send(status, out)
+            length = _body_length(head, self.max_request_bytes)
+        except _Refused as exc:
+            self._reply(exc.status, _error(str(exc)))
+            return False
+        if length is None:
+            doc = {"status": "ok", "model_version": self.store.model_version,
+                   "payload_count": self.store.payload_count}
+            self._reply(200, json.dumps(doc).encode())
+            return False
+        self.length = length
+        return True
 
-    def log_message(self, fmt, *args):  # quiet by default
-        pass
+    def _expire(self):
+        if self.transport.is_closing():  # answered, but the client does not read the reply
+            self.transport.abort()
+        else:
+            self._reply(408, _error(f"request not received within {CONNECTION_TIMEOUT_S} s"))
+
+    def _reply(self, status: int, body: bytes) -> None:
+        phrase = HTTPStatus(status).phrase.encode()
+        self.transport.write(
+            b"HTTP/1.0 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
+            % (status, phrase, len(body), body)
+        )
+        self.transport.close()
 
 
-@dataclass
 class RankingService:
-    server: ThreadingHTTPServer
-    thread: threading.Thread
+    """The running service: `serve`'s event loop, run by `thread` until close()."""
+
+    def __init__(self, loop: asyncio.AbstractEventLoop, server: asyncio.Server, connections: set):
+        self.loop = loop
+        self.server = server
+        self.connections = connections  # the _RankProtocol of every open connection
+        self._closed = threading.Event()
+        self.thread = threading.Thread(target=self._run, name="widir-serve", daemon=True)
+        self.thread.start()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.server.server_address[:2]
+        return self.server.sockets[0].getsockname()[:2]
 
     def close(self) -> None:
-        self.server.shutdown()
+        """Stop accepting, abort open connections, stop and close the loop, end its thread."""
+        self.loop.call_soon_threadsafe(self._stop)
+        # wait on the event, not on thread.join alone: on Python 3.11 a join cut short by
+        # KeyboardInterrupt (the CLI's Ctrl-C) marks the thread stopped while it still runs
+        self._closed.wait(timeout=5)
         self.thread.join(timeout=5)
-        self.server.server_close()
+
+    def _run(self) -> None:
+        try:
+            self.loop.run_forever()
+        finally:
+            self.loop.close()
+            self._closed.set()
+
+    def _stop(self) -> None:
+        """On the loop's thread: each abort schedules the callback that closes its
+        socket, and the loop stops after those callbacks have run."""
+        self.server.close()
+        for connection in list(self.connections):
+            connection.transport.abort()
+        self.loop.call_soon(self.loop.stop)
 
 
 def serve(store: OnlineStore, config: ServeConfig) -> RankingService:
-    """Start the HTTP service on a daemon thread and return a handle."""
-    handler = type(
-        "BoundHandler", (_Handler,), {"store": store, "max_request_bytes": config.max_request_bytes}
-    )
+    """Start the HTTP service on an event loop on a daemon thread and return a handle."""
+    loop = asyncio.new_event_loop()
+    connections: set[_RankProtocol] = set()
     try:
-        server = ThreadingHTTPServer((config.bind_host, config.bind_port), handler)
+        server = loop.run_until_complete(loop.create_server(
+            lambda: _RankProtocol(store, config.max_request_bytes, connections),
+            config.bind_host, config.bind_port,
+        ))
     except OSError as exc:
+        loop.close()
         raise ConfigError(f"cannot bind {config.bind_host}:{config.bind_port}: {exc}") from exc
-    thread = threading.Thread(target=server.serve_forever, name="widir-serve", daemon=True)
-    thread.start()
-    return RankingService(server=server, thread=thread)
+    return RankingService(loop, server, connections)

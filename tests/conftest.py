@@ -1,10 +1,11 @@
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
 
-from widir.domain import CENTS, ContestSpec, ContestType, JoinRecord, PrizeDistribution, day_start
-from widir.features import _identity_stats
+from widir.domain import CENTS, ContestSpec, ContestType, JoinRecord, PrizeDistribution, day_start, parse_day
+from widir.features import SnapshotStore, _identity_stats
 from widir.generator import DEFAULT_ARCHETYPES, GeneratorConfig, generate_synthetic
 from widir.inference import MatchScores, RankingPayload
 
@@ -71,6 +72,14 @@ def mk_payload(player="p1", match="m1", ranking=(("t2", 2.0), ("t1", 1.0)), gene
     payload = RankingPayload(block, 0)
     assert payload.ranking == tuple(ranking), f"{ranking} is not in score order"
     return payload
+
+
+def stored_days(store: SnapshotStore) -> list[dt.date]:
+    """The days `store` holds a committed snapshot of, in order."""
+    base = os.path.join(store.root, "days")
+    if not os.path.isdir(base):
+        return []
+    return sorted(d for d in map(parse_day, os.listdir(base)) if store.has_day(d))
 
 
 @pytest.fixture(scope="session")

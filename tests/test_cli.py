@@ -3,10 +3,15 @@ import datetime as dt
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import urllib.request
 
 import numpy as np
 import pytest
 
+import widir
 from widir.cli import main
 from widir.domain import day_start, index_contests, read_join_log
 from widir.errors import ConfigError, DataError
@@ -17,7 +22,7 @@ from widir.manifest import RunManifest
 from widir.model import load_model, save_model
 from widir.pipeline import _read_splits, _split
 
-from conftest import DAY0, mk_contest, mk_join
+from conftest import DAY0, mk_contest, mk_join, stored_days
 from feature_oracle import split_by_time
 from test_inference import CORRUPTIONS, _corrupt
 
@@ -139,8 +144,8 @@ class TestPipeline:
         """The batch job scores a snapshot's players; they are the players `active_players` counts."""
         joins = read_join_log(pipeline_root / "data" / "joins.csv")
         store = SnapshotStore(pipeline_root / "features")
-        assert store.days()
-        for day in store.days():
+        assert stored_days(store)
+        for day in stored_days(store):
             assert sorted(store.read_day(day).players) == sorted(active_players(joins, day)), day
 
     def test_payloads_exist_and_are_json(self, pipeline_root):
@@ -148,6 +153,24 @@ class TestPipeline:
         assert lines
         doc = json.loads(lines[0])
         assert {"match_id", "template_ids", "player_ids", "scores", "generated_at", "model_version"} <= set(doc)
+
+    def test_serve_answers_then_exits_0_on_ctrl_c(self, pipeline_root):
+        src = os.path.dirname(os.path.dirname(widir.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        payloads = pipeline_root / "payloads" / "payloads.jsonl"
+        with subprocess.Popen([sys.executable, "-m", "widir.cli", "serve", "--payloads", str(payloads)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+            try:
+                line = child.stdout.readline()
+                assert line.startswith("serving on http://"), child.stderr.read()
+                with urllib.request.urlopen(f"{line.split()[2]}/health", timeout=5) as r:
+                    assert json.loads(r.read())["payload_count"] > 0
+                child.send_signal(signal.SIGINT)
+                _, err = child.communicate(timeout=30)
+            finally:
+                child.kill()
+        assert child.returncode == 0
+        assert err == ""
 
 
 def _reproduce_twice(root, run_id, capsys) -> str:
@@ -600,6 +623,20 @@ class TestCorruptInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}:" in err and "NaN or infinite" in err and "internal error" not in err
+        assert not (tmp_path / "payloads" / "payloads.jsonl").exists()
+
+    def test_infer_on_a_zero_dim_model_exit_2(self, pipeline_root, tmp_path, capsys):
+        model = tmp_path / "model.bin"
+        data = bytearray((pipeline_root / "models" / "model.bin").read_bytes())
+        data[8:12] = bytes(4)  # d_p in the header
+        model.write_bytes(data)
+        capsys.readouterr()
+        code = main(["infer", "--out", str(tmp_path), "--data", str(pipeline_root / "data"),
+                     "--features", str(pipeline_root / "features"), "--model", str(model),
+                     "--as-of", "2025-02-17", "--horizon", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{model}:" in err and "dims must be positive" in err and "internal error" not in err
         assert not (tmp_path / "payloads" / "payloads.jsonl").exists()
 
     def test_abtest_on_non_utf8_archetypes_exit_2(self, pipeline_root, tmp_path, capsys):

@@ -35,7 +35,7 @@ from widir.features import (
     quantile_edges,
 )
 
-from conftest import DAY0, mk_contest, mk_join
+from conftest import DAY0, mk_contest, mk_join, stored_days
 import feature_oracle
 from feature_oracle import (
     JoinEvent,
@@ -655,7 +655,7 @@ class TestSnapshots:
             "day.json", "join_offsets.npy", "player_ids.npy", "player_rows.npy",
             "recent_joins.npy", "template_ids.npy",
         ]
-        assert store.days() == [snap.as_of_day]
+        assert stored_days(store) == [snap.as_of_day]
         assert_same_snapshot(store.read_day(snap.as_of_day), snap)
 
     def test_failed_write_reads_as_absent(self, tmp_path, identity_stats):
@@ -665,7 +665,7 @@ class TestSnapshots:
         with pytest.raises(StoreError, match="snapshot write failed"):
             store.write_day(snap)
         assert not store.has_day(snap.as_of_day)
-        assert store.days() == []
+        assert stored_days(store) == []
         with pytest.raises(DataError, match="missing"):
             SnapshotCache(store).get(snap.as_of_day)
         with pytest.raises(StoreError):
@@ -728,6 +728,15 @@ class TestSnapshots:
         day_json.write_text(day_json.read_text()[:-3])
         with pytest.raises(StoreError, match="no snapshot"):
             store.read_day(snap.as_of_day)
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "7"])
+    def test_day_json_not_an_object_is_error_naming_the_file(self, tmp_path, identity_stats, text):
+        store, snap = self._stored_day(tmp_path, identity_stats)
+        day_json = tmp_path / "store" / "days" / snap.as_of_day.isoformat() / "day.json"
+        day_json.write_text(text)
+        with pytest.raises(StoreError, match="not a JSON object") as err:
+            store.read_day(snap.as_of_day)
+        assert str(day_json) in str(err.value)
 
     def test_v1_store_is_error(self, tmp_path, identity_stats):
         """A store written in the text layout (schema v1) is refused, not misread."""

@@ -26,7 +26,7 @@ from widir.inference import (
 )
 from widir.model import WidirDims, init_params, save_model
 
-from conftest import DAY0, mk_contest, mk_join
+from conftest import DAY0, mk_contest, mk_join, stored_days
 from feature_oracle import RecentJoin, snapshot_from
 import model_oracle
 
@@ -50,8 +50,8 @@ class TestActivePlayers:
         tiny_world.write_dir(tmp_path / "data")
         pipeline.run_features(tmp_path, tmp_path / "data", dt.date(2025, 1, 25), dt.date(2025, 2, 1), run_id="f")
         store = SnapshotStore(tmp_path / "features")
-        assert len(store.days()) > 40
-        for day in store.days():
+        assert len(stored_days(store)) > 40
+        for day in stored_days(store):
             assert sorted(store.read_day(day).players) == sorted(active_players(tiny_world.joins, day)), day
 
 

@@ -568,6 +568,13 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="component combined has a NaN or infinite weight"):
             deserialize(serialize(params))
 
+    @pytest.mark.parametrize("offset", [8, 12, 16], ids=["d_p", "d_c", "d_i"])
+    def test_zero_dim_in_header(self, offset):
+        data = bytearray(serialize(init_params(WidirDims(5, 4, 3), seed=0)))
+        data[offset:offset + 4] = bytes(4)  # the dims follow the magic and two u16 fields
+        with pytest.raises(ModelFormatError, match="dims must be positive"):
+            deserialize(bytes(data))
+
     def test_bad_magic(self):
         params = init_params(WidirDims(5, 4, 3), seed=0)
         data = serialize(params)

@@ -1,13 +1,16 @@
+import gc
 import json
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from widir import serving
 from widir.domain import CENTS
 from widir.errors import ConfigError
 from widir.serving import (
@@ -15,7 +18,6 @@ from widir.serving import (
     RankRequest,
     RequestError,
     ServeConfig,
-    _Handler,
     handle_rank_body,
     load_fallbacks,
     parse_rank_request,
@@ -210,6 +212,14 @@ class TestWireFormat:
         assert status == 400
         assert "error" in json.loads(out)
 
+    def test_deeply_nested_body_is_400(self):
+        body = b"[" * 100_000
+        with pytest.raises(RequestError, match="malformed"):
+            parse_rank_request(body)
+        status, out = handle_rank_body(_store_with([_payload()]), body)
+        assert status == 400
+        assert "error" in json.loads(out)
+
 
 class TestServeConfig:
     def test_env_overrides_file(self, tmp_path):
@@ -231,12 +241,12 @@ class TestServeConfig:
 
 
 class TestHTTPService:
-    def _start(self):
+    def _start(self, max_request_bytes=10_000):
         store = _store_with(
             [_payload()],
             [mk_contest(contest_id="i1", template_id="t1", match_id="m1")],
         )
-        config = ServeConfig(bind_port=0, max_request_bytes=10_000)
+        config = ServeConfig(bind_port=0, max_request_bytes=max_request_bytes)
         return store, serve(store, config)
 
     def test_rank_and_health_endpoints(self):
@@ -325,6 +335,88 @@ class TestHTTPService:
             service.close()
 
     @staticmethod
+    def _exchange(address, request: bytes) -> bytes:
+        """Everything the server sends back for the raw bytes `request`."""
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(request)
+            return TestHTTPService._read_all(sock)
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GET /health HTTP/1.0\r\nX-Long: " + b"a" * (64 * 1024) + b"\r\n\r\n", 431),
+            (b"GET /health HTTP/1.0\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n", 431),
+            (b"GET /" + b"a" * (64 * 1024) + b" HTTP/1.0\r\n\r\n", 414),
+            (b"GET /health\r\n\r\n", 400),
+            (b"GET /health HTTP/1.0 extra\r\n\r\n", 400),
+            (b"GET /health HTTP/one\r\n\r\n", 400),
+            (b"PUT /rank HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}", 501),
+            (b"GET /health HTTP/2.0\r\n\r\n", 505),
+            (b"GET /rank HTTP/1.0\r\n\r\n", 404),
+            (b"POST /health HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}", 404),
+            (b"POST /rank HTTP/1.0\r\nHost: localhost\r\n\r\n", 400),
+            (b"GET /health HTTP/1.0\nHost: localhost\n\n", 200),
+        ],
+        ids=["long-header", "101-headers", "long-request-line", "no-version", "four-words",
+             "bad-version", "put", "http-2", "get-rank", "post-health", "no-content-length", "bare-lf"],
+    )
+    def test_http_parity(self, request_bytes, status):
+        store, service = self._start()
+        try:
+            reply = self._exchange(service.address, request_bytes)
+        finally:
+            service.close()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 %d " % status)
+        assert (b"Content-Length: %d" % len(body)) in head
+        doc = json.loads(body)
+        assert (doc.get("status") == "ok") if status == 200 else ("error" in doc)
+
+    def test_deeply_nested_body_is_400_over_http(self):
+        store, service = self._start(max_request_bytes=200_000)
+        try:
+            body = b"[" * 100_000
+            reply = self._exchange(
+                service.address,
+                b"POST /rank HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body),
+            )
+            assert reply.startswith(b"HTTP/1.0 400 ")
+            assert self._rank_status(service.address) == 200
+        finally:
+            service.close()
+
+    def test_stalled_client_does_not_hold_up_another(self):
+        store, service = self._start()
+        try:
+            with self._short_body_client(service.address) as stalled:
+                t0 = time.monotonic()
+                assert self._rank_status(service.address) == 200
+                assert time.monotonic() - t0 < 1.0
+                stalled.settimeout(0.05)
+                with pytest.raises(TimeoutError):  # still open, and not answered
+                    stalled.recv(1)
+        finally:
+            service.close()
+
+    def test_close_with_a_stalled_connection_open_leaks_nothing(self):
+        store, service = self._start()
+        with self._short_body_client(service.address) as stalled:
+            assert self._rank_status(service.address) == 200  # the stalled one was accepted first
+            thread = service.thread
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                service.close()
+                del service
+                gc.collect()
+            assert not thread.is_alive()
+            stalled.settimeout(5)
+            try:
+                assert self._read_all(stalled) == b""  # closed without an answer
+            except ConnectionResetError:
+                pass
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @staticmethod
     def _short_body_client(address):
         """A POST /rank that declares 100 body bytes and sends 2."""
         sock = socket.create_connection(address, timeout=5)
@@ -339,8 +431,8 @@ class TestHTTPService:
         return reply
 
     def test_short_body_released_after_timeout(self, monkeypatch):
-        assert 0 < _Handler.timeout <= 60  # a fixed socket timeout is on by default
-        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        assert 0 < serving.CONNECTION_TIMEOUT_S <= 60  # a fixed connection deadline is on by default
+        monkeypatch.setattr(serving, "CONNECTION_TIMEOUT_S", 0.5)
         store, service = self._start()
         try:
             t0 = time.monotonic()
@@ -353,7 +445,7 @@ class TestHTTPService:
             service.close()
 
     def test_short_body_then_half_close_is_400_without_traceback(self, monkeypatch, capsys):
-        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        monkeypatch.setattr(serving, "CONNECTION_TIMEOUT_S", 0.5)
         store, service = self._start()
         try:
             with self._short_body_client(service.address) as sock:

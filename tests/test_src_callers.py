@@ -1,14 +1,17 @@
-"""Every module-level function and class in src/widir has a caller outside tests/.
+"""Every module-level function and class in src/widir, and every method and property
+of its classes, has a caller outside tests/.
 
 A name that only tests reference is an oracle and belongs under tests/.
 A reference from src/widir, outside the name's own definition, or from
-benchmarks/ counts as a caller.
+benchmarks/ counts as a caller. Dunder methods and the asyncio.Protocol
+callbacks are exempt: the runtime calls them, not a name in the code.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PROTOCOL_CALLBACKS = {"connection_made", "data_received", "eof_received", "connection_lost"}
 
 
 def references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -27,18 +30,34 @@ def references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class of `tree`, each
+    class followed by its methods and properties that are neither dunders nor callbacks."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not _called_by_the_runtime(item.name):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _called_by_the_runtime(name: str) -> bool:
+    return (name.startswith("__") and name.endswith("__")) or name in PROTOCOL_CALLBACKS
+
+
 def without_callers(modules: dict[str, str], callers: list[str]) -> list[str]:
-    """The module-level functions and classes of `modules` (name -> source) that no code
-    references: not the other modules, not the rest of their own module, not `callers`."""
+    """The definitions of `modules` (name -> source) that no code references: not the
+    other modules, not the rest of their own module, not `callers`."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
     outside = set().union(*(references(ast.parse(source)) for source in callers))
     missing = []
     for module, tree in trees.items():
         others = set().union(*(references(t) for m, t in trees.items() if m != module))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name not in outside | others | references(tree, skip=node):
-                    missing.append(f"{module}.{node.name}")
+        for qualname, node in definitions(tree):
+            if node.name not in outside | others | references(tree, skip=node):
+                missing.append(f"{module}.{qualname}")
     return missing
 
 
@@ -50,7 +69,13 @@ def test_every_src_function_and_class_has_a_caller_outside_tests():
 
 def test_checker_finds_names_without_callers():
     modules = {
-        "a": "def used():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\nclass Oracle:\n    pass\n",
-        "b": "from .a import used\n\ndef main():\n    used()\n\nmain()\n\ndef by_bench():\n    pass\n",
+        "a": "def used():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n\nclass Oracle:\n    pass\n"
+             "\nclass Store:\n    def __len__(self):\n        return 0\n\n    def put(self):\n        pass\n\n"
+             "    def days(self):\n        return self.days()\n\n    @property\n    def size(self):\n        return 0\n\n"
+             "    def data_received(self, data):\n        pass\n",
+        "b": "from .a import Store, used\n\ndef main():\n    used()\n    Store().put()\n\nmain()\n\n"
+             "def by_bench():\n    pass\n",
     }
-    assert without_callers(modules, ["import b\nb.by_bench()\n"]) == ["a.recursive", "a.Oracle"]
+    assert without_callers(modules, ["import b\nb.by_bench()\n"]) == [
+        "a.recursive", "a.Oracle", "a.Store.days", "a.Store.size",
+    ]
