@@ -61,7 +61,7 @@ from .domain import (
     validate_contest,
 )
 from .errors import DataError, StoreError
-from .textio import write_replace
+from .textio import read_json, write_replace
 
 SNAPSHOT_SCHEMA = "widir-snapshot-v2"
 
@@ -736,13 +736,7 @@ class SnapshotStore:
 
     def read_manifest(self) -> NormalizationStats:
         path = self._manifest_path()
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise StoreError(f"cannot read store manifest {path}: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise StoreError(f"{path}: store manifest is not a JSON object")
+        doc = read_json(path, f"store manifest {path}", StoreError)
         if doc.get("schema_version") != SNAPSHOT_SCHEMA:
             raise StoreError(
                 f"{path}: schema version {doc.get('schema_version')!r} != {SNAPSHOT_SCHEMA!r}"
@@ -790,13 +784,8 @@ class SnapshotStore:
     def read_day(self, day: dt.date) -> FeatureSnapshot:
         path = self._day_dir(day)
         stats = self.read_manifest()
-        try:
-            with open(os.path.join(path, "day.json"), "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise StoreError(f"no snapshot for day {day} at {path}: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise StoreError(f"{os.path.join(path, 'day.json')}: not a JSON object")
+        day_json = os.path.join(path, "day.json")
+        meta = read_json(day_json, f"no snapshot for day {day} at {day_json}", StoreError)
         if meta.get("schema_version") != SNAPSHOT_SCHEMA:
             raise StoreError(
                 f"{path}: snapshot schema {meta.get('schema_version')!r} != {SNAPSHOT_SCHEMA!r}"
@@ -805,7 +794,7 @@ class SnapshotStore:
         for name, (dtype, ndim) in _DAY_ARRAYS.items():
             try:
                 array = np.load(os.path.join(path, f"{name}.npy"), allow_pickle=False)
-            except (OSError, ValueError, EOFError) as exc:
+            except Exception as exc:  # numpy's header parser can raise TokenError, SyntaxError, ...
                 raise StoreError(f"{path}: cannot read {name}.npy: {exc}") from exc
             if not array.dtype.str.startswith(dtype) or array.ndim != ndim:
                 raise StoreError(

@@ -32,7 +32,7 @@ from .errors import DataError
 from .evaluation import ModelScorer, _make_slate
 from .features import FeatureSnapshot
 from .model import WidirParams
-from .textio import write_replace
+from .textio import json_field, load_json, write_replace
 
 _SCORE_DTYPE = np.dtype("<f4")  # payload scores: little-endian float32, row-major
 
@@ -181,12 +181,13 @@ def read_payloads(path) -> list[RankingPayload]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
+                context = f"{path}:{lineno}"
                 try:
-                    block = _parse_block(line)
+                    block = _parse_block(line, context)
                     if block.match_id in seen:
                         raise ValueError(f"match {block.match_id!r} has an earlier line")
-                except (ValueError, TypeError) as exc:
-                    raise DataError(f"{path}:{lineno}: not a payload line: {exc!r}") from exc
+                except ValueError as exc:
+                    raise DataError(f"{context}: not a payload line: {exc!r}") from exc
                 seen.add(block.match_id)
                 out.extend(RankingPayload(block, i) for i in range(len(block.player_ids)))
     except (OSError, UnicodeDecodeError) as exc:
@@ -194,16 +195,17 @@ def read_payloads(path) -> list[RankingPayload]:
     return out
 
 
-def _parse_block(line: str) -> MatchScores:
-    doc = json.loads(line)
-    if not isinstance(doc, dict):
-        raise TypeError(f"a payload line is a JSON object, not {type(doc).__name__}")
-    match_id = _typed(doc, "match_id", str)
-    model_version = _typed(doc, "model_version", str)
-    generated_at = _typed(doc, "generated_at", int)
-    template_ids = _ids(doc, "template_ids")
-    player_ids = _ids(doc, "player_ids")
-    raw = base64.b64decode(_typed(doc, "scores", str), validate=True)  # binascii.Error is a ValueError
+def _parse_block(line: str, context: str) -> MatchScores:
+    """The score block on one payload line; a JSON or field error is a DataError naming
+    `context`, a bad score or id list a ValueError."""
+    doc = load_json(line, context, DataError)
+    match_id = json_field(doc, "match_id", str, context, DataError)
+    model_version = json_field(doc, "model_version", str, context, DataError)
+    generated_at = json_field(doc, "generated_at", int, context, DataError)
+    template_ids = _ids(doc, "template_ids", context)
+    player_ids = _ids(doc, "player_ids", context)
+    encoded = json_field(doc, "scores", str, context, DataError)
+    raw = base64.b64decode(encoded, validate=True)  # binascii.Error is a ValueError
     shape = (len(player_ids), len(template_ids))
     if len(raw) != _SCORE_DTYPE.itemsize * shape[0] * shape[1]:
         raise ValueError(f"{len(raw)} score bytes for {shape[0]} players x {shape[1]} templates")
@@ -213,20 +215,10 @@ def _parse_block(line: str) -> MatchScores:
     return MatchScores(match_id, template_ids, player_ids, scores, generated_at, model_version)
 
 
-def _typed(doc: dict, key: str, kind: type):
-    if key not in doc:
-        raise ValueError(f"missing field {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise TypeError(f"{key!r} must be a {kind.__name__}, not {type(value).__name__}")
-    return value
-
-
-def _ids(doc: dict, key: str) -> tuple[str, ...]:
-    ids = tuple(_typed(doc, key, list))
+def _ids(doc: dict, key: str, context: str) -> tuple[str, ...]:
+    ids = tuple(json_field(doc, key, list, context, DataError))
     if not all(isinstance(i, str) for i in ids):
-        raise TypeError(f"{key!r} must hold strings")
+        raise ValueError(f"{key!r} must hold strings")
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate id in {key!r}")
     return ids
-

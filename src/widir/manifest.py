@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import DataError
-from .textio import write_replace
+from .textio import json_field, read_json, write_replace
 
 MANIFEST_SCHEMA = "widir-manifest-v1"
 _FIELDS = {
@@ -104,26 +104,16 @@ class RunManifest:
     @classmethod
     def load(cls, out_root, run_id: str) -> "RunManifest":
         path = os.path.join(cls._dir(out_root), f"{run_id}.json")
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise DataError(f"no manifest for run_id {run_id!r} at {path}") from exc
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise DataError(f"{path}: manifest is not JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DataError(f"{path}: a manifest is a JSON object, not {type(doc).__name__}")
+        context = f"run manifest {path}"
+        doc = read_json(path, context, DataError)
         if doc.get("schema") != MANIFEST_SCHEMA:
-            raise DataError(f"{path}: manifest schema {doc.get('schema')!r} != {MANIFEST_SCHEMA!r}")
-        for name, kind in _FIELDS.items():
-            if type(doc.get(name)) is not kind:  # exact, so a bool is not an int seed
-                raise DataError(f"{path}: manifest field {name!r} is missing or not a {kind.__name__}")
+            raise DataError(f"{context}: schema {doc.get('schema')!r} != {MANIFEST_SCHEMA!r}")
+        fields = {name: json_field(doc, name, kind, context, DataError) for name, kind in _FIELDS.items()}
         for group, entry_fields in _ENTRY_FIELDS.items():
-            for name, entry in doc[group].items():
-                if not isinstance(entry, dict) or any(
-                    type(entry.get(k)) is not kind for k, kind in entry_fields.items()
-                ):
-                    raise DataError(f"{path}: manifest {group} entry {name!r} needs {sorted(entry_fields)}")
-        if not all(isinstance(v, str) for v in doc["config"].values()):
-            raise DataError(f"{path}: manifest config values must be strings")
-        return cls(**{name: doc[name] for name in _FIELDS})
+            for name in fields[group]:
+                entry = json_field(fields[group], name, dict, f"{context}: {group}", DataError)
+                for key, kind in entry_fields.items():
+                    json_field(entry, key, kind, f"{context}: {group} entry {name!r}", DataError)
+        if not all(isinstance(v, str) for v in fields["config"].values()):
+            raise DataError(f"{context}: config values must be strings")
+        return cls(**fields)

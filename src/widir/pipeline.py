@@ -39,7 +39,7 @@ from .generator import GeneratorConfig, generate_synthetic, load_world_dir
 from .inference import read_payloads, run_batch, write_payloads
 from .manifest import RunManifest, digest_path
 from .model import WidirDims, load_model, save_model
-from .textio import write_kv, write_replace
+from .textio import json_field, read_json, write_kv, write_replace
 from .training import (
     TrainConfig,
     assemble_pair_dataset,
@@ -108,17 +108,13 @@ def run_generate(out_root, config_path, seed: int, run_id: str | None = None) ->
 
 def _read_splits(features_dir) -> tuple[dt.date, dt.date]:
     path = os.path.join(str(features_dir), "splits.json")
+    context = f"split boundaries {path}"
+    doc = read_json(path, context, DataError)
+    train_end, valid_end = (json_field(doc, key, str, context, DataError) for key in ("train_end", "valid_end"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"missing split boundaries at {path}") from exc
+        return parse_day(train_end), parse_day(valid_end)
     except ValueError as exc:
-        raise DataError(f"{path}: split boundaries are not JSON: {exc}") from exc
-    try:
-        return parse_day(doc["train_end"]), parse_day(doc["valid_end"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: bad split boundaries: {exc!r}") from exc
+        raise DataError(f"{context}: {exc}") from exc
 
 
 def run_features(

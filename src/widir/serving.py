@@ -45,7 +45,7 @@ from .domain import ContestSpec, match_templates
 from .errors import ConfigError
 from .evaluation import popularity_rank
 from .inference import RankingPayload
-from .textio import from_kv, read_kv, to_kv
+from .textio import from_kv, json_field, load_json, read_kv, to_kv
 
 
 class RequestError(ValueError):
@@ -168,29 +168,16 @@ def parse_rank_request(body: bytes) -> RankRequest:
     The body is a JSON object with string `player_id` and `match_id` and a
     `contests` list of objects with string `contest_id` and `template_id`.
     """
-    try:
-        doc = json.loads(body)
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise RequestError(f"malformed rank request body: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise RequestError(f"rank request body must be a JSON object, not {type(doc).__name__}")
-    player_id = _field(doc, "player_id", str)
-    match_id = _field(doc, "match_id", str)
+    doc = load_json(body, "rank request", RequestError)
+    player_id = json_field(doc, "player_id", str, "rank request", RequestError)
+    match_id = json_field(doc, "match_id", str, "rank request", RequestError)
     contests = []
-    for c in _field(doc, "contests", list):
+    for c in json_field(doc, "contests", list, "rank request", RequestError):
         if not isinstance(c, dict):
             raise RequestError(f"each rank request contest must be a JSON object, not {type(c).__name__}")
-        contests.append((_field(c, "contest_id", str), _field(c, "template_id", str)))
+        contests.append((json_field(c, "contest_id", str, "rank request contest", RequestError),
+                         json_field(c, "template_id", str, "rank request contest", RequestError)))
     return RankRequest(player_id=player_id, match_id=match_id, contests=tuple(contests))
-
-
-def _field(doc: dict, key: str, kind: type):
-    if key not in doc:
-        raise RequestError(f"rank request has no {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise RequestError(f"rank request {key!r} must be a {kind.__name__}, not {type(value).__name__}")
-    return value
 
 
 def handle_rank_body(store: OnlineStore, body: bytes) -> tuple[int, bytes]:

@@ -1,9 +1,14 @@
-"""Flat key-value text files used for configs and reports, and atomic writes.
+"""Flat key-value text files used for configs and reports, JSON documents,
+and atomic writes.
 
 Format: one `key = value` per line; blank lines and lines starting with `#`
 are ignored. `from_kv` and `to_kv` are the one codec between such items and
 a dataclass: each field's declared type (int, finite float, str or ISO date)
 reads and writes its value, and the dataclass's defaults fill absent keys.
+`load_json` is the one JSON reader: the standard library's `json` codec on
+UTF-8 text, which must hold an object. `read_json` applies it to a file and
+`json_field` takes one exactly typed field from the object. Every failure
+becomes the caller's error class, naming the caller's context.
 Every file the program writes, text or binary, goes through `write_replace`,
 so no reader ever sees a half-written file.
 """
@@ -13,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import datetime as dt
+import json
 import math
 import os
 import typing
@@ -116,6 +122,42 @@ def to_kv(obj, prefix: str = "", omit: tuple[str, ...] = ()) -> dict[str, str]:
         for name, (kind, _) in _value_fields(type(obj)).items()
         if name not in omit
     }
+
+
+def load_json(text: str | bytes, context: str, error: type[Exception]) -> dict:
+    """The JSON object `text` holds (bytes must be UTF-8).
+
+    Bad UTF-8, a parse error, a document nested too deep to parse and a
+    value that is not an object are an `error` naming `context`.
+    """
+    try:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
+        raise error(f"{context}: malformed JSON: {exc}") from exc
+    if type(doc) is not dict:
+        raise error(f"{context}: not a JSON object but a {type(doc).__name__}")
+    return doc
+
+
+def read_json(path, context: str, error: type[Exception]) -> dict:
+    """`load_json` of the file at `path`; a missing or unreadable file is also an `error` naming `context`."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise error(f"{context}: cannot read: {exc}") from exc
+    return load_json(data, context, error)
+
+
+def json_field(doc: dict, key: str, kind: type, context: str, error: type[Exception]):
+    """`doc[key]`, which must be present and of exactly type `kind` (so a bool is
+    not an int); otherwise an `error` naming `context` and `key`."""
+    value = doc.get(key)
+    if type(value) is not kind:
+        if key not in doc:
+            raise error(f"{context}: no field {key!r}")
+        raise error(f"{context}: field {key!r} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
 
 
 @contextlib.contextmanager

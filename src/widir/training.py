@@ -5,7 +5,7 @@ ordered list (most-joined first, padded with unjoined templates from the
 same match). The lists are integer arrays: each entry a row of its match's
 catalog and a join count. Strict count preferences become training pairs,
 which index those rows straight into the pair features. Pairs are
-minimized under the pairwise hinge with Adam or SGD, validation-loss early
+minimized under the pairwise hinge with Adam, validation-loss early
 stopping, and best-epoch parameter selection. All randomness is seeded (the
 pad and pair subsample draws per list) and the loop is single-threaded, so
 a seed fixes the final parameters.
@@ -52,7 +52,6 @@ class TrainConfig:
     early_stopping_rounds: int = 15
     list_length: int = 100
     max_pairs_per_list: int = 256
-    optimizer: str = "adam"  # "adam" (b1=0.9, b2=0.999, eps=1e-8) or "sgd"
     seed: int = 0
 
     def validate(self) -> None:
@@ -64,8 +63,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.list_length not in (50, 100, 200):
             raise ConfigError(f"list_length must be one of (50, 100, 200), got {self.list_length}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -313,7 +310,7 @@ def assemble_pair_dataset(
     )
 
 
-# --- optimizers --------------------------------------------------------------------
+# --- optimizer ---------------------------------------------------------------------
 
 
 class Adam:
@@ -338,15 +335,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (gs * gs)
             a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-class SGD:
-    def __init__(self, arrays: list[np.ndarray], lr: float):
-        self.lr = lr
-
-    def step(self, arrays: list[np.ndarray], grads: list[np.ndarray], scale: float) -> None:
-        for a, g in zip(arrays, grads):
-            a -= self.lr * scale * g
 
 
 class EarlyStopper:
@@ -436,7 +424,7 @@ def train(
     t0 = time.perf_counter()
     params = init_params(dims, config.seed, dtype=np.float32)
     arrays = params.arrays()
-    opt = Adam(arrays, config.learning_rate) if config.optimizer == "adam" else SGD(arrays, config.learning_rate)
+    opt = Adam(arrays, config.learning_rate)
     stopper = EarlyStopper(config.early_stopping_rounds)
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _EPOCH_STREAM)))
     report = TrainingReport()

@@ -753,6 +753,16 @@ class TestSnapshots:
         with pytest.raises(StoreError, match="widir-snapshot-v1"):
             store.read_manifest()
 
+    def test_damaged_array_header_is_error(self, tmp_path, identity_stats):
+        """A quote inside the header's dict makes numpy's parser raise tokenize.TokenError."""
+        store, snap = self._stored_day(tmp_path, identity_stats)
+        path = tmp_path / "store" / "days" / snap.as_of_day.isoformat() / "template_ids.npy"
+        data = bytearray(path.read_bytes())
+        data[10] = ord("'")
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match="template_ids.npy"):
+            store.read_day(snap.as_of_day)
+
     @pytest.mark.parametrize("name", [
         "player_ids", "player_rows", "join_offsets", "recent_joins", "template_ids",
     ])

@@ -13,7 +13,7 @@ from widir.inference import write_payloads
 from widir.manifest import RunManifest
 from widir.model import WidirDims, init_params, save_model
 from widir.serving import ServeConfig
-from widir.textio import parse_kv, read_kv, to_kv, write_kv, write_replace
+from widir.textio import json_field, load_json, parse_kv, read_json, read_kv, to_kv, write_kv, write_replace
 from widir.training import EpochRow, TrainConfig, TrainingReport, write_report
 
 from conftest import mk_payload
@@ -176,3 +176,23 @@ def test_generator_archetype_group_keys(key, value, message):
         items[key] = value
     with pytest.raises(ConfigError, match=re.escape(message)):
         GeneratorConfig.from_kv_dict(items)
+
+
+@pytest.mark.parametrize("text", [b"\xff{}", "[" * 100_000, "{", '{"a": 1} {}', "[]", '"x"', "7", "null"],
+                         ids=["bad-utf8", "deep", "truncated", "extra-data", "list", "string", "number", "null"])
+def test_bad_json_document_is_the_callers_error(text):
+    with pytest.raises(ConfigError, match="^ctx: "):
+        load_json(text, "ctx", ConfigError)
+
+
+def test_missing_json_file_is_the_callers_error(tmp_path):
+    with pytest.raises(ConfigError, match="^ctx: cannot read"):
+        read_json(tmp_path / "absent.json", "ctx", ConfigError)
+
+
+def test_json_field_is_present_and_exactly_typed():
+    doc = load_json(b'{"n": 1, "b": true, "s": "x"}', "ctx", ConfigError)
+    assert json_field(doc, "n", int, "ctx", ConfigError) == 1
+    for key, kind in (("b", int), ("s", int), ("n", float), ("absent", str)):
+        with pytest.raises(ConfigError, match=f"^ctx: .*'{key}'"):
+            json_field(doc, key, kind, "ctx", ConfigError)
