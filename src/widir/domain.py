@@ -225,13 +225,15 @@ def validate_contest(spec: ContestSpec) -> list[str]:
 
 
 def validate_catalog(contests: Sequence[ContestSpec], matches: Sequence[MatchRecord]) -> list[str]:
-    """Cross-record checks: referential integrity and one Mega per match."""
+    """Each contest's own rules (`validate_contest`, prefixed with its id), then
+    cross-record checks: referential integrity and one Mega per match."""
     violations: list[str] = []
     by_match: dict[str, list[ContestSpec]] = {}
     for c in contests:
         by_match.setdefault(c.match_id, []).append(c)
     match_ids = {m.match_id for m in matches}
     for c in contests:
+        violations.extend(f"contest {c.contest_id}: {v}" for v in validate_contest(c))
         if c.match_id not in match_ids:
             violations.append(f"contest {c.contest_id} references unknown match {c.match_id}")
     for m in matches:

@@ -21,7 +21,7 @@ from .textio import json_field, read_json, write_replace
 MANIFEST_SCHEMA = "widir-manifest-v1"
 _FIELDS = {
     "run_id": str, "phase": str, "seed": int, "created_utc": str,
-    "config": dict, "inputs": dict, "outputs": dict, "schema_versions": dict,
+    "config": dict, "inputs": dict, "outputs": dict,
 }
 _ENTRY_FIELDS = {
     "inputs": {"path": str, "sha256": str},
@@ -66,7 +66,6 @@ class RunManifest:
     config: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)   # name -> {path, sha256}
     outputs: dict = field(default_factory=dict)  # name -> {path, sha256, verify}
-    schema_versions: dict = field(default_factory=dict)
 
     # paths are recorded absolute, so a run can be reproduced from any working directory
     def add_input(self, name: str, path) -> None:
@@ -95,7 +94,6 @@ class RunManifest:
             "config": self.config,
             "inputs": self.inputs,
             "outputs": self.outputs,
-            "schema_versions": self.schema_versions,
         }
         with write_replace(path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

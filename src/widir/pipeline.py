@@ -222,6 +222,10 @@ def run_infer(
 ) -> RunManifest:
     if horizon < 1:
         raise ConfigError(f"horizon must be at least 1 day, got {horizon}")
+    try:
+        window_end = as_of_day + dt.timedelta(days=horizon)
+    except OverflowError as exc:
+        raise ConfigError(f"horizon of {horizon} days from {as_of_day} ends past the calendar: {exc}") from exc
     payload_dir = os.path.join(str(out_root), "payloads")
     os.makedirs(payload_dir, exist_ok=True)
     payloads_path = os.path.join(payload_dir, "payloads.jsonl")
@@ -235,7 +239,7 @@ def run_infer(
     upcoming = [
         (m, by_match[m.match_id])
         for m in matches
-        if as_of_day <= day_of(m.start_time) < as_of_day + dt.timedelta(days=horizon)
+        if as_of_day <= day_of(m.start_time) < window_end
     ]
     if not upcoming:
         raise DataError(

@@ -1,8 +1,9 @@
 """Low-latency ranking service over precomputed payloads.
 
-The online store maps (player_id, match_id) to the template scores the
-batch job published for that row, plus a per-match popularity fallback. Request
-handling only reorders live contest instances by stored template scores;
+The online store maps (player_id, match_id) to the payload view the batch job
+published for that row, a row of its match's score block, plus a per-match
+popularity fallback; the scores are not copied. Request handling only
+reorders live contest instances by stored template scores;
 no model forward pass ever runs here. The 10 ms budget is measured
 in-process (request parse through response serialize).
 
@@ -70,41 +71,41 @@ class RankResponse:
 
 
 class OnlineStore:
-    """In-memory payload store: one template -> score map per (player, match),
-    built from the payload's score row and replaced atomically; many readers."""
-
-    _EMPTY_FALLBACK = ({}, {})
+    """In-memory payload store: the payload view of each (player, match), a row
+    of its match's score block, replaced atomically; many readers."""
 
     def __init__(self):
         self._lock = threading.Lock()
         # match_id -> (rank map, score map), built once at set_fallback
         self._fallbacks: dict[str, tuple[dict[str, int], dict[str, float]]] = {}
-        self._score_maps: dict[tuple[str, str], dict[str, float]] = {}
+        self._payloads: dict[tuple[str, str], RankingPayload] = {}
         self.model_version: str = ""
 
     def put(self, payload: RankingPayload) -> None:
-        block = payload.block
-        score_map = dict(zip(block.template_ids, block.scores[payload.row].tolist()))
         with self._lock:
-            self._score_maps[(block.player_ids[payload.row], block.match_id)] = score_map
-            self.model_version = block.model_version
+            self._payloads[(payload.player_id, payload.match_id)] = payload
+            self.model_version = payload.model_version
 
     def score_map(self, player_id: str, match_id: str) -> dict[str, float] | None:
-        return self._score_maps.get((player_id, match_id))
+        """The template -> score map of the payload row, built on each call."""
+        payload = self._payloads.get((player_id, match_id))
+        if payload is None:
+            return None
+        block = payload.block
+        return dict(zip(block.template_ids, block.scores[payload.row].tolist()))
 
     def set_fallback(self, match_id: str, ranked: Sequence[tuple[str, float]]) -> None:
-        ranked = tuple(ranked)
         rank_map = {tid: i for i, (tid, _) in enumerate(ranked)}
-        score_map = {tid: score for tid, score in ranked}
+        score_map = dict(ranked)
         with self._lock:
             self._fallbacks[match_id] = (rank_map, score_map)
 
     def fallback_maps(self, match_id: str) -> tuple[dict[str, int], dict[str, float]]:
-        return self._fallbacks.get(match_id, self._EMPTY_FALLBACK)
+        return self._fallbacks.get(match_id, ({}, {}))
 
     @property
     def payload_count(self) -> int:
-        return len(self._score_maps)
+        return len(self._payloads)
 
 
 def load_fallbacks(store: OnlineStore, contests: Sequence[ContestSpec]) -> None:
@@ -119,7 +120,8 @@ def rank_live(store: OnlineStore, request: RankRequest) -> RankResponse:
 
     Instances sharing a template tie-break by contest_id; templates unknown
     to the payload append after known ones in the match's popularity-fallback
-    order; with no payload at all the whole response is fallback-ordered.
+    order. A player with no payload is a player whose every template is
+    unknown: the whole response is fallback-ordered, with source "fallback".
     """
     t0 = time.perf_counter_ns()
     if not request.contests:
@@ -136,25 +138,18 @@ def rank_live(store: OnlineStore, request: RankRequest) -> RankResponse:
 
     fb_rank, fb_score = store.fallback_maps(request.match_id)
     score_map = store.score_map(request.player_id, request.match_id)
+    scores = score_map or {}
 
-    if score_map is not None:
-        known = [(cid, tid) for cid, tid in request.contests if tid in score_map]
-        unknown = [(cid, tid) for cid, tid in request.contests if tid not in score_map]
-        known.sort(key=lambda ct: (-score_map[ct[1]], ct[1], ct[0]))
-        unknown.sort(key=lambda ct: (fb_rank.get(ct[1], len(fb_rank)), ct[1], ct[0]))
-        ordered = [(cid, score_map[tid]) for cid, tid in known]
-        ordered += [(cid, fb_score.get(tid, 0.0)) for cid, tid in unknown]
-        source = "personalized"
-    else:
-        by_fallback = sorted(
-            request.contests, key=lambda ct: (fb_rank.get(ct[1], len(fb_rank)), ct[1], ct[0])
-        )
-        ordered = [(cid, fb_score.get(tid, 0.0)) for cid, tid in by_fallback]
-        source = "fallback"
+    known = [(cid, tid) for cid, tid in request.contests if tid in scores]
+    unknown = [(cid, tid) for cid, tid in request.contests if tid not in scores]
+    known.sort(key=lambda ct: (-scores[ct[1]], ct[1], ct[0]))
+    unknown.sort(key=lambda ct: (fb_rank.get(ct[1], len(fb_rank)), ct[1], ct[0]))
+    ordered = [(cid, scores[tid]) for cid, tid in known]
+    ordered += [(cid, fb_score.get(tid, 0.0)) for cid, tid in unknown]
 
     return RankResponse(
         contests=tuple(ordered),
-        source=source,
+        source="fallback" if score_map is None else "personalized",
         served_in_micros=(time.perf_counter_ns() - t0) // 1000,
     )
 

@@ -313,28 +313,29 @@ def assemble_pair_dataset(
 # --- optimizer ---------------------------------------------------------------------
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, arrays: list[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, arrays: list[np.ndarray], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(a) for a in arrays]
         self.v = [np.zeros_like(a) for a in arrays]
 
     def step(self, arrays: list[np.ndarray], grads: list[np.ndarray], scale: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for a, g, m, v in zip(arrays, grads, self.m, self.v):
             gs = g * np.float32(scale) if a.dtype == np.float32 else g * scale
-            m *= self.beta1
-            m += (1.0 - self.beta1) * gs
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (gs * gs)
-            a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * gs
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (gs * gs)
+            a -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 class EarlyStopper:

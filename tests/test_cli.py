@@ -13,7 +13,14 @@ import pytest
 
 import widir
 from widir.cli import main
-from widir.domain import day_start, index_contests, read_join_log
+from widir.domain import (
+    PrizeDistribution,
+    day_start,
+    index_contests,
+    read_catalog,
+    read_join_log,
+    write_catalog,
+)
 from widir.errors import ConfigError, DataError
 from widir.evaluation import EvalReport
 from widir.features import JoinTable, SnapshotStore, enrich_joins
@@ -302,6 +309,15 @@ class TestErrorPaths:
         assert f"horizon must be at least 1 day, got {horizon}" in err and "internal error" not in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("horizon", ["999999999", "10000000000"])
+    def test_horizon_past_the_calendar_exit_1(self, tmp_path, capsys, horizon):
+        capsys.readouterr()
+        # the window's end is checked before the world, the store and the model are read
+        assert main(["infer", "--out", str(tmp_path), "--as-of", "2025-02-17", "--horizon", horizon]) == 1
+        err = capsys.readouterr().err
+        assert f"horizon of {horizon} days" in err and "internal error" not in err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("line, named", [
         ("bind_port = -1", "bind_port"), ("bind_port = 70000", "bind_port"),
         ("max_request_bytes = 0", "max_request_bytes"), ("max_request_bytes = -5", "max_request_bytes"),
@@ -386,6 +402,33 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"match {match_id} has 2 Mega contests" in err and "invalid catalog" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("breach, rule", [
+        (lambda c: {"contest_size": 1}, "contest_size below 2"),
+        (lambda c: {"entry_fee": -c.entry_fee - 1}, "entry_fee negative"),
+        (lambda c: {"prize_distribution": PrizeDistribution(
+            ((1, 1, c.prize_money // 4), (3, 3, c.prize_money // 4)))},
+         "prize_distribution tiers not contiguous from rank 1"),
+        (lambda c: {"prize_money": c.prize_distribution.total_payout() // 2},
+         "prize_distribution payout exceeds prize_money"),
+    ], ids=["size-1", "negative-fee", "tier-gap", "payout-over-pool"])
+    def test_invalid_contest_row_exit_2(self, tmp_path, capsys, breach, rule):
+        cfg = tmp_path / "gen.kv"
+        cfg.write_text(GEN_KV)
+        out = tmp_path / "o"
+        assert main(["generate", "--out", str(out), "--config", str(cfg), "--seed", "5"]) == 0
+        path = out / "data" / "contests.csv"
+        contests = read_catalog(path)
+        bad = contests[0]
+        contests[0] = dataclasses.replace(bad, **breach(bad))
+        write_catalog(path, contests)
+        capsys.readouterr()
+        code = main(["features", "--out", str(out), "--train-end", "2025-01-30",
+                     "--valid-end", "2025-02-07"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"invalid catalog: contest {bad.contest_id}: {rule}" in err and str(out / "data") in err
+        assert "internal error" not in err
 
     def test_duplicate_run_id_rejected(self, pipeline_root, capsys):
         code = main(
@@ -508,6 +551,12 @@ class TestCorruptRunManifest:
         path = self._write(tmp_path, "r", json.dumps(edit(doc)))
         with pytest.raises(DataError, match=str(path)):
             RunManifest.load(tmp_path, "r")
+
+    def test_load_ignores_the_retired_schema_versions_key(self, pipeline_root, tmp_path):
+        """Manifests written before `schema_versions` was dropped carry it as `{}`."""
+        doc = json.loads((pipeline_root / "manifests" / "gen-1.json").read_text())
+        self._write(tmp_path, "r", json.dumps({**doc, "schema_versions": {}}))
+        assert RunManifest.load(tmp_path, "r") == RunManifest.load(pipeline_root, "gen-1")
 
     def test_load_of_non_utf8_file_is_data_error(self, tmp_path):
         path = self._write(tmp_path, "r", "")

@@ -3,16 +3,20 @@ import json
 import socket
 import threading
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from widir import serving
 from widir.domain import CENTS
 from widir.errors import ConfigError
+from widir.evaluation import popularity_rank
+from widir.inference import MatchScores, RankingPayload
 from widir.serving import (
     OnlineStore,
     RankRequest,
@@ -27,6 +31,7 @@ from widir.serving import (
 
 from conftest import mk_contest, mk_payload
 from latency_harness import run_latency_harness
+from serving_oracle import rank_oracle
 
 
 def _payload(player="p1", match="m1", ranking=(("t2", 2.0), ("t1", 1.0)), version="v1"):
@@ -97,8 +102,71 @@ class TestStore:
             t.join()
         assert bad == []
 
+    def test_publishing_a_block_copies_no_scores(self):
+        """The store keeps each published row as its view of the score block."""
+        players = tuple(f"p{i:05d}" for i in range(5000))
+        templates = tuple(f"t{j:02d}" for j in range(60))
+        scores = np.random.default_rng(0).random((len(players), len(templates)), dtype=np.float32)
+        block = MatchScores("m1", templates, players, scores, generated_at=0, model_version="v1")
+        views = [RankingPayload(block, i) for i in range(len(players))]
+        store = OnlineStore()
+        tracemalloc.start()
+        try:
+            for view in views:
+                store.put(view)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.payload_count == len(players)
+        assert store.score_map("p00042", "m1") == dict(zip(templates, scores[42].tolist()))
+        assert peak < 2 * 1024 * 1024, f"publishing 5,000 views allocated {peak} bytes"
+
+
+_TEMPLATES = ("t0", "t1", "t2", "t3", "t4", "t5")
+
+
+@st.composite
+def _ranking_cases(draw):
+    """A two-player score block, a fallback catalog and one request for the same match.
+
+    Templates fall in the payload, the fallback, both or neither; scores and
+    prizes come from small sets, so both tie; instances may share a template.
+    """
+    payload_tids = draw(st.lists(st.sampled_from(_TEMPLATES), unique=True))
+    fallback_tids = draw(st.lists(st.sampled_from(_TEMPLATES), unique=True))
+    scores = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 0.25, 2.0]),
+                           min_size=2 * len(payload_tids), max_size=2 * len(payload_tids)))
+    block = MatchScores(
+        match_id="m1",
+        template_ids=tuple(payload_tids),
+        player_ids=("p1", "p2"),
+        scores=np.asarray(scores, dtype=np.float32).reshape(2, len(payload_tids)),
+        generated_at=0,
+        model_version="v1",
+    )
+    fallback = [
+        mk_contest(contest_id=f"i{tid}", template_id=tid, match_id="m1",
+                   tiers=((1, 1, draw(st.sampled_from([100, 500])) * CENTS),))
+        for tid in fallback_tids
+    ]
+    ids = draw(st.lists(st.integers(0, 99), min_size=1, max_size=20, unique=True))
+    contests = [(f"c{i}", draw(st.sampled_from(_TEMPLATES))) for i in ids]
+    player = draw(st.sampled_from(["p1", "p2", "cold"]))
+    return block, fallback, contests, player
+
 
 class TestRankLive:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_ranking_cases())
+    def test_one_path_matches_the_two_branch_oracle(self, case):
+        block, fallback, contests, player = case
+        views = [RankingPayload(block, row) for row in range(len(block.player_ids))]
+        store = _store_with(views, fallback)
+        response = rank_live(store, req(contests, player=player))
+        payload = next((v for v in views if v.player_id == player), None)
+        fallback_ranked = popularity_rank(fallback).ranked if fallback else ()
+        assert (response.contests, response.source) == rank_oracle(payload, fallback_ranked, contests)
+
     def test_template_score_ordering_with_id_tiebreak(self):
         store = _store_with([_payload()])
         response = rank_live(store, req([("c1", "t1"), ("c2", "t2"), ("c3", "t2")]))
