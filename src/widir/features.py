@@ -191,26 +191,13 @@ class NormalizationStats:
     prize_edges: np.ndarray
 
     def to_json_dict(self) -> dict:
-        return {
-            "player_mean": self.player_mean.tolist(),
-            "player_std": self.player_std.tolist(),
-            "contest_mean": self.contest_mean.tolist(),
-            "contest_std": self.contest_std.tolist(),
-            "inter_mean": self.inter_mean.tolist(),
-            "inter_std": self.inter_std.tolist(),
-            "fee_edges": self.fee_edges.tolist(),
-            "size_edges": self.size_edges.tolist(),
-            "prize_edges": self.prize_edges.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "NormalizationStats":
         """The stats `to_json_dict` wrote; a stat of the wrong length, a NaN or
         infinite value, or a std <= 0 is a ValueError."""
-        stats = cls(**{k: np.asarray(d[k], dtype=np.float64) for k in (
-            "player_mean", "player_std", "contest_mean", "contest_std",
-            "inter_mean", "inter_std", "fee_edges", "size_edges", "prize_edges",
-        )})
+        stats = cls(**{f.name: np.asarray(d[f.name], dtype=np.float64) for f in fields(cls)})
         lengths = {"player": D_P, "contest": D_C, "inter": D_I}
         for name, values in vars(stats).items():
             if values.shape != (lengths.get(name.split("_")[0], N_BUCKETS),):
@@ -677,13 +664,14 @@ def iter_snapshots(joins: JoinTable, days: Sequence[dt.date], stats: Normalizati
         yield day, columns.snapshot(active, day, stats, rows)
 
 
-# A day's arrays in the store: file name -> (dtype prefix, dims)
+# A day's arrays in the store: file name -> (dtype, dims, the FeatureSnapshot
+# field it holds; an id map is stored as its ids in slot order)
 _DAY_ARRAYS = {
-    "player_ids": ("<U", 1),
-    "player_rows": ("<f4", 2),
-    "join_offsets": ("<i8", 1),
-    "recent_joins": ("<i4", 2),
-    "template_ids": ("<U", 1),
+    "player_ids": ("<U", 1, "players"),
+    "player_rows": ("<f4", 2, "rows"),
+    "join_offsets": ("<i8", 1, "join_offsets"),
+    "recent_joins": ("<i4", 2, "recent"),
+    "template_ids": ("<U", 1, "templates"),
 }
 
 
@@ -757,18 +745,13 @@ class SnapshotStore:
         """
         day = snapshot.as_of_day
         path = self._day_dir(day)
-        arrays = {
-            "player_ids": np.asarray(list(snapshot.players), dtype=str),
-            "player_rows": snapshot.rows.astype("<f4"),
-            "join_offsets": snapshot.join_offsets.astype("<i8"),
-            "recent_joins": snapshot.recent.astype("<i4"),
-            "template_ids": np.asarray(list(snapshot.templates), dtype=str),
-        }
         try:
             os.makedirs(path, exist_ok=True)
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(path, "day.json"))
-            for name, array in arrays.items():
+            for name, (dtype, _, attr) in _DAY_ARRAYS.items():
+                value = getattr(snapshot, attr)
+                array = np.asarray(list(value) if isinstance(value, dict) else value, dtype=dtype)
                 with write_replace(os.path.join(path, f"{name}.npy"), "wb") as fh:
                     np.save(fh, array, allow_pickle=False)
             meta = {
@@ -791,7 +774,7 @@ class SnapshotStore:
                 f"{path}: snapshot schema {meta.get('schema_version')!r} != {SNAPSHOT_SCHEMA!r}"
             )
         arrays = {}
-        for name, (dtype, ndim) in _DAY_ARRAYS.items():
+        for name, (dtype, ndim, _) in _DAY_ARRAYS.items():
             try:
                 array = np.load(os.path.join(path, f"{name}.npy"), allow_pickle=False)
             except Exception as exc:  # numpy's header parser can raise TokenError, SyntaxError, ...

@@ -15,7 +15,9 @@ per (active player, match) are Poisson(activity_rate) truncated at 20;
 a player is active in a match with probability `participation_rate`.
 
 Contest instances fill at contest_size and are regenerated under the same
-template_id, mirroring live-platform dynamics.
+template_id, mirroring live-platform dynamics: a match's n-th join of a
+template (from 0) enters instance n // contest_size, `<match>-<template>-<k>`,
+and the match lists instances 0 .. joins // contest_size of each template.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import dataclasses
 import datetime as dt
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -483,54 +486,38 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticWorld:
         templates = [pool[t] for t in chosen]
         ts = template_stats(templates)
 
-        # per-template instance tracking: (serial counter, open instance fill)
-        serial = [0] * len(templates)
-        fill = [0] * len(templates)
-        match_contests: list[list[ContestSpec]] = []
-        for t, proto in enumerate(templates):
-            inst = dataclasses.replace(
-                proto, contest_id=f"{match_id}-{proto.template_id}-0", match_id=match_id
-            )
-            match_contests.append([inst])
-
         rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_MATCH_SIM, mi)))
         active = rng.random(len(player_ids)) < config.participation_rate
         counts = np.minimum(rng.poisson(rates * active), MAX_JOINS_PER_MATCH)
 
         join_window = min(6 * 3600, start_ts - day_start(day))
+        filled = [0] * len(templates)  # joins per template so far
         for pi in np.flatnonzero(counts):
             pid = player_ids[pi]
-            arch = players[pid]
-            picks = sample_join_templates(rng, arch, ts, int(counts[pi]))
+            picks = sample_join_templates(rng, players[pid], ts, int(counts[pi]))
             for t in picks:
-                inst = match_contests[t][serial[t]]
+                proto = templates[t]
                 joins.append(
                     JoinRecord(
                         player_id=pid,
-                        contest_id=inst.contest_id,
+                        # interned: the joins of an instance share one id string
+                        contest_id=sys.intern(f"{match_id}-{proto.template_id}-{filled[t] // proto.contest_size}"),
                         match_id=match_id,
                         joining_time=start_ts - int(rng.integers(60, join_window)),
-                        entry_fee_paid=inst.entry_fee,
-                        prize_won=draw_prize(rng, inst),
+                        entry_fee_paid=proto.entry_fee,
+                        prize_won=draw_prize(rng, proto),
                     )
                 )
-                fill[t] += 1
-                if fill[t] >= inst.contest_size:
-                    serial[t] += 1
-                    fill[t] = 0
-                    proto = templates[t]
-                    match_contests[t].append(
-                        dataclasses.replace(
-                            proto,
-                            contest_id=f"{match_id}-{proto.template_id}-{serial[t]}",
-                            match_id=match_id,
-                        )
-                    )
+                filled[t] += 1
 
-        flat = [c for instances in match_contests for c in instances]
-        contests.extend(flat)
+        instances = [
+            dataclasses.replace(proto, contest_id=sys.intern(f"{match_id}-{proto.template_id}-{k}"), match_id=match_id)
+            for proto, n in zip(templates, filled)
+            for k in range(n // proto.contest_size + 1)
+        ]
+        contests.extend(instances)
         matches.append(
-            MatchRecord(match_id=match_id, start_time=start_ts, contest_ids=tuple(c.contest_id for c in flat))
+            MatchRecord(match_id=match_id, start_time=start_ts, contest_ids=tuple(c.contest_id for c in instances))
         )
 
     joins.sort(key=lambda r: (r.joining_time, r.player_id, r.contest_id))

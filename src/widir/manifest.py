@@ -19,6 +19,7 @@ from .errors import DataError
 from .textio import json_field, read_json, write_replace
 
 MANIFEST_SCHEMA = "widir-manifest-v1"
+# The document's fields and their JSON types: `save` writes them and `load` checks them
 _FIELDS = {
     "run_id": str, "phase": str, "seed": int, "created_utc": str,
     "config": dict, "inputs": dict, "outputs": dict,
@@ -85,16 +86,7 @@ class RunManifest:
             raise DataError(f"run_id {self.run_id!r} already exists at {path}")
         if not self.created_utc:
             self.created_utc = dt.datetime.now(dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        doc = {
-            "schema": MANIFEST_SCHEMA,
-            "run_id": self.run_id,
-            "phase": self.phase,
-            "seed": self.seed,
-            "created_utc": self.created_utc,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
+        doc = {"schema": MANIFEST_SCHEMA, **{name: getattr(self, name) for name in _FIELDS}}
         with write_replace(path) as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         return path

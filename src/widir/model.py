@@ -1,7 +1,9 @@
 """The wide-and-deep interaction ranker: scoring, loss, exact gradients.
 
 Architecture (seven components; hidden layers ReLU, the wide layer and the
-final output layer linear):
+final output layer linear). `_GRAPH` is its one statement: each component's
+inputs and layer widths, from which `_layer_plan` derives the fan-ins and
+ReLU flags that init, scoring and the model file share. At the default dims:
 
     player branch       d_p -> 64 -> 64
     contest branch      d_c -> 64 -> 64
@@ -52,15 +54,20 @@ from .textio import write_replace
 MODEL_MAGIC = b"WDIR"
 MODEL_VERSION = 1
 
-COMPONENT_ORDER = (
-    "player_branch",
-    "contest_branch",
-    "interaction_branch",
-    "wide",
-    "deep",
-    "combined",
-    "final",
+# The architecture: each component in evaluation order, its inputs,
+# concatenated in this order into its first layer, and its layer widths.
+# "player", "contest" and "interaction" are the raw feature rows; any other
+# input is a component's output. This order is init's and the model file's.
+_GRAPH = (
+    ("player_branch", ("player",), (64, 64)),
+    ("contest_branch", ("contest",), (64, 64)),
+    ("interaction_branch", ("interaction",), (16, 16, 16)),
+    ("wide", ("player", "contest", "interaction"), (1,)),
+    ("deep", ("player_branch", "contest_branch", "interaction_branch"), (128, 128, 128, 128)),
+    ("combined", ("deep",), (64, 64, 32, 8, 4)),
+    ("final", ("combined", "wide"), (4, 1)),
 )
+_INPUTS = {name: inputs for name, inputs, _ in _GRAPH}  # component -> inputs, in `_GRAPH` order
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,17 +82,19 @@ class WidirDims:
 
 
 def _layer_plan(dims: WidirDims) -> dict[str, list[tuple[int, int, bool]]]:
-    """Per component: (fan_in, fan_out, relu) for each layer."""
-    d_sum = dims.d_p + dims.d_c + dims.d_i
-    return {
-        "player_branch": [(dims.d_p, 64, True), (64, 64, True)],
-        "contest_branch": [(dims.d_c, 64, True), (64, 64, True)],
-        "interaction_branch": [(dims.d_i, 16, True), (16, 16, True), (16, 16, True)],
-        "wide": [(d_sum, 1, False)],
-        "deep": [(144, 128, True), (128, 128, True), (128, 128, True), (128, 128, True)],
-        "combined": [(128, 64, True), (64, 64, True), (64, 32, True), (32, 8, True), (8, 4, True)],
-        "final": [(5, 4, True), (4, 1, False)],
-    }
+    """Per component, in `_GRAPH` order: (fan_in, fan_out, relu) for each layer.
+
+    A first layer's fan-in is the sum of its inputs' widths; every layer is
+    ReLU but the last of `wide` and of `final`.
+    """
+    width = {"player": dims.d_p, "contest": dims.d_c, "interaction": dims.d_i}
+    plan = {}
+    for name, inputs, widths in _GRAPH:
+        fan_ins = (sum(width[i] for i in inputs),) + widths[:-1]
+        relu = (True,) * (len(widths) - 1) + (name not in ("wide", "final"),)
+        plan[name] = list(zip(fan_ins, widths, relu))
+        width[name] = widths[-1]
+    return plan
 
 
 @dataclass
@@ -102,7 +111,7 @@ class WidirParams:
     components: dict[str, list[Layer]]
 
     def layers(self) -> Iterator[tuple[str, int, Layer]]:
-        for name in COMPONENT_ORDER:
+        for name in _INPUTS:
             for i, layer in enumerate(self.components[name]):
                 yield name, i, layer
 
@@ -114,10 +123,7 @@ class WidirParams:
         return out
 
     def tally(self) -> dict[str, int]:
-        return {
-            name: sum(l.w.size + l.b.size for l in self.components[name])
-            for name in COMPONENT_ORDER
-        }
+        return {name: sum(l.w.size + l.b.size for l in layers) for name, layers in self.components.items()}
 
     def zeros_like(self) -> "WidirParams":
         return WidirParams(
@@ -153,9 +159,9 @@ def init_params(dims: WidirDims, seed: int, dtype=np.float32) -> WidirParams:
     dims.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     components: dict[str, list[Layer]] = {}
-    for name in COMPONENT_ORDER:
+    for name, plan in _layer_plan(dims).items():
         layers = []
-        for fan_in, fan_out, _ in _layer_plan(dims)[name]:
+        for fan_in, fan_out, _ in plan:
             limit = np.sqrt(6.0 / fan_in)
             w = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
             b = np.zeros(fan_out, dtype=dtype)
@@ -240,20 +246,6 @@ class Rows:
     contest_of: np.ndarray | None = None  # (R,) template row of each pair row
 
 
-# The graph in evaluation order: each component and its inputs, concatenated
-# in this order into its first layer. "player", "contest" and "interaction"
-# are the raw feature rows; any other input is a component's output.
-_GRAPH = (
-    ("player_branch", ("player",)),
-    ("contest_branch", ("contest",)),
-    ("interaction_branch", ("interaction",)),
-    ("wide", ("player", "contest", "interaction")),
-    ("deep", ("player_branch", "contest_branch", "interaction_branch")),
-    ("combined", ("deep",)),
-    ("final", ("combined", "wide")),
-)
-_INPUTS = dict(_GRAPH)
-
 # The row space of each input or component off the pair rows; every other
 # runs on the pair rows, where the player and template rows are gathered.
 _SPACE = {"player": "player", "contest": "contest", "player_branch": "player", "contest_branch": "contest"}
@@ -287,7 +279,7 @@ def _forward(params: WidirParams, rows: Rows, mm, acts: dict | None = None) -> n
     """
     plan = _layer_plan(params.dims)
     values = {"player": rows.player, "contest": rows.contest, "interaction": rows.interaction}
-    for name, _ in _GRAPH:
+    for name in _INPUTS:
         layers = params.components[name]
         x = None
         for i, block in _blocks(name, values):
@@ -322,7 +314,7 @@ def _backward(params: WidirParams, rows: Rows, acts: dict, d_score: np.ndarray) 
     values.update((name, outs[-1]) for name, outs in acts.items())
     grads = params.zeros_like()
     upstream = {"final": d_score[:, None].copy()}
-    for name, _ in reversed(_GRAPH):
+    for name in reversed(_INPUTS):
         layers, outs, g = params.components[name], acts[name], grads.components[name]
         dz = upstream.pop(name)
         for k in range(len(layers) - 1, -1, -1):
@@ -435,7 +427,7 @@ def serialize(params: WidirParams) -> bytes:
     out = [MODEL_MAGIC, struct.pack("<HH", MODEL_VERSION, 0)]
     d = params.dims
     out.append(struct.pack("<III", d.d_p, d.d_c, d.d_i))
-    for name in COMPONENT_ORDER:
+    for name in _INPUTS:
         layers = params.components[name]
         out.append(struct.pack("<B", len(layers)))
         for layer in layers:
@@ -477,7 +469,7 @@ def deserialize(data: bytes) -> WidirParams:
     except DimensionError as exc:
         raise ModelFormatError(f"corrupt model stream: {exc}") from exc
     components: dict[str, list[Layer]] = {}
-    for name in COMPONENT_ORDER:
+    for name in _INPUTS:
         (n_layers,) = cur.unpack("<B")
         layers = []
         for _ in range(n_layers):
@@ -495,15 +487,14 @@ def deserialize(data: bytes) -> WidirParams:
     params = WidirParams(dims=dims, components=components)
     expected, _ = param_count(dims)
     actual = params.tally()
-    for name in COMPONENT_ORDER:
+    for name in _INPUTS:
         if actual[name] != expected[name]:
             raise ParamCountError(
                 f"component {name} has {actual[name]} parameters, expected {expected[name]}"
             )
-    plan = _layer_plan(dims)
-    for name in COMPONENT_ORDER:
+    for name, plan in _layer_plan(dims).items():
         shapes = [(l.w.shape, l.b.shape) for l in components[name]]
-        want = [((fi, fo), (fo,)) for fi, fo, _ in plan[name]]
+        want = [((fi, fo), (fo,)) for fi, fo, _ in plan]
         if shapes != want:
             raise ModelFormatError(f"component {name} layer shapes {shapes} do not match {want}")
     return params

@@ -28,6 +28,9 @@ from .domain import (
 from .errors import ConfigError, DataError
 from .evaluation import EVAL_H_VALUES, GroundTruthScorer, ModelScorer, PopularityScorer, evaluate
 from .features import (
+    D_C,
+    D_I,
+    D_P,
     JoinTable,
     SnapshotCache,
     SnapshotStore,
@@ -47,6 +50,16 @@ from .training import (
     train,
     write_report,
 )
+
+
+_STORE_DIMS = WidirDims(D_P, D_C, D_I)  # the feature rows' widths, which `read_manifest` enforces
+
+
+def _load_model(model_path):
+    params = load_model(model_path)
+    if params.dims != _STORE_DIMS:
+        raise DataError(f"{model_path}: model dims {params.dims} do not match the feature store's {_STORE_DIMS}")
+    return params
 
 
 def _new_run_id(phase: str, seed: int) -> str:
@@ -171,7 +184,7 @@ def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None 
     valid_ds = assemble_pair_dataset(
         valid_lists, snapshots, by_match, match_days, stats, max_pairs, config.seed
     )
-    result = train(config, WidirDims(), train_ds, valid_ds)
+    result = train(config, _STORE_DIMS, train_ds, valid_ds)
     save_model(model_path, result.params)
     write_report(report_path, result.report)
 
@@ -196,7 +209,7 @@ def run_eval(out_root, data_dir, features_dir, model_path, run_id: str | None = 
     if not test_joins:
         raise DataError("test partition is empty; move valid_end earlier")
     snapshots = SnapshotCache(SnapshotStore(features_dir))
-    params = load_model(model_path)
+    params = _load_model(model_path)
 
     os.makedirs(report_dir, exist_ok=True)
     m = RunManifest(run_id=run_id or _new_run_id("eval", 0), phase="eval", seed=0)
@@ -233,7 +246,7 @@ def run_infer(
     matches = read_schedule(os.path.join(str(data_dir), "matches.csv"))
     _, by_match = _catalog(data_dir, read_catalog(os.path.join(str(data_dir), "contests.csv")), matches)
     snapshot = SnapshotCache(SnapshotStore(features_dir)).get(as_of_day)
-    params = load_model(model_path)
+    params = _load_model(model_path)
     model_version = digest_path(model_path)[:12]
 
     upcoming = [

@@ -197,13 +197,11 @@ class ServeConfig:
     bind_host: str = "127.0.0.1"
     bind_port: int = 0  # 0: pick a free port
     max_request_bytes: int = 4 * 1024 * 1024
-    fallback_path: str = ""  # contest catalog used for popularity fallbacks
 
     _ENV = {
         "bind_host": "WIDIR_BIND_HOST",
         "bind_port": "WIDIR_BIND_PORT",
         "max_request_bytes": "WIDIR_MAX_REQUEST_BYTES",
-        "fallback_path": "WIDIR_FALLBACK_PATH",
     }
 
     def validate(self) -> None:

@@ -26,7 +26,7 @@ from widir.evaluation import EvalReport
 from widir.features import JoinTable, SnapshotStore, enrich_joins
 from widir.inference import active_players
 from widir.manifest import RunManifest
-from widir.model import load_model, save_model
+from widir.model import WidirDims, init_params, load_model, save_model
 from widir.pipeline import _read_splits, _split
 
 from conftest import DAY0, mk_contest, mk_join, stored_days
@@ -162,11 +162,9 @@ class TestPipeline:
         assert {"match_id", "template_ids", "player_ids", "scores", "generated_at", "model_version"} <= set(doc)
 
     def test_serve_answers_then_exits_0_on_ctrl_c(self, pipeline_root):
-        src = os.path.dirname(os.path.dirname(widir.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         payloads = pipeline_root / "payloads" / "payloads.jsonl"
         with subprocess.Popen([sys.executable, "-m", "widir.cli", "serve", "--payloads", str(payloads)],
-                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+                              env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
             try:
                 line = child.stdout.readline()
                 assert line.startswith("serving on http://"), child.stderr.read()
@@ -178,6 +176,12 @@ class TestPipeline:
                 child.kill()
         assert child.returncode == 0
         assert err == ""
+
+
+def _cli_env() -> dict:
+    """The environment for a `python -m widir.cli` child, with this checkout's package first."""
+    src = os.path.dirname(os.path.dirname(widir.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _reproduce_twice(root, run_id, capsys) -> str:
@@ -321,6 +325,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("line, named", [
         ("bind_port = -1", "bind_port"), ("bind_port = 70000", "bind_port"),
         ("max_request_bytes = 0", "max_request_bytes"), ("max_request_bytes = -5", "max_request_bytes"),
+        ("fallback_path = contests.csv", "fallback_path"),  # an unknown key: --fallback names the catalog
     ])
     def test_serve_config_out_of_range_exit_1(self, tmp_path, capsys, line, named):
         cfg = tmp_path / "serve.kv"
@@ -687,6 +692,36 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert f"{model}:" in err and "dims must be positive" in err and "internal error" not in err
         assert not (tmp_path / "payloads" / "payloads.jsonl").exists()
+
+    @pytest.mark.parametrize("phase", ["eval", "infer"])
+    def test_model_of_other_dims_than_the_store_exit_2(self, pipeline_root, tmp_path, capsys, phase):
+        model = tmp_path / "model.bin"
+        save_model(model, init_params(WidirDims(5, 4, 3), 0))
+        argv = [phase, "--out", str(tmp_path), "--data", str(pipeline_root / "data"),
+                "--features", str(pipeline_root / "features"), "--model", str(model)]
+        if phase == "infer":
+            argv += ["--as-of", "2025-02-17", "--horizon", "2"]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{model}: model dims WidirDims(d_p=5, d_c=4, d_i=3)" in err
+        assert "WidirDims(d_p=107, d_c=11, d_i=9)" in err and "internal error" not in err
+
+    def test_serve_on_an_invalid_fallback_catalog_exit_2(self, pipeline_root, tmp_path):
+        contests = read_catalog(pipeline_root / "data" / "contests.csv")
+        bad = contests[3]
+        contests[3] = dataclasses.replace(bad, contest_size=1)
+        catalog = tmp_path / "contests.csv"
+        write_catalog(catalog, contests)
+        payloads = pipeline_root / "payloads" / "payloads.jsonl"
+        # a catalog that passes would serve until the timeout
+        child = subprocess.run(
+            [sys.executable, "-m", "widir.cli", "serve", "--payloads", str(payloads), "--fallback", str(catalog)],
+            env=_cli_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 2
+        assert f"{catalog}: invalid catalog: contest {bad.contest_id}: contest_size below 2" in child.stderr
+        assert child.stdout == ""
 
     def test_abtest_on_non_utf8_archetypes_exit_2(self, pipeline_root, tmp_path, capsys):
         data = tmp_path / "data"

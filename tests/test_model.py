@@ -14,6 +14,7 @@ from widir.model import (
     MODEL_MAGIC,
     Rows,
     WidirDims,
+    _layer_plan,
     backward_batch,
     deserialize,
     forward_batch,
@@ -74,6 +75,19 @@ class TestParamCount:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(DimensionError):
             param_count(WidirDims(0, 1, 1))
+
+    @pytest.mark.parametrize("dims, d_sum", [(WidirDims(), 127), (WidirDims(5, 4, 3), 12)], ids=str)
+    def test_layer_plan_is_the_published_table(self, dims, d_sum):
+        """(fan_in, fan_out, relu) per layer, in the model file's component order."""
+        assert list(_layer_plan(dims).items()) == [
+            ("player_branch", [(dims.d_p, 64, True), (64, 64, True)]),
+            ("contest_branch", [(dims.d_c, 64, True), (64, 64, True)]),
+            ("interaction_branch", [(dims.d_i, 16, True), (16, 16, True), (16, 16, True)]),
+            ("wide", [(d_sum, 1, False)]),
+            ("deep", [(144, 128, True), (128, 128, True), (128, 128, True), (128, 128, True)]),
+            ("combined", [(128, 64, True), (64, 64, True), (64, 32, True), (32, 8, True), (8, 4, True)]),
+            ("final", [(5, 4, True), (4, 1, False)]),
+        ]
 
 
 class TestInitParams:
