@@ -10,7 +10,7 @@ import datetime as dt
 import sys
 
 from . import pipeline
-from .domain import read_catalog, validate_contest
+from .domain import read_catalog
 from .errors import ConfigError, DataError, WidirError
 from .inference import read_payloads
 from .serving import OnlineStore, ServeConfig, load_fallbacks, serve
@@ -85,15 +85,6 @@ def _day(text: str, flag: str) -> dt.date:
     return parse_value(dt.date, text, "command line", flag)
 
 
-def _fallback_catalog(path):
-    """The `--fallback` catalog; a contest that breaks a contest rule is a DataError."""
-    contests = read_catalog(path)
-    for contest in contests:
-        if violations := validate_contest(contest):
-            raise DataError(f"{path}: invalid catalog: contest {contest.contest_id}: {violations[0]}")
-    return contests
-
-
 def _dispatch(args) -> int:
     if args.command == "generate":
         m = pipeline.run_generate(args.out, args.config, args.seed, args.run_id)
@@ -132,7 +123,7 @@ def _dispatch(args) -> int:
         for payload in read_payloads(args.payloads):
             store.put(payload)
         if args.fallback:
-            load_fallbacks(store, _fallback_catalog(args.fallback))
+            load_fallbacks(store, read_catalog(args.fallback))
         service = serve(store, config)
         host, port = service.address
         print(f"serving on http://{host}:{port} (payloads: {store.payload_count}); Ctrl-C to stop")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +25,7 @@ from .textio import write_replace
 # --- money -----------------------------------------------------------------
 
 CENTS = 100
-
+_INT64 = range(-(2**63), 2**63)  # the range of money amounts and contest sizes in record files
 
 _MONEY = re.compile(r"(-?)([0-9]*)(?:\.([0-9]{1,2}))?")
 
@@ -35,15 +36,19 @@ def parse_money(text: str) -> int:
 
     An optional "-", digits, and an optional "." with one or two digits;
     anything else (no digits at all, a third decimal, a sign after the
-    point) raises ValueError. Logs repeat a few amounts (fees, zero
-    prizes) many times, so results are cached; a rejected text is not.
+    point) raises ValueError, and so does an amount whose cents do not fit
+    an int64. Logs repeat a few amounts (fees, zero prizes) many times, so
+    results are cached; a rejected text is not.
     """
     m = _MONEY.fullmatch(text.strip())
     if m is None or not (m[2] or m[3]):
         raise ValueError(f"not a currency amount: {text!r}")
     sign, whole, frac = m.groups()
     cents = int(whole or "0") * CENTS + int((frac or "0").ljust(2, "0"))
-    return -cents if sign else cents
+    cents = -cents if sign else cents
+    if cents not in _INT64:
+        raise ValueError(f"currency amount outside int64 cents: {text!r}")
+    return cents
 
 
 def format_money(cents: int) -> str:
@@ -225,15 +230,16 @@ def validate_contest(spec: ContestSpec) -> list[str]:
 
 
 def validate_catalog(contests: Sequence[ContestSpec], matches: Sequence[MatchRecord]) -> list[str]:
-    """Each contest's own rules (`validate_contest`, prefixed with its id), then
-    cross-record checks: referential integrity and one Mega per match."""
+    """Cross-record checks only: referential integrity and one Mega per match.
+
+    Each contest's own rules are checked where its row is read (`read_catalog`).
+    """
     violations: list[str] = []
     by_match: dict[str, list[ContestSpec]] = {}
     for c in contests:
         by_match.setdefault(c.match_id, []).append(c)
     match_ids = {m.match_id for m in matches}
     for c in contests:
-        violations.extend(f"contest {c.contest_id}: {v}" for v in validate_contest(c))
         if c.match_id not in match_ids:
             violations.append(f"contest {c.contest_id} references unknown match {c.match_id}")
     for m in matches:
@@ -268,9 +274,11 @@ def prize_stats(d: PrizeDistribution, contest_size: int, prize_money: int) -> tu
 
 # --- record serialization ---------------------------------------------------
 #
-# Newline-delimited UTF-8 records, comma-separated, no header; field order is
-# the order the types declare. Prize tiers inline as `from-to:prize` triplets
-# joined by `;`.
+# Newline-delimited UTF-8 records, comma-separated, no header. Each record file
+# declares its columns once, as a table of (field, format, parse) in file
+# order, which is also its record type's field order: `write_records` reads
+# each field by name, `read_records` passes the parsed fields by position.
+# Prize tiers inline as `from-to:prize` triplets joined by `;`.
 
 
 def _format_tiers(d: PrizeDistribution) -> str:
@@ -287,10 +295,6 @@ def _parse_tiers(text: str) -> PrizeDistribution:
     return PrizeDistribution(tuple(tiers))
 
 
-def _format_bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
 def _parse_bool(text: str) -> bool:
     if text == "true":
         return True
@@ -299,25 +303,43 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def write_join_log(path, joins: Iterable[JoinRecord]) -> None:
+def _parse_int64(text: str) -> int:
+    if (value := int(text)) not in _INT64:
+        raise ValueError(f"integer outside int64: {text!r}")
+    return value
+
+
+_JOIN_LOG = (
+    ("player_id", str, str), ("contest_id", str, str), ("match_id", str, str),
+    ("joining_time", format_ts, parse_ts),
+    ("entry_fee_paid", format_money, parse_money), ("prize_won", format_money, parse_money),
+)
+_CATALOG = (
+    ("contest_id", str, str), ("template_id", str, str), ("match_id", str, str),
+    ("entry_fee", format_money, parse_money), ("prize_money", format_money, parse_money),
+    ("contest_size", str, _parse_int64), ("contest_type", operator.attrgetter("value"), ContestType),
+    ("prize_distribution", _format_tiers, _parse_tiers),
+    ("guaranteed", lambda b: "true" if b else "false", _parse_bool),
+    ("multi_entry", lambda b: "true" if b else "false", _parse_bool),
+)
+_SCHEDULE = (
+    ("match_id", str, str), ("start_time", format_ts, parse_ts),
+    ("contest_ids", ";".join, lambda text: tuple(text.split(";")) if text else ()),
+)
+
+
+def write_records(path, table, records: Iterable) -> None:
+    """Each record as one row of `table`'s columns, formatted a column at a time."""
+    records = list(records)
+    columns = [map(fmt, map(operator.attrgetter(name), records)) for name, fmt, _ in table]
     with write_replace(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for r in joins:
-            w.writerow(
-                (
-                    r.player_id,
-                    r.contest_id,
-                    r.match_id,
-                    format_ts(r.joining_time),
-                    format_money(r.entry_fee_paid),
-                    format_money(r.prize_won),
-                )
-            )
+        csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
 
 
-def _read_rows(path, n_fields: int, parse) -> list:
-    """parse(row) for each CSV row of `path`; a bad row is a DataError naming path:line,
-    and a missing, unreadable or non-UTF-8 file one naming the path."""
+def _read_rows(path, parsers: Sequence, make) -> list:
+    """make(*fields) for each CSV row of `path`, each field read by its parser; a bad row
+    is a DataError naming path:line, a missing, unreadable or non-UTF-8 file one naming the path."""
+    n_fields = len(parsers)
     out = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -326,7 +348,7 @@ def _read_rows(path, n_fields: int, parse) -> list:
                 try:
                     if len(row) != n_fields:
                         raise ValueError(f"expected {n_fields} fields, got {len(row)}")
-                    out.append(parse(row))
+                    out.append(make(*map(operator.call, parsers, row)))
                 except ValueError as exc:
                     raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
@@ -334,65 +356,41 @@ def _read_rows(path, n_fields: int, parse) -> list:
     return out
 
 
+def read_records(path, table, make) -> list:
+    """make(*fields) for each row of `table`'s columns in `path` (see `_read_rows`)."""
+    return _read_rows(path, [parse for _, _, parse in table], make)
+
+
+def _contest(*fields) -> ContestSpec:
+    """A catalog row's contest; one that breaks a contest rule is a bad row."""
+    spec = ContestSpec(*fields)
+    if violations := validate_contest(spec):
+        raise ValueError(f"invalid catalog: contest {spec.contest_id}: {violations[0]}")
+    return spec
+
+
+def write_join_log(path, joins: Iterable[JoinRecord]) -> None:
+    write_records(path, _JOIN_LOG, joins)
+
+
 def read_join_log(path) -> list[JoinRecord]:
-    return _read_rows(path, 6, lambda row: JoinRecord(
-        player_id=row[0],
-        contest_id=row[1],
-        match_id=row[2],
-        joining_time=parse_ts(row[3]),
-        entry_fee_paid=parse_money(row[4]),
-        prize_won=parse_money(row[5]),
-    ))
+    return read_records(path, _JOIN_LOG, JoinRecord)
 
 
 def write_catalog(path, contests: Iterable[ContestSpec]) -> None:
-    with write_replace(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for c in contests:
-            w.writerow(
-                (
-                    c.contest_id,
-                    c.template_id,
-                    c.match_id,
-                    format_money(c.entry_fee),
-                    format_money(c.prize_money),
-                    c.contest_size,
-                    c.contest_type.value,
-                    _format_tiers(c.prize_distribution),
-                    _format_bool(c.guaranteed),
-                    _format_bool(c.multi_entry),
-                )
-            )
+    write_records(path, _CATALOG, contests)
 
 
 def read_catalog(path) -> list[ContestSpec]:
-    return _read_rows(path, 10, lambda row: ContestSpec(
-        contest_id=row[0],
-        template_id=row[1],
-        match_id=row[2],
-        entry_fee=parse_money(row[3]),
-        prize_money=parse_money(row[4]),
-        contest_size=int(row[5]),
-        contest_type=ContestType(row[6]),
-        prize_distribution=_parse_tiers(row[7]),
-        guaranteed=_parse_bool(row[8]),
-        multi_entry=_parse_bool(row[9]),
-    ))
+    return read_records(path, _CATALOG, _contest)
 
 
 def write_schedule(path, matches: Iterable[MatchRecord]) -> None:
-    with write_replace(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        for m in matches:
-            w.writerow((m.match_id, format_ts(m.start_time), ";".join(m.contest_ids)))
+    write_records(path, _SCHEDULE, matches)
 
 
 def read_schedule(path) -> list[MatchRecord]:
-    return _read_rows(path, 3, lambda row: MatchRecord(
-        match_id=row[0],
-        start_time=parse_ts(row[1]),
-        contest_ids=tuple(row[2].split(";")) if row[2] else (),
-    ))
+    return read_records(path, _SCHEDULE, MatchRecord)
 
 
 def index_contests(contests: Sequence[ContestSpec]) -> dict[str, ContestSpec]:

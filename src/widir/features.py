@@ -31,8 +31,8 @@ The sweep produces it, `SnapshotStore` writes and reads it as `.npy`
 files, and `TemplateBlock` counts its joins against a match's templates.
 
 One `TemplateBlock` per match builds every contest and interaction row:
-`build_template_block` validates the match's templates and normalizes
-their contest rows in one call, and `TemplateBlock.raw_interaction` counts
+`build_template_block` normalizes the match's templates' contest rows in
+one call, and `TemplateBlock.raw_interaction` counts
 a batch of players' recent joins against every template. Normalization
 fitting reads its raw rows, and training, evaluation and inference read
 the normalized rows, which the block returns as float32, the model's input
@@ -58,7 +58,6 @@ from .domain import (
     epoch_day,
     money_units,
     prize_stats,
-    validate_contest,
 )
 from .errors import DataError, StoreError
 from .textio import read_json, write_replace
@@ -437,12 +436,6 @@ def contest_features_raw(spec: ContestSpec) -> np.ndarray:
     )
 
 
-def _check_contest(spec: ContestSpec) -> None:
-    violations = validate_contest(spec)
-    if violations:
-        raise ValueError(f"invalid contest {spec.contest_id}: " + "; ".join(violations))
-
-
 # --- template blocks: a match's contest and interaction rows ----------------------
 
 # the first bin of each of a window's histograms: type, then fee, size and
@@ -503,7 +496,7 @@ class TemplateBlock:
 
 
 def build_template_block(templates: Sequence[ContestSpec], stats: NormalizationStats) -> TemplateBlock:
-    """Validate a match's templates once and lay them out as a TemplateBlock.
+    """Lay out a match's templates, each checked where it was read or generated, as a TemplateBlock.
 
     The contest rows are the raw rows normalized in one call and stored as
     float32; the buckets use `stats`' edges.
@@ -511,8 +504,6 @@ def build_template_block(templates: Sequence[ContestSpec], stats: NormalizationS
     ids = [t.template_id for t in templates]
     if len(set(ids)) != len(ids):
         raise DataError("duplicate template_id in template block")
-    for t in templates:
-        _check_contest(t)
     raw = np.stack([contest_features_raw(t) for t in templates])
     return TemplateBlock(
         template_ids=ids,

@@ -411,16 +411,16 @@ class SyntheticWorld:
     @staticmethod
     def read_archetypes(path) -> dict[str, PlayerArchetype]:
         """A bad row is a DataError naming path:line, an unreadable file one naming the path."""
-        return dict(_read_rows(path, 1 + len(_ARCHETYPE_FIELDS), _parse_archetype_row))
+        return dict(_read_rows(path, (str,) + (float,) * len(_ARCHETYPE_FIELDS), _archetype_entry))
 
 
-def _parse_archetype_row(row: list[str]) -> tuple[str, PlayerArchetype]:
-    archetype = PlayerArchetype(*(float(v) for v in row[1:]))
+def _archetype_entry(player_id: str, *values: float) -> tuple[str, PlayerArchetype]:
+    archetype = PlayerArchetype(*values)
     try:
         archetype.validate()
     except ConfigError as exc:
         raise ValueError(str(exc)) from exc
-    return row[0], archetype
+    return player_id, archetype
 
 
 def load_world_dir(

@@ -49,6 +49,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DataError, DimensionError, ModelFormatError, ModelVersionError, ParamCountError
+from .features import D_C, D_I, D_P
 from .textio import write_replace
 
 MODEL_MAGIC = b"WDIR"
@@ -72,9 +73,9 @@ _INPUTS = {name: inputs for name, inputs, _ in _GRAPH}  # component -> inputs, i
 
 @dataclass(frozen=True, slots=True)
 class WidirDims:
-    d_p: int = 107
-    d_c: int = 11
-    d_i: int = 9
+    d_p: int = D_P
+    d_c: int = D_C
+    d_i: int = D_I
 
     def validate(self) -> None:
         if min(self.d_p, self.d_c, self.d_i) < 1:

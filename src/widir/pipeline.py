@@ -28,9 +28,6 @@ from .domain import (
 from .errors import ConfigError, DataError
 from .evaluation import EVAL_H_VALUES, GroundTruthScorer, ModelScorer, PopularityScorer, evaluate
 from .features import (
-    D_C,
-    D_I,
-    D_P,
     JoinTable,
     SnapshotCache,
     SnapshotStore,
@@ -52,13 +49,10 @@ from .training import (
 )
 
 
-_STORE_DIMS = WidirDims(D_P, D_C, D_I)  # the feature rows' widths, which `read_manifest` enforces
-
-
 def _load_model(model_path):
     params = load_model(model_path)
-    if params.dims != _STORE_DIMS:
-        raise DataError(f"{model_path}: model dims {params.dims} do not match the feature store's {_STORE_DIMS}")
+    if params.dims != WidirDims():  # the feature rows' widths, which `read_manifest` enforces
+        raise DataError(f"{model_path}: model dims {params.dims} do not match the feature store's {WidirDims()}")
     return params
 
 
@@ -184,7 +178,7 @@ def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None 
     valid_ds = assemble_pair_dataset(
         valid_lists, snapshots, by_match, match_days, stats, max_pairs, config.seed
     )
-    result = train(config, _STORE_DIMS, train_ds, valid_ds)
+    result = train(config, WidirDims(), train_ds, valid_ds)
     save_model(model_path, result.params)
     write_report(report_path, result.report)
 

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .domain import ContestSpec
+from .domain import ContestSpec, read_records, write_records
 from .errors import ConfigError, DataError
 from .features import (
     D_I,
@@ -34,7 +34,7 @@ from .features import (
     group_indices,
 )
 from .model import Rows, WidirDims, WidirParams, hinge_losses, init_params, pair_gradients, score_rows
-from .textio import from_kv, read_kv, to_kv, write_replace
+from .textio import from_kv, read_kv, to_kv
 
 logger = logging.getLogger(__name__)
 
@@ -384,19 +384,16 @@ class TrainResult:
     report: TrainingReport
 
 
+_REPORT = (("epoch", str, int), ("train_loss", repr, float), ("valid_loss", repr, float),
+           ("seconds", repr, float))
+
+
 def write_report(path, report: TrainingReport) -> None:
-    with write_replace(path) as fh:
-        for r in report.rows:
-            fh.write(f"{r.epoch},{r.train_loss!r},{r.valid_loss!r},{r.seconds!r}\n")
+    write_records(path, _REPORT, report.rows)
 
 
 def read_report(path) -> list[EpochRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            e, tl, vl, s = line.rstrip("\n").split(",")
-            rows.append(EpochRow(int(e), float(tl), float(vl), float(s)))
-    return rows
+    return read_records(path, _REPORT, EpochRow)
 
 
 def _mean_valid_loss(params: WidirParams, data: PairDataset, batch: int) -> float:

@@ -435,6 +435,29 @@ class TestErrorPaths:
         assert f"invalid catalog: contest {bad.contest_id}: {rule}" in err and str(out / "data") in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("name, field, value", [
+        ("contests.csv", 5, "1000000000000000000000000000000"),  # contest_size
+        ("joins.csv", 4, "99999999999999999999999.00"),  # entry_fee_paid
+    ], ids=["contest-size", "join-fee"])
+    def test_field_beyond_int64_exit_2(self, tmp_path, capsys, name, field, value):
+        cfg = tmp_path / "gen.kv"
+        cfg.write_text(GEN_KV)
+        out = tmp_path / "o"
+        assert main(["generate", "--out", str(out), "--config", str(cfg), "--seed", "5"]) == 0
+        path = out / "data" / name
+        lines = path.read_text().splitlines(keepends=True)
+        row = lines[1].split(",")
+        row[field] = value
+        lines[1] = ",".join(row)
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        code = main(["features", "--out", str(out), "--train-end", "2025-01-30",
+                     "--valid-end", "2025-02-07"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: " in err and "outside int64" in err and value in err
+        assert "internal error" not in err
+
     def test_duplicate_run_id_rejected(self, pipeline_root, capsys):
         code = main(
             ["generate", "--out", str(pipeline_root), "--config",
@@ -720,7 +743,7 @@ class TestCorruptInputs:
             env=_cli_env(), capture_output=True, text=True, timeout=60,
         )
         assert child.returncode == 2
-        assert f"{catalog}: invalid catalog: contest {bad.contest_id}: contest_size below 2" in child.stderr
+        assert f"{catalog}:4: invalid catalog: contest {bad.contest_id}: contest_size below 2" in child.stderr
         assert child.stdout == ""
 
     def test_abtest_on_non_utf8_archetypes_exit_2(self, pipeline_root, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import pytest
@@ -247,3 +248,21 @@ class TestSerialization:
         path.write_text(path.read_text().replace("Public", "Private"))
         with pytest.raises(DataError, match=f"{path}:1:"):
             read_catalog(path)
+
+    # the four contest rules of test_cli.py's test_invalid_contest_row_exit_2
+    @pytest.mark.parametrize("breach, rule", [
+        (lambda c: {"contest_size": 1}, "contest_size below 2"),
+        (lambda c: {"entry_fee": -c.entry_fee - 1}, "entry_fee negative"),
+        (lambda c: {"prize_distribution": PrizeDistribution(
+            ((1, 1, c.prize_money // 4), (3, 3, c.prize_money // 4)))},
+         "prize_distribution tiers not contiguous from rank 1"),
+        (lambda c: {"prize_money": c.prize_distribution.total_payout() // 2},
+         "prize_distribution payout exceeds prize_money"),
+    ], ids=["size-1", "negative-fee", "tier-gap", "payout-over-pool"])
+    def test_contest_breaking_a_rule_is_data_error_naming_the_line(self, tmp_path, breach, rule):
+        path = tmp_path / "contests.csv"
+        bad = mk_contest(contest_id="c2")
+        write_catalog(path, [mk_contest(), dataclasses.replace(bad, **breach(bad))])
+        with pytest.raises(DataError) as info:
+            read_catalog(path)
+        assert str(info.value) == f"{path}:2: invalid catalog: contest c2: {rule}"
