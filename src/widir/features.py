@@ -125,7 +125,11 @@ class JoinTable:
 
 
 def enrich_joins(joins: Sequence[JoinRecord], contests_by_id: Mapping[str, ContestSpec]) -> JoinTable:
-    """Join the log against the catalog; a contest that is missing or of another match is a data error."""
+    """Join the log against the catalog; a contest that is missing or of another match is a data error.
+
+    So is a money column whose absolute values sum past int64 cents: the
+    day sweep keeps int64 prefix sums of `entry_fee` and `prize_won`.
+    """
     row_of = {cid: i for i, cid in enumerate(contests_by_id)}
     try:
         contest = np.array([row_of[r.contest_id] for r in joins], dtype=np.int64)
@@ -141,14 +145,18 @@ def enrich_joins(joins: Sequence[JoinRecord], contests_by_id: Mapping[str, Conte
         i = bad[0]
         raise DataError(f"join of contest {joins[i].contest_id} names match {match_id[i]}, "
                         f"but the contest belongs to match {contest_match[i]}")
+    money = {"entry_fee": [r.entry_fee_paid for r in joins], "prize_won": [r.prize_won for r in joins]}
+    for name, cents in money.items():
+        if (total := sum(map(abs, cents))) >= 2**63:
+            raise DataError(f"join {name} amounts sum to {total} cents in absolute value, past int64")
     return JoinTable(
         time=np.array([r.joining_time for r in joins], dtype=np.int64),
         player_id=np.array([r.player_id for r in joins], dtype=str),
         match_id=match_id,
         template_id=per_contest(lambda s: s.template_id, str),
         contest_type=per_contest(lambda s: _TYPE_INDEX[s.contest_type], np.int8),
-        entry_fee=np.array([r.entry_fee_paid for r in joins], dtype=np.int64),
-        prize_won=np.array([r.prize_won for r in joins], dtype=np.int64),
+        entry_fee=np.array(money["entry_fee"], dtype=np.int64),
+        prize_won=np.array(money["prize_won"], dtype=np.int64),
         prize_money=per_contest(lambda s: s.prize_money, np.int64),
         contest_size=per_contest(lambda s: s.contest_size, np.int64),
         guaranteed=per_contest(lambda s: s.guaranteed, bool),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import base64
 import datetime as dt
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ class MatchScores:
     """Scores of one match's templates for its active players.
 
     Row i of `scores` holds `player_ids[i]`'s score for each template, in
-    `template_ids` order.
+    `template_ids` order; `columns` maps each template id to its column.
     """
 
     match_id: str
@@ -51,6 +51,10 @@ class MatchScores:
     scores: np.ndarray  # float32, (len(player_ids), len(template_ids))
     generated_at: int
     model_version: str
+    columns: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", {tid: j for j, tid in enumerate(self.template_ids)})
 
 
 class RankingPayload:

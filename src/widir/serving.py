@@ -4,7 +4,10 @@ The online store maps (player_id, match_id) to the payload view the batch job
 published for that row, a row of its match's score block, plus a per-match
 popularity fallback; the scores are not copied. Request handling only
 reorders live contest instances by stored template scores;
-no model forward pass ever runs here. The 10 ms budget is measured
+no model forward pass ever runs here. Ranking reads the row once, finds
+each template's column in its block's column map and sorts plain tuples.
+The reply is joined from per-contest fragments and equals `json.dumps` of
+the reply document byte for byte. The 10 ms budget is measured
 in-process (request parse through response serialize).
 
 `serve` runs one asyncio event loop on one daemon thread, and that loop serves
@@ -40,6 +43,7 @@ import threading
 import time
 from dataclasses import dataclass
 from http import HTTPStatus
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
 
 from .domain import ContestSpec, match_templates
@@ -86,13 +90,8 @@ class OnlineStore:
             self._payloads[(payload.player_id, payload.match_id)] = payload
             self.model_version = payload.model_version
 
-    def score_map(self, player_id: str, match_id: str) -> dict[str, float] | None:
-        """The template -> score map of the payload row, built on each call."""
-        payload = self._payloads.get((player_id, match_id))
-        if payload is None:
-            return None
-        block = payload.block
-        return dict(zip(block.template_ids, block.scores[payload.row].tolist()))
+    def payload(self, player_id: str, match_id: str) -> RankingPayload | None:
+        return self._payloads.get((player_id, match_id))
 
     def set_fallback(self, match_id: str, ranked: Sequence[tuple[str, float]]) -> None:
         rank_map = {tid: i for i, (tid, _) in enumerate(ranked)}
@@ -122,34 +121,44 @@ def rank_live(store: OnlineStore, request: RankRequest) -> RankResponse:
     to the payload append after known ones in the match's popularity-fallback
     order. A player with no payload is a player whose every template is
     unknown: the whole response is fallback-ordered, with source "fallback".
+    Each list sorts on plain tuples, (-score, template_id, contest_id, score)
+    and (fallback rank, template_id, contest_id): contest ids are distinct,
+    so no comparison reaches past them.
     """
     t0 = time.perf_counter_ns()
-    if not request.contests:
+    contests = request.contests
+    if not contests:
         raise RequestError("rank request has no contests")
-    if len(request.contests) > MAX_LIVE_CONTESTS:
-        raise RequestError(
-            f"rank request has {len(request.contests)} contests, limit {MAX_LIVE_CONTESTS}"
-        )
-    seen = set()
-    for cid, _ in request.contests:
-        if cid in seen:
-            raise RequestError(f"duplicate contest_id {cid!r} in rank request")
-        seen.add(cid)
+    if len(contests) > MAX_LIVE_CONTESTS:
+        raise RequestError(f"rank request has {len(contests)} contests, limit {MAX_LIVE_CONTESTS}")
+    if len({cid for cid, _ in contests}) != len(contests):
+        seen = set()
+        for cid, _ in contests:
+            if cid in seen:
+                raise RequestError(f"duplicate contest_id {cid!r} in rank request")
+            seen.add(cid)
 
     fb_rank, fb_score = store.fallback_maps(request.match_id)
-    score_map = store.score_map(request.player_id, request.match_id)
-    scores = score_map or {}
-
-    known = [(cid, tid) for cid, tid in request.contests if tid in scores]
-    unknown = [(cid, tid) for cid, tid in request.contests if tid not in scores]
-    known.sort(key=lambda ct: (-scores[ct[1]], ct[1], ct[0]))
-    unknown.sort(key=lambda ct: (fb_rank.get(ct[1], len(fb_rank)), ct[1], ct[0]))
-    ordered = [(cid, scores[tid]) for cid, tid in known]
-    ordered += [(cid, fb_score.get(tid, 0.0)) for cid, tid in unknown]
+    payload = store.payload(request.player_id, request.match_id)
+    columns, srow = {}, []
+    if payload is not None:
+        columns, srow = payload.block.columns, payload.block.scores[payload.row].tolist()
+    unlisted = len(fb_rank)  # the fallback rank of a template the slate does not list
+    known, unknown = [], []
+    for cid, tid in contests:
+        c = columns.get(tid)
+        if c is None:
+            unknown.append((fb_rank.get(tid, unlisted), tid, cid))
+        else:
+            known.append((-srow[c], tid, cid, srow[c]))
+    known.sort()
+    unknown.sort()
+    ordered = [(cid, score) for _, _, cid, score in known]
+    ordered += [(cid, fb_score.get(tid, 0.0)) for _, tid, cid in unknown]
 
     return RankResponse(
         contests=tuple(ordered),
-        source="fallback" if score_map is None else "personalized",
+        source="fallback" if payload is None else "personalized",
         served_in_micros=(time.perf_counter_ns() - t0) // 1000,
     )
 
@@ -181,12 +190,15 @@ def handle_rank_body(store: OnlineStore, body: bytes) -> tuple[int, bytes]:
         response = rank_live(store, parse_rank_request(body))
     except RequestError as exc:
         return 400, json.dumps({"error": str(exc)}).encode()
-    doc = {
-        "contests": [{"contest_id": cid, "score": score} for cid, score in response.contests],
-        "source": response.source,
-        "served_in_micros": response.served_in_micros,
-    }
-    return 200, json.dumps(doc).encode()
+    # the bytes of json.dumps(doc).encode(): every score is a finite float, whose
+    # repr is its JSON text (read_payloads rejects NaN and infinite scores, and
+    # fallback scores are prize amounts)
+    contests = ", ".join([
+        '{"contest_id": %s, "score": %r}' % (encode_basestring_ascii(cid), score)
+        for cid, score in response.contests
+    ])
+    return 200, b'{"contests": [%s], "source": "%s", "served_in_micros": %d}' % (
+        contests.encode(), response.source.encode(), response.served_in_micros)
 
 
 # --- configuration ----------------------------------------------------------------

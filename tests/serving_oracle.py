@@ -14,6 +14,14 @@ from typing import Sequence
 from widir.inference import RankingPayload
 
 
+def score_map_of(payload: RankingPayload | None) -> dict[str, float] | None:
+    """The template -> score map of a payload row, as the store once copied it."""
+    if payload is None:
+        return None
+    block = payload.block
+    return dict(zip(block.template_ids, block.scores[payload.row].tolist()))
+
+
 def rank_oracle(
     payload: RankingPayload | None,
     fallback_ranked: Sequence[tuple[str, float]],
@@ -25,10 +33,7 @@ def rank_oracle(
     `fallback_ranked` the match's popularity slate (empty when the match
     has none) and `contests` the request's (contest_id, template_id) pairs.
     """
-    score_map = None
-    if payload is not None:
-        block = payload.block
-        score_map = dict(zip(block.template_ids, block.scores[payload.row].tolist()))
+    score_map = score_map_of(payload)
     fb_rank = {tid: i for i, (tid, _) in enumerate(fallback_ranked)}
     fb_score = {tid: score for tid, score in fallback_ranked}
 

@@ -458,6 +458,26 @@ class TestErrorPaths:
         assert f"{path}:2: " in err and "outside int64" in err and value in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("field, name", [(4, "entry_fee"), (5, "prize_won")])
+    def test_join_amounts_summing_past_int64_exit_2(self, tmp_path, capsys, field, name):
+        """Two joins of one player at 5e18 cents each: each fits int64, their sum does not."""
+        cfg = tmp_path / "gen.kv"
+        cfg.write_text(GEN_KV)
+        out = tmp_path / "o"
+        assert main(["generate", "--out", str(out), "--config", str(cfg), "--seed", "5"]) == 0
+        path = out / "data" / "joins.csv"
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        for row in [r for r in rows if r[0] == rows[0][0]][:2]:
+            row[field] = "50000000000000000.00"
+        path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+        capsys.readouterr()
+        code = main(["features", "--out", str(out), "--train-end", "2025-01-30",
+                     "--valid-end", "2025-02-07"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"join {name} amounts sum to " in err and "past int64" in err
+        assert "internal error" not in err and "Traceback" not in err
+
     def test_duplicate_run_id_rejected(self, pipeline_root, capsys):
         code = main(
             ["generate", "--out", str(pipeline_root), "--config",

@@ -31,7 +31,7 @@ from widir.serving import (
 
 from conftest import mk_contest, mk_payload
 from latency_harness import run_latency_harness
-from serving_oracle import rank_oracle
+from serving_oracle import rank_oracle, score_map_of
 
 
 def _payload(player="p1", match="m1", ranking=(("t2", 2.0), ("t1", 1.0)), version="v1"):
@@ -47,6 +47,10 @@ def _store_with(payloads=(), fallback_contests=()):
     return store
 
 
+def _score_map(store, player_id, match_id):
+    return score_map_of(store.payload(player_id, match_id))
+
+
 def req(contests, player="p1", match="m1"):
     return RankRequest(player_id=player, match_id=match, contests=tuple(contests))
 
@@ -54,18 +58,18 @@ def req(contests, player="p1", match="m1"):
 class TestStore:
     def test_put_get_round_trip(self):
         store = _store_with([_payload()])
-        assert store.score_map("p1", "m1") == {"t2": 2.0, "t1": 1.0}
+        assert _score_map(store, "p1", "m1") == {"t2": 2.0, "t1": 1.0}
         assert store.payload_count == 1
 
     def test_unknown_key_absent(self):
-        assert _store_with().score_map("p9", "m9") is None
+        assert _score_map(_store_with(), "p9", "m9") is None
         assert _store_with().payload_count == 0
 
     def test_put_replaces_whole_payload(self):
         store = _store_with([_payload(ranking=(("t2", 2.0), ("t1", 1.0), ("t3", 0.5)))])
         newer = _payload(ranking=(("t1", 9.0), ("t2", 8.0)), version="v2")
         store.put(newer)
-        assert store.score_map("p1", "m1") == {"t1": 9.0, "t2": 8.0}
+        assert _score_map(store, "p1", "m1") == {"t1": 9.0, "t2": 8.0}
         assert store.payload_count == 1
         assert store.model_version == "v2"
 
@@ -85,7 +89,7 @@ class TestStore:
 
         def reader():
             while not stop.is_set():
-                score_map = store.score_map("p1", "m1")
+                score_map = _score_map(store, "p1", "m1")
                 if len(set(score_map.values())) != 1:  # a mixture of the two versions
                     bad.append(score_map)
 
@@ -118,24 +122,27 @@ class TestStore:
         finally:
             tracemalloc.stop()
         assert store.payload_count == len(players)
-        assert store.score_map("p00042", "m1") == dict(zip(templates, scores[42].tolist()))
+        assert _score_map(store, "p00042", "m1") == dict(zip(templates, scores[42].tolist()))
         assert peak < 2 * 1024 * 1024, f"publishing 5,000 views allocated {peak} bytes"
 
 
 _TEMPLATES = ("t0", "t1", "t2", "t3", "t4", "t5")
 
 
+_TIED_SCORES = st.sampled_from([-1.5, 0.0, 0.25, 0.25, 2.0])
+
+
 @st.composite
-def _ranking_cases(draw):
+def _ranking_cases(draw, score=_TIED_SCORES):
     """A two-player score block, a fallback catalog and one request for the same match.
 
-    Templates fall in the payload, the fallback, both or neither; scores and
-    prizes come from small sets, so both tie; instances may share a template.
+    Templates fall in the payload, the fallback, both or neither; by default
+    scores and prizes come from small sets, so both tie; instances may share
+    a template.
     """
     payload_tids = draw(st.lists(st.sampled_from(_TEMPLATES), unique=True))
     fallback_tids = draw(st.lists(st.sampled_from(_TEMPLATES), unique=True))
-    scores = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 0.25, 2.0]),
-                           min_size=2 * len(payload_tids), max_size=2 * len(payload_tids)))
+    scores = draw(st.lists(score, min_size=2 * len(payload_tids), max_size=2 * len(payload_tids)))
     block = MatchScores(
         match_id="m1",
         template_ids=tuple(payload_tids),
@@ -214,6 +221,8 @@ class TestRankLive:
             rank_live(store, req([]))
         with pytest.raises(RequestError, match="duplicate"):
             rank_live(store, req([("c1", "t1"), ("c1", "t2")]))
+        with pytest.raises(RequestError, match="^duplicate contest_id 'c2' in rank request$"):
+            rank_live(store, req([(cid, "t1") for cid in ("c1", "c2", "c3", "c2", "c1")]))
         with pytest.raises(RequestError, match="limit"):
             rank_live(store, req([(f"c{i}", "t1") for i in range(2001)]))
 
@@ -226,7 +235,63 @@ class TestRankLive:
         assert sorted(c for c, _ in response.contests) == sorted(c for c, _ in contests)
 
 
+# contest ids that JSON escapes: quotes, backslashes, control characters,
+# non-ASCII text and a lone surrogate (which a "\ud800" escape in a body decodes to)
+_ODD_IDS = st.text(
+    alphabet=st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "漢", "🎲", "\ud800", "c"])
+    | st.characters(),
+    max_size=6,
+)
+
+
+def _served_in_cut(reply: bytes) -> bytes:
+    """`reply` with its served_in_micros value replaced by 0."""
+    head, key, tail = reply.rpartition(b'"served_in_micros": ')
+    assert key and tail[:-1].isdigit() and tail.endswith(b"}"), reply
+    return head + key + b"0}"
+
+
 class TestWireFormat:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_ranking_cases(score=st.floats(width=32, allow_nan=False, allow_infinity=False)), st.data())
+    def test_reply_bytes_equal_json_dumps_of_the_oracle(self, case, data):
+        block, fallback, contests, player = case
+        ids = data.draw(st.lists(_ODD_IDS, min_size=len(contests), max_size=len(contests), unique=True))
+        contests = [(cid, tid) for cid, (_, tid) in zip(ids, contests)]
+        views = [RankingPayload(block, row) for row in range(len(block.player_ids))]
+        store = _store_with(views, fallback)
+        body = json.dumps({"player_id": player, "match_id": "m1", "contests": [
+            {"contest_id": cid, "template_id": tid} for cid, tid in contests]}).encode()
+        status, reply = handle_rank_body(store, body)
+        payload = next((v for v in views if v.player_id == player), None)
+        fallback_ranked = popularity_rank(fallback).ranked if fallback else ()
+        ordered, source = rank_oracle(payload, fallback_ranked, contests)
+        doc = {"contests": [{"contest_id": cid, "score": score} for cid, score in ordered],
+               "source": source, "served_in_micros": 12345}
+        assert status == 200
+        assert _served_in_cut(reply) == _served_in_cut(json.dumps(doc).encode())
+
+    def test_reply_bytes_are_pinned(self):
+        """The wire format of one warm request, byte for byte."""
+        fallback = [mk_contest(contest_id="i1", template_id="tX", match_id="m1",
+                               tiers=((1, 1, 250 * CENTS),))]
+        store = _store_with([_payload(ranking=(("t2", float(np.float32(0.1))), ("t1", -3.0)))], fallback)
+        body = json.dumps({"player_id": "p1", "match_id": "m1", "contests": [
+            {"contest_id": "c1", "template_id": "t1"},
+            {"contest_id": "q\"é", "template_id": "tX"},
+            {"contest_id": "c2", "template_id": "t2"},
+            {"contest_id": "c0", "template_id": "tZ"},
+        ]}).encode()
+        status, reply = handle_rank_body(store, body)
+        assert status == 200
+        assert _served_in_cut(reply) == (
+            b'{"contests": [{"contest_id": "c2", "score": 0.10000000149011612}, '
+            b'{"contest_id": "c1", "score": -3.0}, '
+            b'{"contest_id": "q\\"\\u00e9", "score": 25000.0}, '
+            b'{"contest_id": "c0", "score": 0.0}], '
+            b'"source": "personalized", "served_in_micros": 0}'
+        )
+
     def test_parse_and_handle(self):
         store = _store_with([_payload()])
         body = json.dumps(
