@@ -68,8 +68,6 @@ def assign_cohorts(
     total = sum(sizes.values())
     if total > n:
         raise ConfigError(f"group sizes sum to {total} but only {n} players exist")
-    if any(s < 0 for s in sizes.values()):
-        raise ConfigError("group sizes must be non-negative")
 
     ordered = sorted(players, key=lambda p: (activity.get(p, 0), p))
     strata: list[list[str]] = [[] for _ in range(10)]
@@ -274,6 +272,8 @@ def delta(m_tg_pre: float, m_cg_pre: float, m_tg_post: float, m_cg_post: float) 
 
 @dataclass(frozen=True)
 class ABConfig:
+    """An experiment's groups, policies and scalars; a broken rule is a ConfigError when it is made."""
+
     group_sizes: dict[str, int]
     policies: dict[str, str]  # treated group -> policy name
     boost: float = 2.0
@@ -282,12 +282,17 @@ class ABConfig:
     post_days: int = 42
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if "CG" not in self.group_sizes:
             raise ConfigError("experiment requires a control group named CG")
-        for g in self.group_sizes:
+        for g, size in self.group_sizes.items():
+            if size < 0:
+                raise ConfigError(f"group {g}: size must be non-negative, got {size}")
             if g != "CG" and g not in self.policies:
                 raise ConfigError(f"no policy configured for treated group {g}")
+        for g, name in self.policies.items():
+            if name not in ("popularity", "ground_truth", "payloads"):
+                raise ConfigError(f"unknown policy {name!r} for group {g}")
         if not (math.isfinite(self.boost) and self.boost > 0):
             raise ConfigError(f"boost must be positive and finite, got {self.boost}")
         if self.h_exposed < 1 or self.pre_days < 1 or self.post_days < 1:
@@ -309,9 +314,7 @@ class ABConfig:
                 policies[key.split(".", 1)[1]] = value
             else:
                 scalars[key] = value
-        config = from_kv(cls, scalars, context, group_sizes=group_sizes, policies=policies)
-        config.validate()
-        return config
+        return from_kv(cls, scalars, context, group_sizes=group_sizes, policies=policies)
 
     def to_kv_dict(self) -> dict[str, str]:
         return {

@@ -10,6 +10,7 @@ Conventions used everywhere in the package:
 
 from __future__ import annotations
 
+import collections
 import csv
 import datetime as dt
 import functools
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .textio import write_replace
 
 # --- money -----------------------------------------------------------------
@@ -230,7 +231,7 @@ def validate_contest(spec: ContestSpec) -> list[str]:
 
 
 def validate_catalog(contests: Sequence[ContestSpec], matches: Sequence[MatchRecord]) -> list[str]:
-    """Cross-record checks only: referential integrity and one Mega per match.
+    """Cross-record checks only: referential integrity, one row per contest and per match, one Mega per match.
 
     Each contest's own rules are checked where its row is read (`read_catalog`).
     """
@@ -238,10 +239,13 @@ def validate_catalog(contests: Sequence[ContestSpec], matches: Sequence[MatchRec
     by_match: dict[str, list[ContestSpec]] = {}
     for c in contests:
         by_match.setdefault(c.match_id, []).append(c)
-    match_ids = {m.match_id for m in matches}
+    rows = collections.Counter(m.match_id for m in matches)
     for c in contests:
-        if c.match_id not in match_ids:
+        if c.match_id not in rows:
             violations.append(f"contest {c.contest_id} references unknown match {c.match_id}")
+    violations += [f"match {mid} is scheduled on {n} rows" for mid, n in rows.items() if n > 1]
+    ids = collections.Counter(c.contest_id for c in contests)
+    violations += [f"contest {cid} is listed on {n} rows" for cid, n in ids.items() if n > 1]
     for m in matches:
         if not m.contest_ids:
             violations.append(f"match {m.match_id} has no contests")
@@ -277,7 +281,8 @@ def prize_stats(d: PrizeDistribution, contest_size: int, prize_money: int) -> tu
 # Newline-delimited UTF-8 records, comma-separated, no header. Each record file
 # declares its columns once, as a table of (field, format, parse) in file
 # order, which is also its record type's field order: `write_records` reads
-# each field by name, `read_records` passes the parsed fields by position.
+# each field by name (a dotted name reads a field's field), `read_records`
+# passes the parsed fields by position.
 # Prize tiers inline as `from-to:prize` triplets joined by `;`.
 
 
@@ -336,29 +341,25 @@ def write_records(path, table, records: Iterable) -> None:
         csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
 
 
-def _read_rows(path, parsers: Sequence, make) -> list:
-    """make(*fields) for each CSV row of `path`, each field read by its parser; a bad row
-    is a DataError naming path:line, a missing, unreadable or non-UTF-8 file one naming the path."""
-    n_fields = len(parsers)
+def read_records(path, table, make) -> list:
+    """make(*fields) for each CSV row of `path`, each of `table`'s columns read by its parser.
+    A bad row (a ValueError, or a ConfigError from a record type's rules) is a DataError naming
+    path:line, a missing, unreadable or non-UTF-8 file one naming the path."""
+    parsers = [parse for _, _, parse in table]
     out = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 try:
-                    if len(row) != n_fields:
-                        raise ValueError(f"expected {n_fields} fields, got {len(row)}")
+                    if len(row) != len(parsers):
+                        raise ValueError(f"expected {len(parsers)} fields, got {len(row)}")
                     out.append(make(*map(operator.call, parsers, row)))
-                except ValueError as exc:
+                except (ValueError, ConfigError) as exc:
                     raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: cannot read: {exc}") from exc
     return out
-
-
-def read_records(path, table, make) -> list:
-    """make(*fields) for each row of `table`'s columns in `path` (see `_read_rows`)."""
-    return _read_rows(path, [parse for _, _, parse in table], make)
 
 
 def _contest(*fields) -> ContestSpec:

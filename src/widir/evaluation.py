@@ -57,13 +57,18 @@ class RankedSlate:
 
 @dataclass
 class EvalReport:
+    """One scorer's macro-averaged precision@h and recall@h. The two at different cutoffs, a
+    metric outside [0, 1] and a recall that falls as h grows are a DataError when it is made."""
+
     model: str
     n_pairs: int
     precision: dict[int, float] = field(default_factory=dict)
     recall: dict[int, float] = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         hs = sorted(self.recall)
+        if hs != sorted(self.precision):
+            raise DataError(f"precision at h={sorted(self.precision)} but recall at h={hs}")
         for h in hs:
             if not (0.0 <= self.precision[h] <= 1.0 and 0.0 <= self.recall[h] <= 1.0):
                 raise DataError(f"metric out of [0,1] at h={h}")
@@ -265,11 +270,9 @@ def evaluate(
 
     total = np.add.accumulate(metrics)[-1].tolist()  # adds the pairs one after another, unlike np.sum
     n = len(metrics)
-    report = EvalReport(
+    return EvalReport(
         model=getattr(scorer, "name", "scorer"),
         n_pairs=n,
         precision={h: p / n for h, (p, _) in zip(h_values, total)},
         recall={h: r / n for h, (_, r) in zip(h_values, total)},
     )
-    report.validate()
-    return report

@@ -690,8 +690,8 @@ class SnapshotStore:
     The arrays are `FeatureSnapshot`'s fields. day.json is each day's commit
     marker: `write_day` removes it before it touches the day and writes it
     last, each file through a rename. A day without day.json (a write that
-    failed part-way) reads as absent: `has_day` is False, `days()` skips it
-    and `read_day` raises StoreError. `read_day` also raises StoreError for
+    failed part-way) reads as absent: `has_day` is False and `read_day`
+    raises StoreError. `read_day` also raises StoreError for
     another schema version, an array of the wrong dtype or shape, lengths
     that disagree, a recent-join value out of its range, or a NaN or
     infinite player row.

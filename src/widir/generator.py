@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,19 +39,20 @@ from .domain import (
     JoinRecord,
     MatchRecord,
     PrizeDistribution,
-    _read_rows,
     day_start,
     prize_stats,
     read_catalog,
     read_join_log,
+    read_records,
     read_schedule,
     validate_contest,
     write_catalog,
     write_join_log,
+    write_records,
     write_schedule,
 )
 from .errors import ConfigError
-from .textio import from_kv, read_kv, to_kv, write_replace
+from .textio import from_kv, read_kv, to_kv
 
 MAX_JOINS_PER_MATCH = 20  # truncation point of the per-match join count
 
@@ -63,7 +64,7 @@ _STREAM_MATCH_SIM = 3
 
 @dataclass(frozen=True, slots=True)
 class PlayerArchetype:
-    """Ground-truth preference parameters of one synthetic player."""
+    """Ground-truth preferences of one synthetic player; one out of range is a ConfigError when made."""
 
     preferred_log_entry_fee: float
     fee_sensitivity: float
@@ -73,7 +74,7 @@ class PlayerArchetype:
     activity_rate: float
     multi_entry_propensity: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not all(math.isfinite(getattr(self, f)) for f in _ARCHETYPE_FIELDS):
             raise ConfigError("archetype fields must be finite")
         if self.fee_sensitivity < 0 or self.popularity_weight < 0:
@@ -121,6 +122,8 @@ DEFAULT_ARCHETYPES: tuple[ArchetypeSpec, ...] = (
 
 @dataclass(frozen=True, kw_only=True)  # keyword-only, so fields keep their kv order
 class GeneratorConfig:
+    """A world's sizes, days and archetype mixture; a broken rule is a ConfigError when it is made."""
+
     players: int
     matches: int
     templates_per_match: int
@@ -130,7 +133,7 @@ class GeneratorConfig:
     participation_rate: float = 0.05
     archetypes: tuple[ArchetypeSpec, ...] = DEFAULT_ARCHETYPES
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.players < 1:
             raise ConfigError("players must be >= 1")
         if self.matches < 1:
@@ -151,7 +154,6 @@ class GeneratorConfig:
                 raise ConfigError(f"archetype {spec.name}: weight must be > 0")
             if spec.jitter < 0:
                 raise ConfigError(f"archetype {spec.name}: jitter must be >= 0")
-            spec.base.validate()
 
     # -- flat key-value form: the scalars, then `archetype.<name>.<field>` per archetype
 
@@ -172,9 +174,7 @@ class GeneratorConfig:
             base = from_kv(PlayerArchetype, base_items, context, prefix)
             archetypes.append(from_kv(ArchetypeSpec, spec_items, context, prefix, name=name, base=base))
         given = {"archetypes": tuple(archetypes)} if archetypes else {}
-        config = from_kv(cls, scalars, context, **given)
-        config.validate()
-        return config
+        return from_kv(cls, scalars, context, **given)
 
     def to_kv_dict(self) -> dict[str, str]:
         out = to_kv(self)
@@ -402,25 +402,31 @@ class SyntheticWorld:
         write_join_log(os.path.join(path, "joins.csv"), self.joins)
         write_catalog(os.path.join(path, "contests.csv"), self.contests)
         write_schedule(os.path.join(path, "matches.csv"), self.matches)
-        with write_replace(os.path.join(path, "archetypes.csv")) as fh:
-            for pid in sorted(self.archetypes):
-                a = self.archetypes[pid]
-                vals = ",".join(repr(getattr(a, f)) for f in _ARCHETYPE_FIELDS)
-                fh.write(f"{pid},{vals}\n")
-
-    @staticmethod
-    def read_archetypes(path) -> dict[str, PlayerArchetype]:
-        """A bad row is a DataError naming path:line, an unreadable file one naming the path."""
-        return dict(_read_rows(path, (str,) + (float,) * len(_ARCHETYPE_FIELDS), _archetype_entry))
+        write_records(os.path.join(path, "archetypes.csv"), _ARCHETYPES,
+                      (_PlayerRow(pid, self.archetypes[pid]) for pid in sorted(self.archetypes)))
 
 
-def _archetype_entry(player_id: str, *values: float) -> tuple[str, PlayerArchetype]:
-    archetype = PlayerArchetype(*values)
-    try:
-        archetype.validate()
-    except ConfigError as exc:
-        raise ValueError(str(exc)) from exc
-    return player_id, archetype
+class _PlayerRow(NamedTuple):  # one row of archetypes.csv
+    player_id: str
+    archetype: PlayerArchetype
+
+
+# archetypes.csv's columns (see `domain.write_records`): the player, then its archetype's fields
+_ARCHETYPES = (("player_id", str, str), *((f"archetype.{f}", repr, float) for f in _ARCHETYPE_FIELDS))
+
+
+def read_archetypes(path) -> dict[str, PlayerArchetype]:
+    """Each player's archetype. A bad row, or a player on an earlier row, is a DataError
+    naming path:line, an unreadable file one naming the path."""
+    table: dict[str, PlayerArchetype] = {}
+
+    def add(player_id: str, *values: float) -> None:
+        archetype = PlayerArchetype(*values)
+        if table.setdefault(player_id, archetype) is not archetype:
+            raise ValueError(f"player {player_id!r} has an earlier row")
+
+    read_records(path, _ARCHETYPES, add)
+    return table
 
 
 def load_world_dir(
@@ -435,7 +441,7 @@ def load_world_dir(
     contests = read_catalog(os.path.join(path, "contests.csv"))
     matches = read_schedule(os.path.join(path, "matches.csv"))
     arch_path = os.path.join(path, "archetypes.csv")
-    table = SyntheticWorld.read_archetypes(arch_path) if archetypes and os.path.exists(arch_path) else {}
+    table = read_archetypes(arch_path) if archetypes and os.path.exists(arch_path) else {}
     return joins, contests, matches, table
 
 
@@ -459,7 +465,6 @@ def _draw_players(config: GeneratorConfig, seed: int) -> dict[str, PlayerArchety
 
 def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticWorld:
     """Deterministic synthetic world for a seed: catalog, schedule, joins, archetypes."""
-    config.validate()
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     pool = build_template_pool(config)

@@ -43,6 +43,8 @@ class MatchScores:
 
     Row i of `scores` holds `player_ids[i]`'s score for each template, in
     `template_ids` order; `columns` maps each template id to its column.
+    An id that is not a string or repeats, and scores that are not a finite
+    float32 (players x templates) matrix, are a ValueError when the block is made.
     """
 
     match_id: str
@@ -54,7 +56,16 @@ class MatchScores:
     columns: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not all(isinstance(i, str) for i in self.player_ids + self.template_ids):
+            raise ValueError("player and template ids must be strings")
         object.__setattr__(self, "columns", {tid: j for j, tid in enumerate(self.template_ids)})
+        shape = (len(self.player_ids), len(self.template_ids))
+        if self.scores.dtype != _SCORE_DTYPE or self.scores.shape != shape:
+            raise ValueError(f"scores must be a float32 {shape} matrix, not {self.scores.dtype} {self.scores.shape}")
+        if not np.isfinite(self.scores).all():
+            raise ValueError("a score is NaN or infinite")
+        if len(self.columns) != shape[1] or len(set(self.player_ids)) != shape[0]:
+            raise ValueError("a player or template id repeats")
 
 
 class RankingPayload:
@@ -78,10 +89,6 @@ class RankingPayload:
     @property
     def match_id(self) -> str:
         return self.block.match_id
-
-    @property
-    def generated_at(self) -> int:
-        return self.block.generated_at
 
     @property
     def model_version(self) -> str:
@@ -132,8 +139,6 @@ def run_batch(
     blocks = []
     for match, templates in matches:
         template_ids, scores = scorer.score_matrix(templates, snapshot, player_ids)
-        if scores.dtype != _SCORE_DTYPE:
-            raise ValueError(f"payload scores are float32; the model scored in {scores.dtype}")
         blocks.append(MatchScores(
             match_id=match.match_id,
             template_ids=tuple(template_ids),
@@ -159,9 +164,7 @@ def write_payloads(path, blocks: Sequence[MatchScores]) -> None:
                     "match_id": b.match_id,
                     "model_version": b.model_version,
                     "player_ids": list(b.player_ids),
-                    "scores": base64.b64encode(
-                        np.ascontiguousarray(b.scores, dtype=_SCORE_DTYPE).tobytes()
-                    ).decode("ascii"),
+                    "scores": base64.b64encode(b.scores.tobytes()).decode("ascii"),
                     "template_ids": list(b.template_ids),
                 },
                 sort_keys=True,
@@ -206,23 +209,10 @@ def _parse_block(line: str, context: str) -> MatchScores:
     match_id = json_field(doc, "match_id", str, context, DataError)
     model_version = json_field(doc, "model_version", str, context, DataError)
     generated_at = json_field(doc, "generated_at", int, context, DataError)
-    template_ids = _ids(doc, "template_ids", context)
-    player_ids = _ids(doc, "player_ids", context)
+    template_ids = tuple(json_field(doc, "template_ids", list, context, DataError))
+    player_ids = tuple(json_field(doc, "player_ids", list, context, DataError))
     encoded = json_field(doc, "scores", str, context, DataError)
     raw = base64.b64decode(encoded, validate=True)  # binascii.Error is a ValueError
-    shape = (len(player_ids), len(template_ids))
-    if len(raw) != _SCORE_DTYPE.itemsize * shape[0] * shape[1]:
-        raise ValueError(f"{len(raw)} score bytes for {shape[0]} players x {shape[1]} templates")
-    scores = np.frombuffer(raw, dtype=_SCORE_DTYPE).reshape(shape)
-    if not np.isfinite(scores).all():
-        raise ValueError("a score is NaN or infinite")
+    # a byte count that does not fit the id counts fails here, as a ValueError
+    scores = np.frombuffer(raw, dtype=_SCORE_DTYPE).reshape(len(player_ids), len(template_ids))
     return MatchScores(match_id, template_ids, player_ids, scores, generated_at, model_version)
-
-
-def _ids(doc: dict, key: str, context: str) -> tuple[str, ...]:
-    ids = tuple(json_field(doc, key, list, context, DataError))
-    if not all(isinstance(i, str) for i in ids):
-        raise ValueError(f"{key!r} must hold strings")
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate id in {key!r}")
-    return ids

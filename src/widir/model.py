@@ -73,11 +73,13 @@ _INPUTS = {name: inputs for name, inputs, _ in _GRAPH}  # component -> inputs, i
 
 @dataclass(frozen=True, slots=True)
 class WidirDims:
+    """The player, contest and interaction feature widths; one below 1 is a DimensionError."""
+
     d_p: int = D_P
     d_c: int = D_C
     d_i: int = D_I
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if min(self.d_p, self.d_c, self.d_i) < 1:
             raise DimensionError(f"dims must be positive, got {self}")
 
@@ -147,7 +149,6 @@ class WidirParams:
 
 def param_count(dims: WidirDims) -> tuple[dict[str, int], int]:
     """Per-component parameter counts and the grand total."""
-    dims.validate()
     per = {
         name: sum(fi * fo + fo for fi, fo, _ in plan)
         for name, plan in _layer_plan(dims).items()
@@ -157,7 +158,6 @@ def param_count(dims: WidirDims) -> tuple[dict[str, int], int]:
 
 def init_params(dims: WidirDims, seed: int, dtype=np.float32) -> WidirParams:
     """He-style scaled uniform weights (limit sqrt(6/fan_in)), zero biases."""
-    dims.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     components: dict[str, list[Layer]] = {}
     for name, plan in _layer_plan(dims).items():
@@ -463,10 +463,8 @@ def deserialize(data: bytes) -> WidirParams:
     version, _ = cur.unpack("<HH")
     if version != MODEL_VERSION:
         raise ModelVersionError(f"unsupported model version {version}, expected {MODEL_VERSION}")
-    d_p, d_c, d_i = cur.unpack("<III")
-    dims = WidirDims(d_p, d_c, d_i)
     try:
-        dims.validate()
+        dims = WidirDims(*cur.unpack("<III"))
     except DimensionError as exc:
         raise ModelFormatError(f"corrupt model stream: {exc}") from exc
     components: dict[str, list[Layer]] = {}

@@ -39,7 +39,7 @@ from .generator import GeneratorConfig, generate_synthetic, load_world_dir
 from .inference import read_payloads, run_batch, write_payloads
 from .manifest import RunManifest, digest_path
 from .model import WidirDims, load_model, save_model
-from .textio import json_field, read_json, write_kv, write_replace
+from .textio import json_field, read_json, to_kv, write_kv, write_replace
 from .training import (
     TrainConfig,
     assemble_pair_dataset,
@@ -183,7 +183,7 @@ def run_train(out_root, data_dir, features_dir, config_path, run_id: str | None 
     write_report(report_path, result.report)
 
     m = RunManifest(run_id=run_id or _new_run_id("train", config.seed), phase="train", seed=config.seed)
-    m.config = config.to_kv_dict()
+    m.config = to_kv(config)
     m.add_input("data", data_dir)
     m.add_input("features", features_dir)
     m.add_output("model.bin", model_path)
@@ -273,6 +273,9 @@ def run_infer(
 
 def run_abtest(out_root, data_dir, config_path, payloads_path=None, run_id: str | None = None) -> RunManifest:
     config = ab.ABConfig.from_file(config_path)
+    for group, name in config.policies.items():
+        if name == "payloads" and payloads_path is None:
+            raise ConfigError(f"policy.{group} = payloads requires --payloads")
     report_dir = os.path.join(str(out_root), "reports")
     os.makedirs(report_dir, exist_ok=True)
     report_path = os.path.join(report_dir, "ab_report.txt")
@@ -309,12 +312,8 @@ def run_abtest(out_root, data_dir, config_path, payloads_path=None, run_id: str 
             policies[group] = PopularityScorer()
         elif name == "ground_truth":
             policies[group] = GroundTruthScorer(archetypes)
-        elif name == "payloads":
-            if payloads_path is None:
-                raise ConfigError(f"policy.{group} = payloads requires --payloads")
+        else:  # "payloads", the one other policy `ABConfig` admits
             policies[group] = ab.PayloadScorer(read_payloads(payloads_path))
-        else:
-            raise ConfigError(f"unknown policy {name!r} for group {group}")
 
     common = dict(
         assignment=assignment,

@@ -41,7 +41,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from http import HTTPStatus
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
@@ -50,7 +50,7 @@ from .domain import ContestSpec, match_templates
 from .errors import ConfigError
 from .evaluation import popularity_rank
 from .inference import RankingPayload
-from .textio import from_kv, json_field, load_json, read_kv, to_kv
+from .textio import from_kv, json_field, load_json, parse_fields, read_kv
 
 
 class RequestError(ValueError):
@@ -206,17 +206,13 @@ def handle_rank_body(store: OnlineStore, body: bytes) -> tuple[int, bytes]:
 
 @dataclass(frozen=True)
 class ServeConfig:
+    """Where the service listens, and its request size limit; a broken rule is a ConfigError when it is made."""
+
     bind_host: str = "127.0.0.1"
     bind_port: int = 0  # 0: pick a free port
     max_request_bytes: int = 4 * 1024 * 1024
 
-    _ENV = {
-        "bind_host": "WIDIR_BIND_HOST",
-        "bind_port": "WIDIR_BIND_PORT",
-        "max_request_bytes": "WIDIR_MAX_REQUEST_BYTES",
-    }
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 <= self.bind_port <= 65535:
             raise ConfigError(f"bind_port must lie in [0, 65535], got {self.bind_port}")
         if self.max_request_bytes < 1:
@@ -224,13 +220,14 @@ class ServeConfig:
 
     @classmethod
     def load(cls, path=None, env: Mapping[str, str] | None = None) -> "ServeConfig":
-        """File values overridden by environment variables (env wins)."""
+        """File values overridden by environment variables (`WIDIR_<FIELD>`), the rules checked on the
+        merged values. A bad key or value names its source; a broken rule names each source that gave values."""
         env = os.environ if env is None else env
-        config = from_kv(cls, read_kv(path), str(path)) if path else cls()
-        overrides = {name: env[var] for name, var in cls._ENV.items() if var in env}
-        config = from_kv(cls, {**to_kv(config), **overrides}, "WIDIR_* environment")
-        config.validate()
-        return config
+        values = parse_fields(cls, read_kv(path), str(path)) if path else {}
+        overrides = {f.name: env[var] for f in fields(cls) if (var := f"WIDIR_{f.name.upper()}") in env}
+        values.update(parse_fields(cls, overrides, "WIDIR_* environment"))
+        sources = [str(path)] * bool(path) + ["WIDIR_* environment"] * bool(overrides)
+        return from_kv(cls, {}, " + ".join(sources), **values)
 
 
 # --- HTTP service ------------------------------------------------------------------

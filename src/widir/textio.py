@@ -24,7 +24,7 @@ import os
 import typing
 from typing import Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, WidirError
 
 
 def parse_kv(text: str, context: str) -> dict[str, str]:
@@ -93,25 +93,33 @@ def _value_fields(cls) -> dict[str, tuple[type, bool]]:
     }
 
 
-def from_kv(cls, items: Mapping[str, str], context: str, prefix: str = "", /, **given):
-    """An instance of dataclass `cls`: each value field from the item `<prefix><field>`,
-    read by the field's type, or its default when the item is absent; the rest from `given`.
-
-    An item that names no value field of `cls` (or names one in `given`), a
-    missing item for a field without a default, and an unreadable value are
-    ConfigErrors naming `context` and the key.
-    """
-    fields = {name: spec for name, spec in _value_fields(cls).items() if name not in given}
-    kwargs = dict(given)
+def parse_fields(cls, items: Mapping[str, str], context: str, prefix: str = "", skip=()) -> dict:
+    """Each item `<prefix><field>` as value field `field` of dataclass `cls`, read by the field's type.
+    An item that names no value field (or one in `skip`) and an unreadable value are ConfigErrors
+    naming `context` and the key."""
+    fields = _value_fields(cls)
+    out = {}
     for key, text in items.items():
         name = key[len(prefix):] if key.startswith(prefix) else None
-        if name not in fields:
+        if name not in fields or name in skip:
             raise ConfigError(f"{context}: unknown config key {key!r}")
-        kwargs[name] = parse_value(fields[name][0], text, context, key)
-    missing = [name for name, (_, required) in fields.items() if required and name not in kwargs]
+        out[name] = parse_value(fields[name][0], text, context, key)
+    return out
+
+
+def from_kv(cls, items: Mapping[str, str], context: str, prefix: str = "", /, **given):
+    """An instance of dataclass `cls`: its value fields read from `items` by `parse_fields`,
+    a default for each absent one, the rest from `given`. A missing item for a field without
+    a default is a ConfigError naming `context` and the key; a rule of `cls` the values
+    break raises the class's error, naming `context`."""
+    kwargs = {**parse_fields(cls, items, context, prefix, skip=given), **given}
+    missing = [name for name, (_, required) in _value_fields(cls).items() if required and name not in kwargs]
     if missing:
         raise ConfigError(f"{context}: missing required key {prefix + missing[0]!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except WidirError as exc:
+        raise type(exc)(f"{context}: {exc}") from exc
 
 
 def to_kv(obj, prefix: str = "", omit: tuple[str, ...] = ()) -> dict[str, str]:

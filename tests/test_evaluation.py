@@ -1,5 +1,6 @@
 import datetime as dt
 import hashlib
+import re
 import threading
 
 import numpy as np
@@ -371,6 +372,15 @@ class TestEvaluate:
                             precision={1: 0.25, 3: 0.125}, recall={1: 0.5, 3: 0.75})
         again = EvalReport.from_text(report.to_text())
         assert again == report
+
+    @pytest.mark.parametrize("text, named", [
+        ("precision@1 = 0.2\nprecision@5 = 0.1\nrecall@1 = 0.9\nrecall@5 = 0.5\n",
+         "recall not non-decreasing between h=1 and h=5"),
+        ("precision@1 = 0.2\nrecall@1 = 0.3\nrecall@5 = 0.5\n", "precision at h=[1] but recall at h=[1, 5]"),
+    ], ids=["falling-recall", "unpaired-recall"])
+    def test_report_text_breaking_a_rule_is_data_error(self, text, named):
+        with pytest.raises(DataError, match=re.escape(f"eval report: {named}")):
+            EvalReport.from_text("model = x\nn_pairs = 7\n" + text)
 
     def test_missing_match_is_error(self):
         events, _ = self._two_template_world(5)

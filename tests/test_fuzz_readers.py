@@ -20,7 +20,7 @@ from widir.cli import main
 from widir.domain import day_of, read_catalog, read_join_log, read_schedule
 from widir.errors import WidirError
 from widir.features import SnapshotStore
-from widir.generator import GeneratorConfig, SyntheticWorld
+from widir.generator import GeneratorConfig, read_archetypes
 from widir.inference import read_payloads
 from widir.manifest import RunManifest
 from widir.model import WidirDims, init_params, load_model, save_model
@@ -101,7 +101,7 @@ READERS = {
     "joins.csv": ("data/joins.csv", lambda path, day: read_join_log(path)),
     "contests.csv": ("data/contests.csv", lambda path, day: read_catalog(path)),
     "matches.csv": ("data/matches.csv", lambda path, day: read_schedule(path)),
-    "archetypes.csv": ("data/archetypes.csv", lambda path, day: SyntheticWorld.read_archetypes(path)),
+    "archetypes.csv": ("data/archetypes.csv", lambda path, day: read_archetypes(path)),
     "generator.kv": ("data/generator.kv", lambda path, day: GeneratorConfig.from_file(path)),
     "train.kv": ("train.kv", lambda path, day: TrainConfig.from_file(path)),
     "ab.kv": ("ab.kv", lambda path, day: ABConfig.from_file(path)),

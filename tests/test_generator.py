@@ -17,10 +17,10 @@ from widir.generator import (
     DEFAULT_ARCHETYPES,
     GeneratorConfig,
     PlayerArchetype,
-    SyntheticWorld,
     archetype_utilities,
     build_template_pool,
     generate_synthetic,
+    read_archetypes,
     template_stats,
 )
 
@@ -55,11 +55,11 @@ def expected_joins(config):
 class TestConfig:
     def test_short_date_range_rejected(self):
         with pytest.raises(ConfigError, match="40 days"):
-            small_config(end_day=START + dt.timedelta(days=38)).validate()
+            small_config(end_day=START + dt.timedelta(days=38))
 
     def test_empty_template_catalog_rejected(self):
         with pytest.raises(ConfigError):
-            small_config(templates_per_match=0).validate()
+            small_config(templates_per_match=0)
 
     def test_kv_round_trip(self):
         config = small_config()
@@ -80,9 +80,9 @@ class TestConfig:
 
     def test_archetype_bounds(self):
         with pytest.raises(ConfigError):
-            PlayerArchetype(0.0, 1.0, 0.5, 0.5, 0.1, 25.0, 0.1).validate()
+            PlayerArchetype(0.0, 1.0, 0.5, 0.5, 0.1, 25.0, 0.1)
         with pytest.raises(ConfigError):
-            PlayerArchetype(0.0, -1.0, 0.5, 0.5, 0.1, 1.0, 0.1).validate()
+            PlayerArchetype(0.0, -1.0, 0.5, 0.5, 0.1, 1.0, 0.1)
 
 
 class TestTemplatePool:
@@ -202,7 +202,7 @@ class TestGenerateSynthetic:
 
     def test_archetype_table_round_trip(self, tmp_path, tiny_world):
         tiny_world.write_dir(tmp_path / "world")
-        loaded = SyntheticWorld.read_archetypes(tmp_path / "world" / "archetypes.csv")
+        loaded = read_archetypes(tmp_path / "world" / "archetypes.csv")
         assert loaded == tiny_world.archetypes
 
 

@@ -76,7 +76,7 @@ def _rows(blocks):
 
 
 def _fields(payloads):
-    return [(p.player_id, p.match_id, p.ranking, p.generated_at, p.model_version) for p in payloads]
+    return [(p.player_id, p.match_id, p.ranking, p.block.generated_at, p.model_version) for p in payloads]
 
 
 class TestRunBatch:
@@ -185,7 +185,7 @@ class TestPayloadFile:
         for p in payloads:
             alone = model_rank(params, snap, p.player_id, templates[p.match_id]).ranked
             assert [(t, v.hex()) for t, v in p.ranking] == [(t, v.hex()) for t, v in alone]
-            assert (p.generated_at, p.model_version) == (7, "v3")
+            assert (p.block.generated_at, p.model_version) == (7, "v3")
 
 
 def _corrupt(doc: dict, case: str) -> dict:

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import socket
 import threading
 import time
@@ -371,6 +372,15 @@ class TestServeConfig:
     def test_bad_env_value_is_config_error_naming_key(self):
         with pytest.raises(ConfigError, match="WIDIR_\\* environment: bad value for 'bind_port'"):
             ServeConfig.load(None, env={"WIDIR_BIND_PORT": "eighty"})
+
+    def test_rules_are_checked_on_the_merged_values_naming_their_sources(self, tmp_path):
+        path = tmp_path / "serve.kv"
+        path.write_text("bind_port = 70000\n")
+        assert ServeConfig.load(path, env={"WIDIR_BIND_PORT": "8080"}).bind_port == 8080
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: bind_port must lie in [0, 65535]")):
+            ServeConfig.load(path, env={})
+        with pytest.raises(ConfigError, match=re.escape(f"{path} + WIDIR_* environment: max_request_bytes")):
+            ServeConfig.load(path, env={"WIDIR_BIND_PORT": "8080", "WIDIR_MAX_REQUEST_BYTES": "0"})
 
 
 class TestHTTPService:

@@ -114,7 +114,7 @@ def _valid_items() -> dict[str, tuple]:
                                 start_day=dt.date(2025, 1, 1), end_day=dt.date(2025, 3, 1))
     ab = ABConfig(group_sizes={"CG": 10, "TG1": 10}, policies={"TG1": "popularity"})
     return {
-        "train": (TrainConfig.from_file, TrainConfig().to_kv_dict()),
+        "train": (TrainConfig.from_file, to_kv(TrainConfig())),
         "generator": (GeneratorConfig.from_file, generator.to_kv_dict()),
         "ab": (ABConfig.from_file, ab.to_kv_dict()),
         "serve": (lambda path: ServeConfig.load(path, env={}), to_kv(ServeConfig())),

@@ -12,6 +12,7 @@ from widir.errors import ConfigError, DataError
 from widir.features import _identity_stats, build_template_block
 import widir.training as training
 from widir.model import WidirDims, forward_batch, init_params, pair_gradients
+from widir.textio import from_kv
 from widir.training import (
     EarlyStopper,
     PairDataset,
@@ -276,24 +277,24 @@ class TestTrainConfig:
         assert config.list_length == 100
 
     def test_kv_parsing_and_unknown_key(self):
-        config = TrainConfig.from_kv_dict({"learning_rate": "0.01", "epochs": "5"})
+        config = from_kv(TrainConfig, {"learning_rate": "0.01", "epochs": "5"}, "train config")
         assert config.learning_rate == 0.01 and config.epochs == 5
         with pytest.raises(ConfigError, match="momentum"):
-            TrainConfig.from_kv_dict({"momentum": "0.9"})
+            from_kv(TrainConfig, {"momentum": "0.9"}, "train config")
 
     def test_optimizer_key_is_unknown(self):
         """Training runs Adam only, so a config that names an optimizer is refused."""
         with pytest.raises(ConfigError, match="optimizer"):
-            TrainConfig.from_kv_dict({"optimizer": "adam"})
+            from_kv(TrainConfig, {"optimizer": "adam"}, "train config")
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "0", "-0.1"])
     def test_bad_learning_rate_is_config_error(self, rate):
         with pytest.raises(ConfigError, match="learning_rate"):
-            TrainConfig.from_kv_dict({"learning_rate": rate})
+            from_kv(TrainConfig, {"learning_rate": rate}, "train config")
 
     def test_list_length_restricted(self):
         with pytest.raises(ConfigError):
-            TrainConfig(list_length=64).validate()
+            TrainConfig(list_length=64)
 
 
 def separable_dataset(rng, dims, n_players):
