@@ -85,9 +85,21 @@ def epoch_day(day: dt.date) -> int:
     return (day - _EPOCH).days
 
 
+@functools.lru_cache(maxsize=4096)
+def _date_text(days: int) -> str:
+    """YYYY-MM-DD of the day `days` after 1970-01-01."""
+    return (_EPOCH + dt.timedelta(days=days)).isoformat()
+
+
 def format_ts(ts: int) -> str:
-    """ISO-8601 UTC timestamp at second resolution, e.g. 2025-01-03T17:30:00Z."""
-    return dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """ISO-8601 UTC timestamp at second resolution, e.g. 2025-01-03T17:30:00Z.
+
+    Logs stamp many joins on few days, so each day's date text is cached.
+    """
+    days, seconds = divmod(int(ts), SECONDS_PER_DAY)
+    hours, seconds = divmod(seconds, 3600)
+    minutes, seconds = divmod(seconds, 60)
+    return f"{_date_text(days)}T{hours:02d}:{minutes:02d}:{seconds:02d}Z"
 
 
 _TS = re.compile(r"([0-9]{4}-[0-9]{2}-[0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z")
@@ -196,18 +208,27 @@ def validate_contest(spec: ContestSpec) -> list[str]:
     Returns an empty list iff the spec is well formed; violations are
     descriptions naming the field and rule (data, not exceptions).
     """
+    return list(_contest_violations(spec.entry_fee, spec.prize_money, spec.contest_size, spec.prize_distribution))
+
+
+@functools.lru_cache(maxsize=4096)
+def _contest_violations(
+    entry_fee: int, prize_money: int, contest_size: int, distribution: PrizeDistribution
+) -> tuple[str, ...]:
+    """`validate_contest`'s violations, the fields it reads as arguments. A catalog
+    repeats a few template shapes on many rows, so each shape is checked once."""
     violations: list[str] = []
-    if spec.entry_fee < 0:
+    if entry_fee < 0:
         violations.append("entry_fee negative")
-    if spec.prize_money < 0:
+    if prize_money < 0:
         violations.append("prize_money negative")
-    if spec.contest_size < 2:
+    if contest_size < 2:
         violations.append("contest_size below 2")
 
-    tiers = spec.prize_distribution.tiers
+    tiers = distribution.tiers
     if not tiers:
         violations.append("prize_distribution has no tiers")
-        return violations
+        return tuple(violations)
 
     expected_from = 1
     contiguous = True
@@ -219,15 +240,15 @@ def validate_contest(spec: ContestSpec) -> list[str]:
         expected_from = hi + 1
     if not contiguous:
         violations.append("prize_distribution tiers not contiguous from rank 1")
-    if tiers[-1][1] > spec.contest_size:
+    if tiers[-1][1] > contest_size:
         violations.append("prize_distribution exceeds contest_size")
     prizes = [prize for _, _, prize in tiers]
     if any(a < b for a, b in zip(prizes, prizes[1:])):
         violations.append("prize_per_rank not non-increasing")
-    payout = spec.prize_distribution.total_payout()
-    if spec.prize_money > 0 and payout > spec.prize_money * (1 + 1e-6):
+    payout = distribution.total_payout()
+    if prize_money > 0 and payout > prize_money * (1 + 1e-6):
         violations.append("prize_distribution payout exceeds prize_money")
-    return violations
+    return tuple(violations)
 
 
 def validate_catalog(contests: Sequence[ContestSpec], matches: Sequence[MatchRecord]) -> list[str]:
@@ -290,7 +311,9 @@ def _format_tiers(d: PrizeDistribution) -> str:
     return ";".join(f"{lo}-{hi}:{format_money(p)}" for lo, hi, p in d.tiers)
 
 
+@functools.lru_cache(maxsize=4096)
 def _parse_tiers(text: str) -> PrizeDistribution:
+    """A catalog repeats a few distributions on many rows, so results are cached; a rejected text is not."""
     tiers = []
     if text:
         for part in text.split(";"):

@@ -7,7 +7,8 @@ Every scorer ranks one match's templates for a list of players in one call,
 `rank_players(match_id, templates, snapshot, player_ids)`, which returns the
 slates in `player_ids` order. Evaluation and the A/B simulation rank
 through it. Batch inference takes `ModelScorer.score_matrix`, the scores
-`ModelScorer.rank_players` orders, and builds no slates.
+`ModelScorer.rank_players` orders, over the distinct templates of all its
+matches at once, and builds no slates.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .model import Rows, WidirParams, score_rows
 from .textio import format_kv, from_kv, parse_kv, parse_value, to_kv
 
 EVAL_H_VALUES = (1, 3, 5, 10)
-_SCORE_CHUNK = 256  # players scored per forward batch
+_SCORE_ROWS = 256 * 60  # pair rows per forward batch: 256 players of a 60-template match
 
 
 def _workers() -> int:
@@ -187,10 +188,12 @@ class PopularityScorer:
 class ModelScorer:
     """Ranks with the model; each slate equals that player's `model_rank` bit for bit.
 
-    The match's template block is built once per call, and the players are
-    scored in chunks through `score_players`, on one thread per CPU when
-    there is more than one chunk. The kernel is batch-invariant, so a
-    player's scores depend neither on its chunk nor on the thread count.
+    The template block is built once per call, and the players are scored
+    through `score_players` in chunks of at most `_SCORE_ROWS` pair rows
+    (one player at least), on one thread per CPU when there is more than
+    one chunk. The kernel is batch-invariant, so a player's scores depend
+    neither on its chunk, nor on the other templates in the call, nor on
+    the thread count.
     """
 
     name = "widir"
@@ -199,9 +202,10 @@ class ModelScorer:
         self.params = params
 
     def score_matrix(self, templates, snapshot, player_ids) -> tuple[list[str], np.ndarray]:
-        """The match's template ids and the (players, templates) scores, rows in `player_ids` order."""
+        """The template ids and the (players, templates) scores, rows in `player_ids` order."""
         block = build_template_block(templates, snapshot.stats)
-        chunks = [player_ids[base : base + _SCORE_CHUNK] for base in range(0, len(player_ids), _SCORE_CHUNK)]
+        step = max(1, _SCORE_ROWS // len(block.template_ids))
+        chunks = [player_ids[base : base + step] for base in range(0, len(player_ids), step)]
         if len(chunks) <= 1:
             return block.template_ids, score_players(self.params, snapshot, block, player_ids)
         # numpy releases the GIL in matmul and its ufunc loops, so the chunks'

@@ -5,13 +5,16 @@ match's template ids, its sorted active player ids and a float32
 (players x templates) score matrix, so the serving layer never runs the
 model. The active players are the as-of day's snapshot players: the day
 sweep keeps exactly the players with a join in the 30 days before the
-day, so the batch job reads no join log. Each block comes from one
-`ModelScorer.score_matrix` call, the chunked `score_players` calls
-evaluation ranks through, run on one thread per CPU. The scoring kernel is batch-invariant, so every score is
-bit-identical to that player's `model_rank` whatever the chunking or the
-thread count. No slate is built here: an ordering is made only where a
-(player, match) row's `ranking` is read. `generated_at` is an input,
-making re-runs bytewise idempotent.
+day, so the batch job reads no join log. The upcoming matches share
+templates, so each distinct template spec is scored once for the whole
+window, in one `ModelScorer.score_matrix` call (the chunked `score_players`
+calls evaluation ranks through, run on one thread per CPU), and each
+match's block is cut from those scores by column. The scoring kernel is
+batch-invariant, so every score is bit-identical to that player's
+`model_rank` whatever the chunking, the thread count or the other
+templates scored with it. No slate is built here: an ordering is made
+only where a (player, match) row's `ranking` is read. `generated_at` is an
+input, making re-runs bytewise idempotent.
 
 The payload file holds one JSON line per match (see `write_payloads`), and
 `read_payloads` gives back one `RankingPayload` view per (player, match).
@@ -20,9 +23,11 @@ The payload file holds one JSON line per match (see `write_payloads`), and
 from __future__ import annotations
 
 import base64
+import collections
 import datetime as dt
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,25 +134,43 @@ def run_batch(
 ) -> list[MatchScores]:
     """One score block per upcoming match, its rows the sorted active players.
 
-    Each block is one `ModelScorer.score_matrix` call, the scores
-    `ModelScorer.rank_players` orders; the scoring kernel is
-    batch-invariant, so each row's ordering is bit-identical to that
-    player's `model_rank`.
+    Matches share templates, so each distinct template spec (a template
+    with its contest and match ids blanked) is scored once for all the
+    matches, and each match's block is cut from those scores by column, in
+    the match's template order. A template block holds each template id
+    once, so a template id with two specs puts its first in the first
+    `ModelScorer.score_matrix` call and its second in a second call, and so
+    on. A pair row's score depends only on its player, its template spec and
+    the snapshot, and the scoring kernel is batch-invariant, so each row's
+    ordering is bit-identical to that player's `model_rank`.
     """
     player_ids = tuple(sorted(active))
+    if not matches:
+        return []
+    keys = [[replace(t, contest_id="", match_id="") for t in templates] for _, templates in matches]
+    calls: list[list[ContestSpec]] = []  # calls[k]: each template id's (k+1)-th distinct spec
+    seen: collections.Counter[str] = collections.Counter()
+    for spec in dict.fromkeys(itertools.chain.from_iterable(keys)):
+        k = seen[spec.template_id]
+        seen[spec.template_id] += 1
+        if k == len(calls):
+            calls.append([])
+        calls[k].append(spec)
+    column = {spec: j for j, spec in enumerate(itertools.chain.from_iterable(calls))}
     scorer = ModelScorer(params)
-    blocks = []
-    for match, templates in matches:
-        template_ids, scores = scorer.score_matrix(templates, snapshot, player_ids)
-        blocks.append(MatchScores(
+    scores = np.concatenate([scorer.score_matrix(c, snapshot, player_ids)[1] for c in calls], axis=1)
+    return [
+        MatchScores(
             match_id=match.match_id,
-            template_ids=tuple(template_ids),
+            template_ids=tuple(spec.template_id for spec in specs),
             player_ids=player_ids,
-            scores=scores,
+            # take copies the columns into a C-ordered matrix; scores[:, cols] would be F-ordered
+            scores=np.take(scores, [column[spec] for spec in specs], axis=1),
             generated_at=generated_at,
             model_version=model_version,
-        ))
-    return blocks
+        )
+        for (match, _), specs in zip(matches, keys)
+    ]
 
 
 def write_payloads(path, blocks: Sequence[MatchScores]) -> None:

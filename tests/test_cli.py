@@ -183,6 +183,19 @@ def _cli_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def _serve_exits_2(*args) -> str:
+    """The stderr of `widir serve` with `args`, run as a child that must exit 2.
+
+    Input that passed would serve until the timeout, so the child is not run
+    in process.
+    """
+    child = subprocess.run([sys.executable, "-m", "widir.cli", "serve", *map(str, args)],
+                           env=_cli_env(), capture_output=True, text=True, timeout=60)
+    assert child.returncode == 2, child.stderr
+    assert child.stdout == ""
+    return child.stderr
+
+
 def _reproduce_twice(root, run_id, capsys) -> str:
     """Reproduce `run_id` twice; the second run finds and empties the first one's directory.
 
@@ -656,8 +669,8 @@ class TestCorruptInputs:
         lambda line: line[: len(line) // 2],
         lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != "scores"}),
     ], ids=["truncated-line", "no-ranking"])
-    def test_serve_on_bad_payload_line_exit_2(self, pipeline_root, tmp_path, capsys, cut):
-        self._serve_exits_2_naming_line_2(pipeline_root, tmp_path, capsys, cut)
+    def test_serve_on_bad_payload_line_exit_2(self, pipeline_root, tmp_path, cut):
+        self._serve_exits_2_naming_line_2(pipeline_root, tmp_path, cut)
 
     @pytest.mark.parametrize("content", [None, b"\xff\n"], ids=["missing", "not-utf8"])
     @pytest.mark.parametrize("command", ["serve", "abtest"])
@@ -665,12 +678,13 @@ class TestCorruptInputs:
         bad = tmp_path / "payloads.jsonl"
         if content is not None:
             bad.write_bytes(content)
-        argv = ["serve", "--payloads", str(bad)] if command == "serve" else [
-            "abtest", "--out", str(tmp_path), "--data", str(pipeline_root / "data"),
-            "--config", str(pipeline_root.parent / "ab-payloads.kv"), "--payloads", str(bad)]
-        capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        if command == "serve":
+            err = _serve_exits_2("--payloads", bad)
+        else:
+            capsys.readouterr()
+            assert main(["abtest", "--out", str(tmp_path), "--data", str(pipeline_root / "data"),
+                         "--config", str(pipeline_root.parent / "ab-payloads.kv"), "--payloads", str(bad)]) == 2
+            err = capsys.readouterr().err
         assert f"{bad}: cannot read payloads" in err and "internal error" not in err
 
     @pytest.mark.parametrize("bad_line, named", [
@@ -790,15 +804,8 @@ class TestCorruptInputs:
         contests[3] = dataclasses.replace(bad, contest_size=1)
         catalog = tmp_path / "contests.csv"
         write_catalog(catalog, contests)
-        payloads = pipeline_root / "payloads" / "payloads.jsonl"
-        # a catalog that passes would serve until the timeout
-        child = subprocess.run(
-            [sys.executable, "-m", "widir.cli", "serve", "--payloads", str(payloads), "--fallback", str(catalog)],
-            env=_cli_env(), capture_output=True, text=True, timeout=60,
-        )
-        assert child.returncode == 2
-        assert f"{catalog}:4: invalid catalog: contest {bad.contest_id}: contest_size below 2" in child.stderr
-        assert child.stdout == ""
+        err = _serve_exits_2("--payloads", pipeline_root / "payloads" / "payloads.jsonl", "--fallback", catalog)
+        assert f"{catalog}:4: invalid catalog: contest {bad.contest_id}: contest_size below 2" in err
 
     def test_abtest_on_non_utf8_archetypes_exit_2(self, pipeline_root, tmp_path, capsys):
         data = tmp_path / "data"
@@ -818,21 +825,19 @@ class TestCorruptInputs:
         return err
 
     @pytest.mark.parametrize("case", CORRUPTIONS)
-    def test_serve_on_corrupt_payload_block_exit_2(self, pipeline_root, tmp_path, capsys, case):
+    def test_serve_on_corrupt_payload_block_exit_2(self, pipeline_root, tmp_path, case):
         self._serve_exits_2_naming_line_2(
-            pipeline_root, tmp_path, capsys, lambda line: json.dumps(_corrupt(json.loads(line), case))
+            pipeline_root, tmp_path, lambda line: json.dumps(_corrupt(json.loads(line), case))
         )
 
     @staticmethod
-    def _serve_exits_2_naming_line_2(pipeline_root, tmp_path, capsys, cut):
+    def _serve_exits_2_naming_line_2(pipeline_root, tmp_path, cut):
         lines = (pipeline_root / "payloads" / "payloads.jsonl").read_text().splitlines()
         # a second match's line, made from the first, is the one cut
         second = json.dumps(dict(json.loads(lines[0]), match_id="second-match"), sort_keys=True)
         bad = tmp_path / "payloads.jsonl"
         bad.write_text("\n".join([lines[0], cut(second), *lines[1:]]) + "\n")
-        capsys.readouterr()
-        assert main(["serve", "--payloads", str(bad)]) == 2
-        err = capsys.readouterr().err
+        err = _serve_exits_2("--payloads", bad)
         assert f"{bad}:2:" in err and "internal error" not in err
 
 

@@ -2,7 +2,7 @@ import dataclasses
 import datetime as dt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from widir.domain import (
     CENTS,
@@ -76,6 +76,23 @@ class TestTime:
     def test_parse_inverts_format(self, ts):
         assert parse_ts(format_ts(ts)) == ts
 
+    @pytest.mark.parametrize("ts", [
+        0, 86_399, 86_400, -1, -86_400,                                     # 1970-01-01 and its day edges
+        day_start(dt.date(2024, 2, 29)) - 1, day_start(dt.date(2024, 2, 29)),  # into a leap day
+        day_start(dt.date(2024, 3, 1)) - 1,                                 # its last second
+        day_start(dt.date(1901, 1, 1)),                                     # the range written in logs
+        LAST_FOUR_DIGIT_SECOND,                                             # 9999-12-31T23:59:59
+    ])
+    def test_format_equals_strftime(self, ts):
+        expected = dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert format_ts(ts) == expected
+
+    @settings(max_examples=500)
+    @given(st.integers(min_value=day_start(dt.date(1901, 1, 1)), max_value=LAST_FOUR_DIGIT_SECOND))
+    def test_format_equals_strftime_anywhere(self, ts):
+        expected = dt.datetime.fromtimestamp(ts, tz=dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert format_ts(ts) == expected
+
     @pytest.mark.parametrize("text", [
         "2025-1-3T7:30:0Z",        # not zero-padded
         "2025-01-03 07:30:00Z",    # space separator
@@ -138,6 +155,13 @@ class TestValidateContest:
     def test_size_below_two(self):
         spec = mk_contest(contest_size=1, tiers=((1, 1, 5 * CENTS),))
         assert "contest_size below 2" in validate_contest(spec)
+
+    def test_each_call_returns_a_fresh_list(self):
+        spec = mk_contest(contest_size=1, tiers=((1, 1, 5 * CENTS),))
+        validate_contest(spec).append("changed by a caller")
+        validate_contest(mk_contest()).append("changed by a caller")
+        assert validate_contest(spec) == ["contest_size below 2"]
+        assert validate_contest(mk_contest()) == []
 
 
 class TestPrizeStats:
@@ -241,6 +265,19 @@ class TestSerialization:
         with pytest.raises(DataError, match="currency") as info:
             read_catalog(path)
         assert f"{path}:2:" in str(info.value)
+
+    def test_repeated_bad_tiers_name_their_line_on_every_read(self, tmp_path):
+        path = tmp_path / "contests.csv"
+        write_catalog(path, [mk_contest(contest_id=f"c{i}") for i in range(3)])
+        lines = path.read_text().splitlines()
+        bad = [",".join(row[:7] + ["1-1;2"] + row[8:]) for row in (line.split(",") for line in lines[1:])]
+        path.write_text("\n".join([lines[0], *bad]) + "\n")
+        for _ in range(2):  # the second read finds no cached result for the rejected text
+            with pytest.raises(DataError, match=f"^{path}:2: "):
+                read_catalog(path)
+        path.write_text("\n".join([lines[0], lines[1], bad[1]]) + "\n")
+        with pytest.raises(DataError, match=f"^{path}:3: "):
+            read_catalog(path)
 
     def test_bad_catalog_row_is_data_error(self, tmp_path):
         path = tmp_path / "contests.csv"

@@ -221,7 +221,7 @@ class TestScoreMatrixPool:
     @pytest.mark.parametrize("size", [0, 1, 7, 15])
     def test_equals_one_score_players_call(self, setting, monkeypatch, workers, size):
         params, snapshot, templates, players = setting
-        monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 7)
+        monkeypatch.setattr(evaluation, "_SCORE_ROWS", 7 * len(templates))  # 7 players a chunk
         monkeypatch.setattr(evaluation, "_workers", lambda: workers)
         ids = players[:size]
         template_ids, scores = ModelScorer(params).score_matrix(templates, snapshot, ids)
@@ -233,7 +233,7 @@ class TestScoreMatrixPool:
 
     def test_error_in_second_chunk_propagates(self, setting, monkeypatch):
         params, snapshot, templates, players = setting
-        monkeypatch.setattr(evaluation, "_SCORE_CHUNK", 7)
+        monkeypatch.setattr(evaluation, "_SCORE_ROWS", 7 * len(templates))  # 7 players a chunk
         monkeypatch.setattr(evaluation, "_workers", lambda: 3)
         ids = players[:21]
         real = evaluation.score_players
@@ -360,8 +360,8 @@ class TestEvaluate:
         monkeypatch.setattr(evaluation, "score_players", lambda *a: calls.append(a) or score_players(*a))
         batched = evaluate(ModelScorer(params), test_events, by_match, match_days, snapshots)
         test_matches = set(test_events.match_id.tolist())
-        # one scoring call per test match: each has fewer than 256 test players,
-        # so its one chunk is scored inline
+        # one scoring call per test match: each has fewer test pair rows than
+        # _SCORE_ROWS, so its one chunk is scored inline
         assert len(calls) == len(test_matches) < batched.n_pairs
         per_player = evaluate(PerPlayerScorer(), test_events, by_match, match_days, snapshots)
         assert batched == per_player

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import widir
-from widir import pipeline
+from widir import evaluation, pipeline
 from widir.domain import CENTS, ContestType, MatchRecord, day_of, day_start
 from widir.errors import DataError
-from widir.evaluation import _SCORE_CHUNK, model_rank
+from widir.evaluation import ModelScorer, model_rank
 from widir.features import SnapshotStore, _identity_stats
 from widir.generator import GeneratorConfig, generate_synthetic
 from widir.inference import (
+    MatchScores,
     RankingPayload,
     active_players,
     read_payloads,
@@ -141,6 +142,103 @@ class TestRunBatch:
         assert [p.name for p in tmp_path.iterdir()] == ["payloads.jsonl"]
 
 
+def _per_match_batch(params, snapshot, matches, active, model_version, generated_at):
+    """The batch job's scores made one `score_matrix` call per match, the oracle of `run_batch`."""
+    player_ids = tuple(sorted(active))
+    scorer = ModelScorer(params)
+    blocks = []
+    for match, templates in matches:
+        template_ids, scores = scorer.score_matrix(templates, snapshot, player_ids)
+        blocks.append(MatchScores(match.match_id, tuple(template_ids), player_ids, scores,
+                                  generated_at, model_version))
+    return blocks
+
+
+def _catalog(*templates_by_match):
+    """One (match, templates) pair per argument, a list of (template number, entry fee in units)."""
+    types = [ContestType.PUBLIC, ContestType.SPECIAL, ContestType.MEGA]
+    matches = []
+    for m, spec in enumerate(templates_by_match):
+        contests = [
+            mk_contest(contest_id=f"m{m}c{i}", template_id=f"t{t}", match_id=f"m{m}", entry_fee=fee * CENTS,
+                       contest_size=10 + t, contest_type=types[t % 3], tiers=((1, 1, (40 + t) * CENTS),))
+            for i, (t, fee) in enumerate(spec)
+        ]
+        start = day_start(DAY0) + (15 + m) * 3600
+        matches.append((MatchRecord(f"m{m}", start, tuple(c.contest_id for c in contests)), contests))
+    return matches
+
+
+CATALOGS = {
+    # m1 lists its templates out of id order; t3 is in all three matches
+    "shared": _catalog([(t, t + 1) for t in range(6)], [(t, t + 1) for t in (8, 3, 5, 7, 4)],
+                       [(t, t + 1) for t in (0, 3, 6, 9)]),
+    # t2 costs 3, then 5, then 3 again; t4 costs 5, then 9: four specs over two ids, scored in two calls
+    "fee-differs": _catalog([(0, 1), (2, 3), (4, 5)], [(4, 9), (2, 5), (1, 2)], [(2, 3), (0, 1), (6, 7)]),
+    "disjoint": _catalog([(t, t + 1) for t in range(4)], [(t, t + 1) for t in range(4, 8)]),
+}
+
+
+def _distinct_specs(matches) -> int:
+    return len({dataclasses.replace(t, contest_id="", match_id="") for _, ts in matches for t in ts})
+
+
+class TestOneScoringPerTemplate:
+    """`run_batch`, which scores each distinct template spec once, against one scoring per match."""
+
+    dims = WidirDims()
+    known = [f"p{i:03d}" for i in range(40)]
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        rng = np.random.default_rng(9)
+        types = [ContestType.PUBLIC, ContestType.SPECIAL, ContestType.MEGA]
+        players = {pid: rng.standard_normal(self.dims.d_p).astype(np.float32) for pid in self.known}
+        recents = {
+            pid: [RecentJoin(DAY0 - dt.timedelta(days=1 + k % 5), f"t{k % 10}", types[k % 3],
+                             k % 8, (k // 3) % 8, (k // 7) % 8, 1 + k % 3)]
+            for k, pid in enumerate(self.known) if k % 3
+        }
+        snap = snapshot_from(DAY0, _identity_stats(), players, recents)
+        return init_params(self.dims, 4), snap, set(self.known) | {"cold-a", "cold-b"}
+
+    @pytest.mark.parametrize("catalog", sorted(CATALOGS))
+    def test_equals_one_scoring_per_match(self, setting, tmp_path, monkeypatch, catalog):
+        params, snap, active = setting
+        matches = CATALOGS[catalog]
+        oracle = _per_match_batch(params, snap, matches, active, "v1", 7)
+        monkeypatch.setattr(evaluation, "_SCORE_ROWS", 50)  # several small chunks on the pool
+        monkeypatch.setattr(evaluation, "_workers", lambda: 3)
+        blocks = run_batch(params, snap, matches, active, "v1", 7)
+        assert [b.template_ids for b in blocks] == [tuple(t.template_id for t in ts) for _, ts in matches]
+        assert all(b.scores.flags.c_contiguous for b in blocks)
+        write_payloads(tmp_path / "batch.jsonl", blocks)
+        write_payloads(tmp_path / "oracle.jsonl", oracle)
+        assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("catalog", sorted(CATALOGS))
+    @pytest.mark.parametrize("budget", [evaluation._SCORE_ROWS, 50])
+    def test_pair_rows_scored_are_players_times_distinct_specs(self, setting, monkeypatch, catalog, budget):
+        params, snap, active = setting
+        matches = CATALOGS[catalog]
+        monkeypatch.setattr(evaluation, "_SCORE_ROWS", budget)
+        batches = []
+        real = evaluation.score_players
+
+        def spy(params, snapshot, block, player_ids):
+            batches.append(len(player_ids) * len(block.template_ids))
+            return real(params, snapshot, block, player_ids)
+
+        monkeypatch.setattr(evaluation, "score_players", spy)
+        run_batch(params, snap, matches, active, "v1", 7)
+        assert sum(batches) == len(active) * _distinct_specs(matches)
+        assert max(batches) <= budget
+
+    def test_no_match_no_block(self, setting):
+        params, snap, active = setting
+        assert run_batch(params, snap, [], active, "v1", 7) == []
+
+
 class TestPayloadFile:
     """run_batch -> write_payloads -> read_payloads against one `model_rank` per (player, match)."""
 
@@ -171,7 +269,7 @@ class TestPayloadFile:
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 30))
-    @example(seed=0, size=600)  # more than one 512-player scoring chunk
+    @example(seed=0, size=600)  # nearly the whole pool
     def test_rankings_equal_model_rank(self, tmp_path_factory, setting, seed, size):
         params, snap, matches = setting
         rng = np.random.default_rng(seed)
@@ -250,16 +348,19 @@ class TestReadPayloads:
 
 
 # Runs `pipeline.run_infer` for argv: out, data, features, model, as-of day,
-# and a CPU to pin the process to first ("-" for none); prints the CPU count.
+# the pair rows per forward batch, and a CPU to pin the process to first ("-"
+# for none); prints the CPU count.
 _INFER_CHILD = """
 import datetime as dt, os, sys
-out, data, features, model, day, cpu = sys.argv[1:]
+out, data, features, model, day, rows, cpu = sys.argv[1:]
 if cpu != "-":
     os.sched_setaffinity(0, {int(cpu)})
-from widir import pipeline
+from widir import evaluation, pipeline
+evaluation._SCORE_ROWS = int(rows)
 pipeline.run_infer(out, data, features, model, dt.date.fromisoformat(day), horizon=1, run_id="infer")
 print(len(os.sched_getaffinity(0)))
 """
+_CHILD_ROWS = 1024  # pair rows per forward batch in the child, so that it scores several batches
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to compare thread counts")
@@ -281,7 +382,8 @@ def test_payloads_do_not_depend_on_the_thread_count(tmp_path):
     cpus, payloads = [], []
     for name, cpu in (("pinned", str(min(os.sched_getaffinity(0)))), ("unpinned", "-")):
         out = tmp_path / name
-        argv = [str(out), str(data), str(tmp_path / "features"), str(model), as_of.isoformat(), cpu]
+        argv = [str(out), str(data), str(tmp_path / "features"), str(model), as_of.isoformat(),
+                str(_CHILD_ROWS), cpu]
         child = subprocess.run([sys.executable, "-c", _INFER_CHILD, *argv], env=env,
                                capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr
@@ -289,5 +391,6 @@ def test_payloads_do_not_depend_on_the_thread_count(tmp_path):
         payloads.append((out / "payloads" / "payloads.jsonl").read_bytes())
     assert cpus[0] == 1 < cpus[1]
     blocks = [json.loads(line) for line in payloads[1].splitlines()]
-    assert blocks and all(len(b["player_ids"]) > _SCORE_CHUNK for b in blocks)  # several chunks per match
+    distinct = {t for b in blocks for t in b["template_ids"]}
+    assert blocks and len(blocks[0]["player_ids"]) * len(distinct) > 2 * _CHILD_ROWS  # three chunks or more
     assert payloads[0] == payloads[1]
