@@ -10,13 +10,13 @@ The reply is joined from per-contest fragments and equals `json.dumps` of
 the reply document byte for byte. The 10 ms budget is measured
 in-process (request parse through response serialize).
 
-`serve` runs one asyncio event loop on one daemon thread, and that loop serves
-every connection through callbacks: no thread or task per connection. The
-ranking work is Python that holds the GIL, so it runs one request at a time
-whatever the thread count; threads per connection only added the cost of
-handing each request from thread to thread. The service speaks a subset of
-HTTP/1.0: one request per connection, answered with an `HTTP/1.0` reply with a
-JSON body, after which the service closes the connection.
+`serve` runs one `selectors` loop on one daemon thread, and that loop serves
+every connection from a small record of its buffer, deadline and unsent reply:
+no thread, task or timer per connection. The ranking work is Python that holds
+the GIL, so it runs one request at a time whatever the thread count; threads
+per connection only added the cost of handing each request from thread to
+thread. The service speaks a subset of HTTP/1.0: one request per connection,
+answered with an `HTTP/1.0` reply with a JSON body, then the connection closes.
 
 - `GET /health` and `POST /rank` answer 200; a rank body that `handle_rank_body`
   rejects answers 400;
@@ -35,13 +35,15 @@ JSON body, after which the service closes the connection.
 
 from __future__ import annotations
 
-import asyncio
+import collections
 import json
 import os
 import re
+import selectors
+import socket
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from http import HTTPStatus
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, Sequence
@@ -237,6 +239,7 @@ MAX_HEADERS = 100
 # seconds from accept to the last byte of the request; a client that declares
 # more body than it sends would otherwise hold its connection open forever
 CONNECTION_TIMEOUT_S = 10.0
+READ_BYTES = 256 * 1024  # per recv, above HEAD_LIMIT: closing on unread request bytes would reset the reply
 _VERSION = re.compile(rb"HTTP/(\d{1,9})\.\d{1,9}")
 
 
@@ -293,109 +296,47 @@ def _error(message: str) -> bytes:
     return json.dumps({"error": message}).encode()
 
 
-class _RankProtocol(asyncio.Protocol):
-    """One connection: read one request, answer it with HTTP/1.0 and close.
+@dataclass(slots=True)
+class _Connection:
+    """One connection: the request read so far, its deadline and the reply bytes not yet sent."""
 
-    The service's event loop calls these methods, one at a time.
-    """
-
-    def __init__(self, store: OnlineStore, max_request_bytes: int, connections: set):
-        self.store = store
-        self.max_request_bytes = max_request_bytes
-        self.connections = connections
-        self.buffer = bytearray()
-        self.scanned = 0  # bytes of buffer already searched for the head's end
-        self.length: int | None = None  # the body's length, once the head is read
-
-    def connection_made(self, transport):
-        self.transport = transport
-        self.connections.add(self)
-        self.deadline = asyncio.get_running_loop().call_later(CONNECTION_TIMEOUT_S, self._expire)
-
-    def connection_lost(self, exc):
-        self.deadline.cancel()
-        self.connections.discard(self)
-
-    def data_received(self, data):
-        self.buffer += data
-        if self.length is None and not self._read_head():
-            return
-        if len(self.buffer) >= self.length:
-            try:
-                status, body = handle_rank_body(self.store, bytes(self.buffer[: self.length]))
-            except Exception as exc:  # answer, and keep serving the other connections
-                status, body = 500, _error(f"internal error: {exc}")
-            self._reply(status, body)
-
-    def eof_received(self):
-        if self.length is not None:
-            self._reply(400, _error(f"request body ended after {len(self.buffer)} of {self.length} bytes"))
-        elif self.buffer:
-            self._reply(400, _error("request head ended before its empty line"))
-        # returning None closes the transport
-
-    def _read_head(self) -> bool:
-        """Answer or take the request head once it has arrived; True if a body is due."""
-        buf = self.buffer
-        # the head ends at its first empty line: the first "\n" followed by "\r\n" or "\n"
-        start = max(0, self.scanned - 2)
-        crlf = buf.find(b"\n\r\n", start, HEAD_LIMIT)
-        lf = buf.find(b"\n\n", start, HEAD_LIMIT if crlf < 0 else crlf + 1)
-        end, body = (lf, lf + 2) if lf >= 0 else (crlf, crlf + 3)
-        if end < 0:
-            self.scanned = len(buf)
-            if len(buf) >= HEAD_LIMIT:
-                status = 414 if buf.find(b"\n", 0, HEAD_LIMIT) < 0 else 431
-                self._reply(status, _error(f"request head exceeds {HEAD_LIMIT} bytes"))
-            return False
-        head = bytes(buf[:end])
-        del buf[:body]
-        try:
-            length = _body_length(head, self.max_request_bytes)
-        except _Refused as exc:
-            self._reply(exc.status, _error(str(exc)))
-            return False
-        if length is None:
-            doc = {"status": "ok", "model_version": self.store.model_version,
-                   "payload_count": self.store.payload_count}
-            self._reply(200, json.dumps(doc).encode())
-            return False
-        self.length = length
-        return True
-
-    def _expire(self):
-        if self.transport.is_closing():  # answered, but the client does not read the reply
-            self.transport.abort()
-        else:
-            self._reply(408, _error(f"request not received within {CONNECTION_TIMEOUT_S} s"))
-
-    def _reply(self, status: int, body: bytes) -> None:
-        phrase = HTTPStatus(status).phrase.encode()
-        self.transport.write(
-            b"HTTP/1.0 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
-            % (status, phrase, len(body), body)
-        )
-        self.transport.close()
+    sock: socket.socket | None  # None once closed
+    deadline: float
+    buffer: bytearray = field(default_factory=bytearray)
+    scanned: int = 0  # bytes of buffer already searched for the head's end
+    length: int | None = None  # the body's length, once the head is read
+    unsent: bytes | None = None  # the reply's unsent bytes, once answered
 
 
 class RankingService:
-    """The running service: `serve`'s event loop, run by `thread` until close()."""
+    """The running service: `serve`'s selector loop, run by `thread` until close()."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, server: asyncio.Server, connections: set):
-        self.loop = loop
-        self.server = server
-        self.connections = connections  # the _RankProtocol of every open connection
+    def __init__(self, store: OnlineStore, listeners: list[socket.socket], max_request_bytes: int):
+        self.store = store
+        self.listeners = listeners
+        self.max_request_bytes = max_request_bytes
+        self.timeout = CONNECTION_TIMEOUT_S
+        # every deadline is its accept time plus the same timeout, so accept order is deadline order
+        self.deadlines: collections.deque[_Connection] = collections.deque()
+        self.selector = selectors.DefaultSelector()
+        for listener in listeners:
+            self.selector.register(listener, selectors.EVENT_READ)
+        self._wakeup, self._waker = socket.socketpair()  # a byte on _waker stops the loop
+        self.selector.register(self._wakeup, selectors.EVENT_READ)
         self._closed = threading.Event()
         self.thread = threading.Thread(target=self._run, name="widir-serve", daemon=True)
         self.thread.start()
 
     @property
     def address(self) -> tuple[str, int]:
-        return self.server.sockets[0].getsockname()[:2]
+        return self.listeners[0].getsockname()[:2]
 
     def close(self) -> None:
-        """Stop accepting, abort open connections, stop and close the loop, end its thread."""
-        self.loop.call_soon_threadsafe(self._stop)
+        """Stop the loop, which closes every socket it holds, and end its thread. A second call does nothing."""
+        try:
+            self._waker.send(b"\0")
+        except OSError:  # the loop has stopped and closed its sockets
+            pass
         # wait on the event, not on thread.join alone: on Python 3.11 a join cut short by
         # KeyboardInterrupt (the CLI's Ctrl-C) marks the thread stopped while it still runs
         self._closed.wait(timeout=5)
@@ -403,30 +344,151 @@ class RankingService:
 
     def _run(self) -> None:
         try:
-            self.loop.run_forever()
+            while True:
+                for key, events in self.selector.select(self._expire(time.monotonic())):
+                    if key.fileobj is self._wakeup:
+                        return
+                    if key.data is None:
+                        self._accept(key.fileobj)
+                    elif events & selectors.EVENT_WRITE:
+                        self._send(key.data)
+                    else:
+                        self._read(key.data)
         finally:
-            self.loop.close()
+            for key in list(self.selector.get_map().values()):
+                key.fileobj.close()
+            self.selector.close()
+            self._waker.close()
             self._closed.set()
 
-    def _stop(self) -> None:
-        """On the loop's thread: each abort schedules the callback that closes its
-        socket, and the loop stops after those callbacks have run."""
-        self.server.close()
-        for connection in list(self.connections):
-            connection.transport.abort()
-        self.loop.call_soon(self.loop.stop)
+    def _expire(self, now: float) -> float | None:
+        """Answer 408, or drop a reply still unsent, on each connection past its deadline;
+        the seconds until the next deadline, None if no connection is open."""
+        deadlines = self.deadlines
+        while deadlines and (deadlines[0].sock is None or deadlines[0].deadline <= now):
+            conn = deadlines.popleft()
+            if conn.sock is not None and conn.unsent is None:
+                self._reply(conn, 408, _error(f"request not received within {self.timeout} s"))
+            if conn.sock is not None:  # answered, but the client does not read the reply
+                self._close(conn)
+        return deadlines[0].deadline - now if deadlines else None
+
+    def _accept(self, listener: socket.socket) -> None:
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:  # none left to accept, or the client has already gone
+                return
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(sock, time.monotonic() + self.timeout)
+            self.selector.register(sock, selectors.EVENT_READ, conn)
+            self.deadlines.append(conn)
+            self._read(conn)  # the request has often arrived with the connection: skip a pass of the loop
+
+    def _read(self, conn: _Connection) -> None:
+        """Read until the socket has no bytes left or the request is answered."""
+        try:
+            while conn.unsent is None:
+                data = conn.sock.recv(READ_BYTES)
+                if not data:  # the client has sent its last byte
+                    if conn.length is not None:
+                        self._reply(conn, 400, _error(
+                            f"request body ended after {len(conn.buffer)} of {conn.length} bytes"))
+                    elif conn.buffer:
+                        self._reply(conn, 400, _error("request head ended before its empty line"))
+                    else:
+                        self._close(conn)
+                    return
+                conn.buffer += data
+                self._take(conn)
+        except BlockingIOError:
+            pass
+        except OSError:  # reset by the client
+            self._close(conn)
+
+    def _take(self, conn: _Connection) -> None:
+        """Answer the request once its head, or its whole body, has arrived."""
+        if conn.length is None and not self._read_head(conn):
+            return
+        if len(conn.buffer) >= conn.length:
+            try:
+                status, body = handle_rank_body(self.store, bytes(conn.buffer[: conn.length]))
+            except Exception as exc:  # answer, and keep serving the other connections
+                status, body = 500, _error(f"internal error: {exc}")
+            self._reply(conn, status, body)
+
+    def _read_head(self, conn: _Connection) -> bool:
+        """Answer or take the request head once it has arrived; True if a body is due."""
+        buf = conn.buffer
+        # the head ends at its first empty line: the first "\n" followed by "\r\n" or "\n"
+        start = max(0, conn.scanned - 2)
+        crlf = buf.find(b"\n\r\n", start, HEAD_LIMIT)
+        lf = buf.find(b"\n\n", start, HEAD_LIMIT if crlf < 0 else crlf + 1)
+        end, body = (lf, lf + 2) if lf >= 0 else (crlf, crlf + 3)
+        if end < 0:
+            conn.scanned = len(buf)
+            if len(buf) >= HEAD_LIMIT:
+                status = 414 if buf.find(b"\n", 0, HEAD_LIMIT) < 0 else 431
+                self._reply(conn, status, _error(f"request head exceeds {HEAD_LIMIT} bytes"))
+            return False
+        head = bytes(buf[:end])
+        del buf[:body]
+        try:
+            length = _body_length(head, self.max_request_bytes)
+        except _Refused as exc:
+            self._reply(conn, exc.status, _error(str(exc)))
+            return False
+        if length is None:
+            doc = {"status": "ok", "model_version": self.store.model_version,
+                   "payload_count": self.store.payload_count}
+            self._reply(conn, 200, json.dumps(doc).encode())
+            return False
+        conn.length = length
+        return True
+
+    def _reply(self, conn: _Connection, status: int, body: bytes) -> None:
+        """Send the reply at once; wait for the socket to take the rest only if some is left."""
+        phrase = HTTPStatus(status).phrase.encode()
+        conn.unsent = (b"HTTP/1.0 %d %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
+                       % (status, phrase, len(body), body))
+        if self._send(conn):
+            self.selector.modify(conn.sock, selectors.EVENT_WRITE, conn)
+
+    def _send(self, conn: _Connection) -> bool:
+        """Send what the socket takes of the reply and close once it is all sent; True if some is left."""
+        try:
+            conn.unsent = conn.unsent[conn.sock.send(conn.unsent):]
+        except BlockingIOError:
+            pass
+        except OSError:  # the client has gone
+            conn.unsent = b""
+        if conn.unsent:
+            return True
+        self._close(conn)
+        return False
+
+    def _close(self, conn: _Connection) -> None:
+        self.selector.unregister(conn.sock)
+        conn.sock.close()
+        conn.sock = conn.buffer = None
 
 
 def serve(store: OnlineStore, config: ServeConfig) -> RankingService:
-    """Start the HTTP service on an event loop on a daemon thread and return a handle."""
-    loop = asyncio.new_event_loop()
-    connections: set[_RankProtocol] = set()
+    """Listen on every address `bind_host` resolves to and start the service loop on a daemon thread."""
+    listeners = []
     try:
-        server = loop.run_until_complete(loop.create_server(
-            lambda: _RankProtocol(store, config.max_request_bytes, connections),
-            config.bind_host, config.bind_port,
-        ))
+        for family, kind, proto, _, address in socket.getaddrinfo(
+                config.bind_host or None, config.bind_port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE):
+            listeners.append(sock := socket.socket(family, kind, proto))
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if family == socket.AF_INET6:  # leave IPv4 to its own socket
+                sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
+            sock.bind(address)
+            sock.listen()
+            sock.setblocking(False)
     except OSError as exc:
-        loop.close()
+        for sock in listeners:
+            sock.close()
         raise ConfigError(f"cannot bind {config.bind_host}:{config.bind_port}: {exc}") from exc
-    return RankingService(loop, server, connections)
+    return RankingService(store, listeners, config.max_request_bytes)

@@ -559,6 +559,68 @@ class TestHTTPService:
                 pass
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    def test_close_twice(self):
+        store, service = self._start()
+        service.close()
+        service.close()
+        assert not service.thread.is_alive()
+
+    def test_port_in_use_is_config_error(self):
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            config = ServeConfig(bind_port=taken.getsockname()[1])
+            with pytest.raises(ConfigError, match=re.escape(f"cannot bind 127.0.0.1:{config.bind_port}")):
+                serve(OnlineStore(), config)
+
+    def test_reply_larger_than_the_socket_takes(self, monkeypatch):
+        """A reply the socket does not take at once is sent as the client reads, and
+        dropped at the deadline if the client never reads it; others are served meanwhile."""
+        monkeypatch.setattr(serving, "CONNECTION_TIMEOUT_S", 1.5)
+        sends = []
+        send = serving.RankingService._send
+
+        def counted_send(service, conn):
+            sends.append(conn)
+            return send(service, conn)
+
+        monkeypatch.setattr(serving.RankingService, "_send", counted_send)
+        # an 8 MB reply: more than a loopback socket's send buffer takes (4 MB at most by default)
+        contests = [{"contest_id": f"c{i:04d}" + "x" * 4000, "template_id": f"t{1 + i % 2}"}
+                    for i in range(serving.MAX_LIVE_CONTESTS)]
+        body = json.dumps({"player_id": "p1", "match_id": "m1", "contests": contests}).encode()
+        request = b"POST /rank HTTP/1.0\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+        store, service = self._start(max_request_bytes=len(body))
+        try:
+            with self._small_window_client(service.address, request) as slow:
+                time.sleep(0.2)
+                reply = self._read_all(slow)
+            head, _, doc = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.0 200 ") and (b"Content-Length: %d" % len(doc)) in head
+            assert [c["contest_id"] for c in json.loads(doc)["contests"]] == [  # t2 scores 2.0, t1 1.0
+                c["contest_id"] for t in ("t2", "t1") for c in contests if c["template_id"] == t]
+            assert len(sends) > 1  # the reply waited on the socket
+
+            t0 = time.monotonic()
+            with self._small_window_client(service.address, request) as stuck:
+                assert self._rank_status(service.address) == 200
+                time.sleep(serving.CONNECTION_TIMEOUT_S + 0.3)
+                reply = self._read_all(stuck)
+            assert time.monotonic() - t0 < serving.CONNECTION_TIMEOUT_S + 2.0
+            head, _, doc = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.0 200 ")
+            assert 0 < len(doc) < int(re.search(rb"Content-Length: (\d+)", head)[1])  # cut at the deadline
+        finally:
+            service.close()
+
+    @staticmethod
+    def _small_window_client(address, request: bytes):
+        """A client that sends `request` with a small receive buffer, and has not read yet."""
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.settimeout(5)
+        sock.connect(address)
+        sock.sendall(request)
+        return sock
+
     @staticmethod
     def _short_body_client(address):
         """A POST /rank that declares 100 body bytes and sends 2."""
@@ -568,10 +630,10 @@ class TestHTTPService:
 
     @staticmethod
     def _read_all(sock) -> bytes:
-        reply = b""
-        while chunk := sock.recv(4096):
-            reply += chunk
-        return reply
+        chunks = []
+        while chunk := sock.recv(1 << 16):
+            chunks.append(chunk)
+        return b"".join(chunks)
 
     def test_short_body_released_after_timeout(self, monkeypatch):
         assert 0 < serving.CONNECTION_TIMEOUT_S <= 60  # a fixed connection deadline is on by default

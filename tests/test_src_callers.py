@@ -3,15 +3,14 @@ of its classes, has a caller outside tests/.
 
 A name that only tests reference is an oracle and belongs under tests/.
 A reference from src/widir, outside the name's own definition, or from
-benchmarks/ counts as a caller. Dunder methods and the asyncio.Protocol
-callbacks are exempt: the runtime calls them, not a name in the code.
+benchmarks/ counts as a caller. Dunder methods are exempt: the runtime calls
+them, not a name in the code.
 """
 
 import ast
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-PROTOCOL_CALLBACKS = {"connection_made", "data_received", "eof_received", "connection_lost"}
 
 
 def references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -32,19 +31,15 @@ def references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 def definitions(tree: ast.Module):
     """(qualified name, node) of each module-level function and class of `tree`, each
-    class followed by its methods and properties that are neither dunders nor callbacks."""
+    class followed by its methods and properties that are not dunders."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*functions, ast.ClassDef)):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, functions) and not _called_by_the_runtime(item.name):
+                if isinstance(item, functions) and not (item.name.startswith("__") and item.name.endswith("__")):
                     yield f"{node.name}.{item.name}", item
-
-
-def _called_by_the_runtime(name: str) -> bool:
-    return (name.startswith("__") and name.endswith("__")) or name in PROTOCOL_CALLBACKS
 
 
 def without_callers(modules: dict[str, str], callers: list[str]) -> list[str]:
@@ -77,5 +72,5 @@ def test_checker_finds_names_without_callers():
              "def by_bench():\n    pass\n",
     }
     assert without_callers(modules, ["import b\nb.by_bench()\n"]) == [
-        "a.recursive", "a.Oracle", "a.Store.days", "a.Store.size",
+        "a.recursive", "a.Oracle", "a.Store.days", "a.Store.size", "a.Store.data_received",
     ]
